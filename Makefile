@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check build vet lint test race audit ckpt-smoke exhaust-smoke scale-smoke bench-smoke sample-smoke bench bench-diff regen-bench run experiments
+.PHONY: check build vet lint test race audit ckpt-smoke exhaust-smoke scale-smoke bench-smoke sample-smoke fuzz-smoke bench bench-diff regen-bench run experiments
 
 # check is the full verification gate: compile, vet, the determinism linter,
 # the whole test suite, a fast race pass (Quick-scale simulations skip under
 # -short, so the race leg stays cheap while still covering the worker pool
 # and fault-injection paths), an audited simulation leg, a checkpoint
 # save/restore round trip, a sampled-mode determinism smoke, a resource-
-# exhaustion smoke, a large-fleet event-driven netsim smoke, and a
-# one-iteration benchmark smoke.
-check: build vet lint test race audit ckpt-smoke sample-smoke exhaust-smoke scale-smoke bench-smoke
+# exhaustion smoke, a large-fleet event-driven netsim smoke, a
+# one-iteration benchmark smoke, and a short run of every fuzz target.
+check: build vet lint test race audit ckpt-smoke sample-smoke exhaust-smoke scale-smoke bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,18 @@ scale-smoke:
 # crashes in bench-only code paths, not to measure anything.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > /dev/null
+
+# fuzz-smoke runs every Fuzz* target under internal/ and cmd/ for 10 seconds
+# on top of its committed seed corpus (testdata/fuzz/<target>). go test -fuzz
+# takes one target per package run, so the targets are found by name and run
+# one by one; a new Fuzz* function joins the leg without editing this file.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: $$t ./$$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s ./$$(dirname $$f); \
+		done; \
+	done
 
 # bench records the performance trajectory: the full benchmark suite at its
 # fixed scale, converted to BENCH_<date>.json (simcycles/s, ns/op,

@@ -161,6 +161,9 @@ func Decode(r io.Reader) (*Image, error) {
 	return decode(raw, "")
 }
 
+// decode parses raw in place: each section is a capacity-capped sub-slice
+// of raw, not a copy, so raw must not be modified afterwards. Put replaces
+// a section rather than writing into it, and Get only reads.
 func decode(raw []byte, path string) (*Image, error) {
 	fail := func(reason string) (*Image, error) {
 		return nil, &FormatError{Path: path, Reason: reason}
@@ -212,8 +215,9 @@ func decode(raw []byte, path string) (*Image, error) {
 		if !ok || payLen > maxPayloadLen || off+int(payLen) > len(body) {
 			return fail(fmt.Sprintf("bad payload length for section %q", name))
 		}
-		img.sections[name] = append([]byte(nil), body[off:off+int(payLen)]...)
-		off += int(payLen)
+		end := off + int(payLen)
+		img.sections[name] = body[off:end:end]
+		off = end
 	}
 	if off != len(body) {
 		return fail("trailing garbage after sections")

@@ -135,3 +135,86 @@ func TestCauseString(t *testing.T) {
 		t.Fatal("unknown cause should stringify")
 	}
 }
+
+// bigSnap returns a tracker snapshot of n line-address keys with mixed
+// evictors, the shape of a library window's cache trackers.
+func bigSnap(n int) TrackerSnap {
+	tr := NewTracker()
+	for i := 0; i < n; i++ {
+		tr.Evicted(uint64(i)*3<<6, Agent{TID: uint32(i % 7), Priv: i%3 == 0})
+	}
+	return tr.Snapshot()
+}
+
+// TestTrackerRestoreZeroAlloc pins the restore path's allocation budget:
+// once the base and overlay have grown to a workload's size, restoring a
+// same-size snapshot and replaying a burst of misses allocates nothing.
+func TestTrackerRestoreZeroAlloc(t *testing.T) {
+	snap := bigSnap(20_000)
+	tr := NewTracker()
+	burst := func() {
+		tr.Restore(snap)
+		for i := uint64(0); i < 5_000; i++ {
+			a := Agent{TID: uint32(i % 5), Priv: i%4 == 0}
+			tr.Classify(i<<6, a)
+			tr.Evicted(i<<6+1, a)
+			tr.FirstSeen(i<<6+2, a)
+		}
+	}
+	burst()
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		t.Fatalf("Restore + miss burst = %v allocs/run, want 0", n)
+	}
+}
+
+// TestTrackerOverlayGenerationWrap restores more times than the overlay's
+// 16-bit liveness stamp can count: an entry written in one generation must
+// not come back to life when the stamp wraps around to it.
+func TestTrackerOverlayGenerationWrap(t *testing.T) {
+	const stale, other = 1 << 6, 2 << 6
+	tr := NewTracker()
+	empty := tr.Snapshot()
+	tr.Evicted(stale, Agent{TID: 1})
+	for i := 0; i < 1<<16+3; i++ {
+		tr.Restore(empty)
+		tr.Evicted(other, Agent{TID: 2})
+		if tr.Seen(stale) {
+			t.Fatalf("restore %d: key %#x, written before the first restore, is live again", i, stale)
+		}
+	}
+	if tr.Len() != 1 {
+		t.Fatalf("Len = %d after the last restore and one eviction, want 1", tr.Len())
+	}
+}
+
+func TestTrackerRestoreRejectsMismatchedArrays(t *testing.T) {
+	for name, s := range map[string]TrackerSnap{
+		"short TIDs":  {Keys: []uint64{1, 2}, TIDs: []uint32{0}, Flags: []uint8{0, 0}},
+		"short Flags": {Keys: []uint64{1}, TIDs: []uint32{0}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Restore accepted arrays of different lengths")
+				}
+			}()
+			NewTracker().Restore(s)
+		})
+	}
+}
+
+// BenchmarkTrackerRestore restores a snapshot the size of the largest
+// library window's trackers combined (about 360k keys) and reports the
+// cost per key.
+func BenchmarkTrackerRestore(b *testing.B) {
+	const keys = 360_000
+	snap := bigSnap(keys)
+	tr := NewTracker()
+	tr.Restore(snap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Restore(snap)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
+}

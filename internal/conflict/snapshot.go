@@ -1,13 +1,17 @@
 package conflict
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // TrackerSnap is the serialized form of a Tracker. It is a struct of
 // parallel arrays rather than a slice of per-key structs: gob decodes
 // primitive-typed slices through its fast paths instead of reflecting over
 // every element, and checkpoint restore decodes trackers with tens of
 // thousands of keys on the hot path of checkpoint-library regeneration.
-// Entry i is (Keys[i], TIDs[i], Flags[i]); Keys are sorted ascending.
+// Entry i is (Keys[i], TIDs[i], Flags[i]); Keys are strictly ascending.
+// The layout is also the tracker's in-memory base, so Restore copies it.
 type TrackerSnap struct {
 	Keys []uint64
 	TIDs []uint32
@@ -21,47 +25,59 @@ const (
 )
 
 // Snapshot returns the tracker's contents key-sorted, so that the
-// serialized form of a deterministic run is itself deterministic.
+// serialized form of a deterministic run is itself deterministic. It merges
+// the overlay into the base as it goes and keeps the result as the new
+// base, so the next Snapshot sorts only the keys written after this one.
 func (t *Tracker) Snapshot() TrackerSnap {
-	keys := make([]uint64, 0, len(t.seen))
-	for k := range t.seen {
-		keys = append(keys, k)
+	ov := make([]slot, 0, t.ovLen)
+	for _, s := range t.ov {
+		if s.gen == t.ovGen {
+			ov = append(ov, s)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.SortFunc(ov, func(a, b slot) int { return cmp.Compare(a.key, b.key) })
+	n := len(t.keys) + len(ov)
 	s := TrackerSnap{
-		Keys: keys,
-		TIDs: make([]uint32, len(keys)),
+		Keys: make([]uint64, 0, n),
+		TIDs: make([]uint32, 0, n),
 		// A fully zero []uint8 still gob-encodes per element; that is fine
 		// at this size, and Flags is rarely all zero in practice.
-		Flags: make([]uint8, len(keys)),
+		Flags: make([]uint8, 0, n),
 	}
-	for i, k := range keys {
-		ev := t.seen[k]
-		s.TIDs[i] = ev.tid
-		if ev.priv {
-			s.Flags[i] |= trackerPriv
+	i := 0
+	for _, o := range ov {
+		j, found := slices.BinarySearch(t.keys[i:], o.key)
+		j += i
+		s.Keys = append(s.Keys, t.keys[i:j]...)
+		s.TIDs = append(s.TIDs, t.tids[i:j]...)
+		s.Flags = append(s.Flags, t.flags[i:j]...)
+		s.Keys = append(s.Keys, o.key)
+		s.TIDs = append(s.TIDs, o.tid)
+		s.Flags = append(s.Flags, o.flags)
+		if found {
+			j++ // the overlay entry shadows the base's
 		}
-		if ev.invalidated {
-			s.Flags[i] |= trackerInvalidated
-		}
+		i = j
 	}
+	s.Keys = append(s.Keys, t.keys[i:]...)
+	s.TIDs = append(s.TIDs, t.tids[i:]...)
+	s.Flags = append(s.Flags, t.flags[i:]...)
+	t.Restore(s)
 	return s
 }
 
-// Restore replaces the tracker's contents with a snapshot. The existing map
-// is reused when present, so repeated restores onto one tracker do not
-// reallocate.
+// Restore replaces the tracker's contents with a snapshot: it copies the
+// snapshot into the base and empties the overlay. Both keep their capacity,
+// so repeated restores onto one tracker do not reallocate. Restore trusts
+// the key order Snapshot wrote (checkpoint images are CRC-protected); a
+// snapshot whose arrays differ in length panics, as the other structures'
+// Restore does on a geometry mismatch.
 func (t *Tracker) Restore(s TrackerSnap) {
-	if t.seen == nil {
-		t.seen = make(map[uint64]evictor, len(s.Keys))
-	} else {
-		clear(t.seen)
+	if len(s.TIDs) != len(s.Keys) || len(s.Flags) != len(s.Keys) {
+		panic("conflict: tracker snapshot arrays differ in length")
 	}
-	for i, k := range s.Keys {
-		t.seen[k] = evictor{
-			tid:         s.TIDs[i],
-			priv:        s.Flags[i]&trackerPriv != 0,
-			invalidated: s.Flags[i]&trackerInvalidated != 0,
-		}
-	}
+	t.keys = append(t.keys[:0], s.Keys...)
+	t.tids = append(t.tids[:0], s.TIDs...)
+	t.flags = append(t.flags[:0], s.Flags...)
+	t.resetOverlay()
 }
