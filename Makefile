@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet lint test race audit ckpt-smoke exhaust-smoke scale-smoke bench-smoke sample-smoke fuzz-smoke bench bench-diff regen-bench run experiments
+.PHONY: check build vet lint test race netsimref bench-smoke fuzz-smoke bench bench-diff regen-bench run experiments
 
 # check is the full verification gate: compile, vet, the determinism linter,
-# the whole test suite, a fast race pass (Quick-scale simulations skip under
-# -short, so the race leg stays cheap while still covering the worker pool
-# and fault-injection paths), an audited simulation leg, a checkpoint
-# save/restore round trip, a sampled-mode determinism smoke, a resource-
-# exhaustion smoke, a large-fleet event-driven netsim smoke, a
+# the whole test suite (including cmd/ossmt's in-process smoke legs: an
+# audited run, a checkpoint save/resume round trip, and byte-identical
+# reruns of the sampled, resource-exhaustion and 100k-client fleet runs), a
+# fast race pass (Quick-scale simulations skip under -short, so the race leg
+# stays cheap while still covering the worker pool and fault-injection
+# paths), the netsim equivalence tests under the reference driver, a
 # one-iteration benchmark smoke, and a short run of every fuzz target.
-check: build vet lint test race audit ckpt-smoke sample-smoke exhaust-smoke scale-smoke bench-smoke fuzz-smoke
+check: build vet lint test race netsimref bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -30,71 +31,11 @@ test:
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# audit runs a web simulation with the invariant auditor on a tight period:
-# it exits nonzero on any cross-layer inconsistency (see CHECKPOINT.md).
-audit:
-	$(GO) run ./cmd/ossmt -workload apache -warmup 500000 -cycles 1000000 -audit 200000 > /dev/null
-
-# ckpt-smoke proves the checkpoint round trip end to end through the CLI:
-# save at the end of one run, resume from the file, audit the resumed state.
-ckpt-smoke:
-	$(GO) run ./cmd/ossmt -workload apache -warmup 300000 -cycles 500000 \
-		-checkpoint /tmp/ossmt-smoke.ckpt > /dev/null
-	$(GO) run ./cmd/ossmt -restore /tmp/ossmt-smoke.ckpt -warmup 0 -cycles 300000 \
-		-audit 150000 > /dev/null
-	rm -f /tmp/ossmt-smoke.ckpt
-
-# sample-smoke proves the sampled mode's determinism contract end to end
-# through the CLI — two identical sampled runs must produce byte-identical
-# output — and runs the sampled-vs-full error-band test at Quick scale.
-sample-smoke:
-	$(GO) run ./cmd/ossmt -workload apache -warmup 100000 -cycles 400000 \
-		-sample -sample-period 100000 -sample-window 5000 > /tmp/ossmt-sample-a.txt
-	$(GO) run ./cmd/ossmt -workload apache -warmup 100000 -cycles 400000 \
-		-sample -sample-period 100000 -sample-window 5000 > /tmp/ossmt-sample-b.txt
-	cmp /tmp/ossmt-sample-a.txt /tmp/ossmt-sample-b.txt
-	rm -f /tmp/ossmt-sample-a.txt /tmp/ossmt-sample-b.txt
-	$(GO) test -run 'TestSamplingAblationWithinBand' ./internal/experiments
-
-# exhaust-smoke proves graceful degradation under resource exhaustion end to
-# end through the CLI: a run with a mid-run memory and pool squeeze must
-# finish (no watchdog trip), pass the invariant auditor (including the
-# resource-accounting check), and reproduce byte-identically (see FAULTS.md,
-# "Exhaustion").
-exhaust-smoke:
-	$(GO) run ./cmd/ossmt -workload apache -warmup 200000 -cycles 400000 \
-		-interval 40000 -clients 96 -idle-timeout 4 \
-		-mem-frames 1600 -sock-table 48 -mbuf-pool 24 -fd-limit 2 \
-		-mem-squeeze 0.55 -pool-squeeze 0.5 -squeeze-tick 2 \
-		-audit 100000 > /tmp/ossmt-exhaust-a.txt
-	$(GO) run ./cmd/ossmt -workload apache -warmup 200000 -cycles 400000 \
-		-interval 40000 -clients 96 -idle-timeout 4 \
-		-mem-frames 1600 -sock-table 48 -mbuf-pool 24 -fd-limit 2 \
-		-mem-squeeze 0.55 -pool-squeeze 0.5 -squeeze-tick 2 \
-		-audit 100000 > /tmp/ossmt-exhaust-b.txt
-	cmp /tmp/ossmt-exhaust-a.txt /tmp/ossmt-exhaust-b.txt
-	grep -q 'resources:' /tmp/ossmt-exhaust-a.txt
-	rm -f /tmp/ossmt-exhaust-a.txt /tmp/ossmt-exhaust-b.txt
-
-# scale-smoke proves the event-driven netsim at fleet scale end to end
-# through the CLI: a 100k-client staggered run with the invariant auditor on
-# must finish, report tail-latency percentiles, and reproduce
-# byte-identically (see DESIGN.md, "Event-driven netsim"). It also reruns
-# the driver-equivalence tests with the reference full-scan driver as the
-# build-time default (-tags netsimref), so the pinned byte-identity holds
-# from both directions.
-scale-smoke:
-	$(GO) run ./cmd/ossmt -workload apache -warmup 200000 -cycles 400000 \
-		-interval 40000 -clients 100000 -stagger 400 -think 400 \
-		-measure-latency -idle-timeout 8 \
-		-audit 100000 > /tmp/ossmt-scale-a.txt
-	$(GO) run ./cmd/ossmt -workload apache -warmup 200000 -cycles 400000 \
-		-interval 40000 -clients 100000 -stagger 400 -think 400 \
-		-measure-latency -idle-timeout 8 \
-		-audit 100000 > /tmp/ossmt-scale-b.txt
-	cmp /tmp/ossmt-scale-a.txt /tmp/ossmt-scale-b.txt
-	grep -q 'latency ticks' /tmp/ossmt-scale-a.txt
-	rm -f /tmp/ossmt-scale-a.txt /tmp/ossmt-scale-b.txt
+# netsimref reruns the driver-equivalence tests with the reference full-scan
+# driver as the build-time default (-tags netsimref), so the pinned
+# byte-identity of the event-driven netsim holds from both directions (see
+# DESIGN.md, "Event-driven netsim").
+netsimref:
 	$(GO) test -tags netsimref -run 'TestEventDriven|TestSnapshotRoundTrip' ./internal/netsim/
 
 # bench-smoke runs every benchmark exactly once — it exists to catch

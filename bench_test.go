@@ -17,13 +17,23 @@ import (
 // output doubles as a results table.
 var benchScale = experiments.Scale{Warmup: 400_000, Measure: 600_000, Interval: 100_000}
 
+// runOne regenerates one experiment through experiments.Execute, serially
+// and unsupervised.
+func runOne(id string, sc experiments.Scale, seed uint64) (experiments.Result, error) {
+	out, err := experiments.Execute(experiments.Plan{IDs: []string{id}, Scale: sc, Seed: seed, Seeds: 1, Workers: 1})
+	if err != nil {
+		return experiments.Result{}, err
+	}
+	return out[0].Res, out[0].Err
+}
+
 // runExperiment executes one paper artifact per benchmark iteration and
 // reports its key values as benchmark metrics.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	var last experiments.Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, benchScale, uint64(1+i))
+		res, err := runOne(id, benchScale, uint64(1+i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +163,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	runtime.GC()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run("fig5", experiments.Scale{
+		res, err := runOne("fig5", experiments.Scale{
 			Warmup: 200_000, Measure: 1_800_000, Interval: 60_000,
 		}, uint64(i+1))
 		if err != nil {
@@ -172,7 +182,7 @@ func BenchmarkSimulatorThroughputSampled(b *testing.B) {
 	runtime.GC()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run("fig5", experiments.Scale{
+		res, err := runOne("fig5", experiments.Scale{
 			Warmup: 200_000, Measure: 1_800_000, Interval: 60_000,
 			Sampling: core.Sampling{Period: 250_000, DetailWindow: 5_000},
 		}, uint64(i+1))

@@ -4,125 +4,104 @@
 //	experiments -run tab6       # one experiment
 //	experiments -quick          # reduced cycle budget (CI/laptop smoke)
 //	experiments -list           # available experiment ids
+//	experiments -seeds 3 -run ablation-fetch  # mean and [min, max] over seeds 1..3
 //	experiments -quick -json -audit 300000    # machine-readable, audited
 //	experiments -timeout 5m     # per-experiment budget, retry from checkpoint
 //	experiments -parallel 4     # worker pool; output identical to -parallel 1
+//	experiments -sample         # sampled simulations (-sample-period, -sample-window)
 //	experiments -windows-parallel 4           # checkpoint-library regeneration
 //	experiments -quick -cpuprofile cpu.pprof  # profile the whole sweep
+//
+// Every mode runs through one experiments.Plan. Supervision (-json,
+// -timeout, -audit) does not combine with -windows-parallel; an invalid
+// combination or count exits 2, an unknown -run id exits 1.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; every path returns through it so the profile
+// stop runs before the process exits.
+func run(args []string, stdout, stderr io.Writer) int {
 	// The -window-job child protocol bypasses flag parsing entirely: the
 	// parent (this same binary, or a test harness) appends positional
 	// arguments the flag package would reject.
-	if len(os.Args) > 1 && os.Args[1] == "-window-job" {
-		os.Exit(experiments.WindowJobMain(os.Args[2:], os.Stdout, os.Stderr))
+	if len(args) > 0 && args[0] == "-window-job" {
+		return experiments.WindowJobMain(args[1:], stdout, stderr)
 	}
-	// All paths return through here so profile-stopping defers run
-	// before the process exits.
-	os.Exit(run())
-}
-
-func run() int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runID        = flag.String("run", "", "experiment id to run (empty = all)")
-		quick        = flag.Bool("quick", false, "reduced cycle budget")
-		seed         = flag.Uint64("seed", 1, "simulation seed")
-		seeds        = flag.Int("seeds", 1, "run with this many seeds and report mean +/- spread of key values")
-		list         = flag.Bool("list", false, "list experiment ids")
-		jsonOut      = flag.Bool("json", false, "emit machine-readable JSON (implies supervised runs)")
-		timeout      = flag.Duration("timeout", 0, "per-experiment wall-clock budget; on a trip the experiment retries once, resuming from checkpoints (0 = none)")
-		auditAt      = flag.Uint64("audit", 0, "run the invariant auditor every N cycles during each experiment (0 = off)")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for independent (experiment, seed) jobs; results are ordered, so output is identical for any value")
-		sample       = flag.Bool("sample", false, "run simulations in sampled mode (fast-forward with warming between detailed windows); percentage metrics stay comparable, raw counters do not")
-		winParallel  = flag.Int("windows-parallel", 0, "regenerate from a checkpoint library with this many window jobs in parallel, each in its own OS process (0 = off; builds the library on first use)")
-		libraryDir   = flag.String("library", "", "checkpoint-library root for -windows-parallel (default: <tmpdir>/ossmt-library)")
-		samplePeriod = flag.Uint64("sample-period", 200_000, "cycles per sampling period (with -sample)")
-		sampleWindow = flag.Uint64("sample-window", 0, "detailed window per period in cycles (0 = period/10, with -sample)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		p      = experiments.Plan{Scale: experiments.Full}
+		smp    core.Sampling
+		sample bool
+		prof   core.Profile
+
+		runID       = fs.String("run", "", "experiment id to run (empty = all)")
+		quick       = fs.Bool("quick", false, "reduced cycle budget")
+		list        = fs.Bool("list", false, "list experiment ids")
+		winParallel = fs.Int("windows-parallel", 0, "regenerate from a checkpoint library with this many window jobs in parallel, each in its own OS process (0 = off; builds the library on first use)")
+		libraryDir  = fs.String("library", "", "checkpoint-library root for -windows-parallel (default: <tmpdir>/ossmt-library)")
 	)
-	flag.Parse()
-
-	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -seeds must be at least 1 (got %d)\n", *seeds)
+	fs.Uint64Var(&p.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&p.Seeds, "seeds", 1, "run with this many seeds and report mean +/- spread of key values")
+	fs.IntVar(&p.Workers, "parallel", runtime.GOMAXPROCS(0), "worker-pool size for independent (experiment, seed) jobs; results are ordered, so output is identical for any value")
+	fs.BoolVar(&p.Supervise, "json", false, "emit machine-readable JSON (implies supervised runs)")
+	fs.DurationVar(&p.Timeout, "timeout", 0, "per-experiment wall-clock budget; on a trip the experiment retries once, resuming from checkpoints (0 = none)")
+	fs.Uint64Var(&p.AuditEvery, "audit", 0, "run the invariant auditor every N cycles during each experiment (0 = off)")
+	core.BindSampleFlags(fs, &smp, &sample)
+	prof.BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
-	if *parallel < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -parallel must be at least 1 (got %d)\n", *parallel)
+	stop, err := prof.Start(stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	defer stop()
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
 		return 0
 	}
-	sc := experiments.Full
 	if *quick {
-		sc = experiments.Quick
+		p.Scale = experiments.Quick
 	}
-	if *sample {
-		// One mutation before dispatch covers every path below (plain,
-		// multi-seed, supervised, JSON): they all carry sc by value.
-		sc.Sampling = core.Sampling{Period: *samplePeriod, DetailWindow: *sampleWindow}
+	if sample {
+		p.Scale.Sampling = smp
 	}
-	ids := experiments.IDs()
 	if *runID != "" {
-		ids = []string{*runID}
+		p.IDs = []string{*runID}
 	}
-
 	if *winParallel > 0 {
 		// Checkpoint-library regeneration: windows restore and run in
 		// parallel OS processes; experiment output is assembled serially in
 		// id order, so the bytes are identical for any worker count.
-		if !sc.Sampling.Enabled() {
-			sc.Sampling = experiments.WindowedSampling(sc)
+		if !p.Scale.Sampling.Enabled() {
+			p.Scale.Sampling = experiments.WindowedSampling(p.Scale)
 		}
 		dir := *libraryDir
 		if dir == "" {
@@ -130,103 +109,87 @@ func run() int {
 		}
 		exe, err := os.Executable()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		wr := experiments.NewWindowRunner(experiments.WindowedConfig{
+		p.Library = experiments.NewWindowRunner(experiments.WindowedConfig{
 			Dir:     dir,
 			Workers: *winParallel,
 			Exec:    []string{exe, "-window-job"},
 		})
-		fmt.Print(experiments.RenderWindowed(ids, sc, *seed, wr))
-		return 0
 	}
 
-	// Supervision (timeout, audits) and JSON reporting share the
-	// supervised path; the plain paths below keep their exact output.
-	if *jsonOut || *timeout > 0 || *auditAt > 0 {
-		return supervised(ids, sc, *seed, *seeds, *timeout, *auditAt, *jsonOut, *parallel)
-	}
-
-	if *seeds > 1 {
-		return multiSeed(ids, sc, *seed, *seeds, *parallel)
-	}
-	if *runID == "" {
-		fmt.Print(experiments.RenderAllParallel(sc, *seed, *parallel))
-		return 0
-	}
-	res, err := experiments.Run(*runID, sc, *seed)
+	out, err := experiments.Execute(p)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	fmt.Printf("%s — %s\n\n%s\n", res.ID, res.Title, res.Text)
+	for _, o := range out {
+		if o.Err != nil {
+			fmt.Fprintln(stderr, o.Err)
+			return 1
+		}
+	}
+	switch {
+	case p.Supervised():
+		return supervised(stdout, stderr, aggregate(out, p.Seeds), p.Supervise)
+	case p.Seeds > 1:
+		multiSeed(stdout, aggregate(out, p.Seeds))
+	case *runID == "" || p.Library != nil:
+		fmt.Fprint(stdout, experiments.Render(out))
+	default:
+		fmt.Fprintf(stdout, "%s — %s\n\n%s\n", out[0].ID, out[0].Res.Title, out[0].Res.Text)
+	}
 	return 0
 }
 
-// sweep builds the id-major, seed-minor job list shared by the supervised
-// and multi-seed paths; job i*nSeeds+j is (ids[i], seed+j).
-func sweep(ids []string, seed uint64, nSeeds int) []experiments.Job {
-	jobs := make([]experiments.Job, 0, len(ids)*nSeeds)
-	for _, id := range ids {
-		for j := 0; j < nSeeds; j++ {
-			jobs = append(jobs, experiments.Job{ID: id, Seed: seed + uint64(j)})
-		}
-	}
-	return jobs
-}
-
-// jsonRecord is the machine-readable form of one experiment.
-type jsonRecord struct {
+// record is the aggregate of one experiment across its seeds, and the
+// machine-readable form of it.
+type record struct {
 	ID            string                `json:"id"`
 	Title         string                `json:"title"`
 	Status        string                `json:"status"` // "ok" or "partial"
 	Retried       bool                  `json:"retried"`
 	Error         string                `json:"error,omitempty"`
 	Seeds         []uint64              `json:"seeds"`
-	Values        map[string]float64    `json:"values"`
+	Values        map[string]float64    `json:"values"`           // mean across seeds
 	Spread        map[string][2]float64 `json:"spread,omitempty"` // [min,max] across seeds
 	Audits        uint64                `json:"audits"`
 	Checkpoints   uint64                `json:"checkpoints"`
 	FaultCrashes  uint64                `json:"faultCrashes"`
 	FramesDropped uint64                `json:"framesDropped"`
+
+	text string // the last seed's rendered report
 }
 
-// supervised runs the ids under per-experiment supervision and renders
-// either JSON records or the human report. Jobs execute on the worker
-// pool; aggregation walks them in job order, so output matches serial.
-func supervised(ids []string, sc experiments.Scale, seed uint64, nSeeds int, timeout time.Duration, auditAt uint64, jsonOut bool, workers int) int {
-	jobs := sweep(ids, seed, nSeeds)
-	results := experiments.RunJobsSupervised(jobs, sc, timeout, auditAt, workers)
-	var records []jsonRecord
-	failed := false
-	for i, id := range ids {
-		rec := jsonRecord{ID: id, Status: "ok", Values: map[string]float64{}}
+// aggregate folds Execute's id-major, seed-minor outcomes into one record
+// per id: the mean and (with several seeds) the [min, max] of every key
+// value, plus the summed supervision status.
+func aggregate(out []experiments.Outcome, nSeeds int) []record {
+	recs := make([]record, 0, len(out)/nSeeds)
+	for i := 0; i < len(out); i += nSeeds {
+		rec := record{ID: out[i].ID, Status: "ok", Values: map[string]float64{}}
+		if nSeeds > 1 {
+			rec.Spread = map[string][2]float64{}
+		}
 		acc := map[string][]float64{}
-		var lastText string
-		for j := 0; j < nSeeds; j++ {
-			jr := results[i*nSeeds+j]
-			if jr.Err != nil {
-				fmt.Fprintln(os.Stderr, jr.Err)
-				return 1
-			}
-			res, st := jr.Res, jr.Status
-			rec.Title = res.Title
-			rec.Seeds = append(rec.Seeds, jobs[i*nSeeds+j].Seed)
+		for _, o := range out[i : i+nSeeds] {
+			st := o.Status
+			rec.Title = o.Res.Title
+			rec.Seeds = append(rec.Seeds, o.Seed)
 			rec.Audits += st.Audits
 			rec.Checkpoints += st.Checkpoints
 			rec.FaultCrashes += st.FaultCrashes
 			rec.FramesDropped += st.FramesDropped
 			rec.Retried = rec.Retried || st.Retried
-			if !st.OK {
+			if st.Partial {
 				rec.Status = "partial"
 				rec.Error = st.Error
-				failed = true
 			}
-			for k, v := range res.Values {
+			for k, v := range o.Res.Values {
 				acc[k] = append(acc[k], v)
 			}
-			lastText = res.Text
+			rec.text = o.Res.Text
 		}
 		for k, vs := range acc {
 			mean, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
@@ -236,32 +199,38 @@ func supervised(ids []string, sc experiments.Scale, seed uint64, nSeeds int, tim
 				hi = math.Max(hi, v)
 			}
 			rec.Values[k] = mean / float64(len(vs))
-			if len(vs) > 1 {
-				if rec.Spread == nil {
-					//detlint:ignore maporder idempotent lazy init; the per-key writes below are keyed by the loop variable
-					rec.Spread = map[string][2]float64{}
-				}
+			if rec.Spread != nil {
 				rec.Spread[k] = [2]float64{lo, hi}
 			}
 		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// supervised renders supervised records as JSON or as the human report,
+// and exits 1 when any run was partial.
+func supervised(stdout, stderr io.Writer, recs []record, jsonOut bool) int {
+	failed := false
+	for _, rec := range recs {
+		failed = failed || rec.Status != "ok"
 		if jsonOut {
-			records = append(records, rec)
 			continue
 		}
 		status := rec.Status
 		if rec.Retried {
 			status += " (retried)"
 		}
-		fmt.Printf("################ %s — %s [%s]\n\n%s\n", id, rec.Title, status, lastText)
+		fmt.Fprintf(stdout, "################ %s — %s [%s]\n\n%s\n", rec.ID, rec.Title, status, rec.text)
 		if rec.Error != "" {
-			fmt.Printf("  partial result; last error: %s\n\n", rec.Error)
+			fmt.Fprintf(stdout, "  partial result; last error: %s\n\n", rec.Error)
 		}
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(records); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := enc.Encode(recs); err != nil {
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
@@ -271,47 +240,23 @@ func supervised(ids []string, sc experiments.Scale, seed uint64, nSeeds int, tim
 	return 0
 }
 
-// multiSeed reruns each experiment across seeds and reports, for every key
-// value, the mean and min..max spread — a sanity check that a conclusion
-// does not hinge on one random stream. With several ids (-seeds without
-// -run) the blocks are separated by a blank line.
-func multiSeed(ids []string, sc experiments.Scale, seed uint64, n, workers int) int {
-	jobs := sweep(ids, seed, n)
-	results := experiments.RunJobs(jobs, sc, workers)
-	for i := range ids {
-		acc := map[string][]float64{}
-		var title string
-		for j := 0; j < n; j++ {
-			jr := results[i*n+j]
-			if jr.Err != nil {
-				fmt.Fprintln(os.Stderr, jr.Err)
-				return 1
-			}
-			title = jr.Res.Title
-			for k, v := range jr.Res.Values {
-				acc[k] = append(acc[k], v)
-			}
-		}
+// multiSeed reports, for every key value, the mean and [min, max] across
+// seeds — a sanity check that a conclusion does not hinge on one random
+// stream. With several ids (-seeds without -run) the blocks are separated
+// by a blank line.
+func multiSeed(stdout io.Writer, recs []record) {
+	for i, rec := range recs {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Printf("%s — %s (%d seeds)\n\n", jobs[i*n].ID, title, n)
-		keys := make([]string, 0, len(acc))
-		for k := range acc {
+		fmt.Fprintf(stdout, "%s — %s (%d seeds)\n\n", rec.ID, rec.Title, len(rec.Seeds))
+		keys := make([]string, 0, len(rec.Values))
+		for k := range rec.Values {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			vs := acc[k]
-			mean, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
-			for _, v := range vs {
-				mean += v
-				lo = math.Min(lo, v)
-				hi = math.Max(hi, v)
-			}
-			mean /= float64(len(vs))
-			fmt.Printf("  %-24s mean %.3f   range [%.3f, %.3f]\n", k, mean, lo, hi)
+			fmt.Fprintf(stdout, "  %-24s mean %.3f   range [%.3f, %.3f]\n", k, rec.Values[k], rec.Spread[k][0], rec.Spread[k][1])
 		}
 	}
-	return 0
 }

@@ -16,9 +16,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -27,219 +27,132 @@ import (
 )
 
 func main() {
-	// All paths return through here so profile-stopping defers run
-	// before the process exits.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		workload = flag.String("workload", "apache", "workload: specint | apache")
-		proc     = flag.String("proc", "smt", "processor: smt | ss")
-		cycles   = flag.Uint64("cycles", 4_000_000, "measured cycles")
-		warmup   = flag.Uint64("warmup", 2_000_000, "warm-up cycles before measurement")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		appOnly  = flag.Bool("apponly", false, "application-only simulation (syscalls/traps instant)")
-		omitOS   = flag.Bool("omitpriv", false, "omit privileged references to caches/BTB (Table 9 mode)")
-		interval = flag.Uint64("interval", 200_000, "cycles per simulated 10ms (interrupt granularity)")
-		contexts = flag.Int("contexts", 0, "override SMT hardware contexts (default 8)")
-		procs    = flag.Int("procs", 0, "override Apache server processes (default 64)")
-		clients  = flag.Int("clients", 0, "override SPECWeb clients (default 128)")
-		think    = flag.Int("think", 0, "client think time between requests in 10ms ticks (0 = default)")
-		stagger  = flag.Int("stagger", 0, "stagger initial client arrivals over N 10ms ticks (0 = synchronized start)")
-		measLat  = flag.Bool("measure-latency", false, "record per-request latency percentiles even without overload faults")
-		idleSpin = flag.Bool("idlespin", false, "idle contexts spin instead of halting")
-		rrFetch  = flag.Bool("rrfetch", false, "round-robin fetch instead of ICOUNT")
-		perProg  = flag.Bool("perthread", false, "print a per-thread breakdown")
+// config is everything the command line sets: the simulation options and
+// supervision come from core's flag tables, the rest belongs to this
+// command.
+type config struct {
+	opts      core.Options
+	sample    bool
+	sup       core.Supervision
+	prof      core.Profile
+	workload  string
+	restore   string
+	cycles    uint64
+	warmup    uint64
+	perThread bool
+	deadline  time.Duration
+}
 
-		// Sampled simulation (see EXPERIMENTS.md, "Sampled runs").
-		sample       = flag.Bool("sample", false, "sampled simulation: fast-forward with warming between detailed windows")
-		samplePeriod = flag.Uint64("sample-period", 200_000, "cycles per sampling period (with -sample)")
-		sampleWindow = flag.Uint64("sample-window", 0, "detailed window per period in cycles (0 = period/10, with -sample)")
+// flagSet binds every ossmt flag onto c: the simulation options and
+// supervision through core's flag tables, then this command's own flags.
+func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("ossmt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c.opts.BindFlags(fs, &c.sample)
+	c.sup.BindFlags(fs)
+	c.prof.BindFlags(fs)
+	fs.StringVar(&c.workload, "workload", "apache", "workload: specint | apache")
+	fs.StringVar(&c.restore, "restore", "", "resume from this checkpoint instead of a fresh boot")
+	fs.Uint64Var(&c.cycles, "cycles", 4_000_000, "measured cycles")
+	fs.Uint64Var(&c.warmup, "warmup", 2_000_000, "warm-up cycles before measurement")
+	fs.BoolVar(&c.perThread, "perthread", false, "print a per-thread breakdown")
+	fs.DurationVar(&c.deadline, "deadline", 0, "wall-clock budget for the whole run (0 = none)")
+	return fs
+}
 
-		// Fault injection (see FAULTS.md).
-		loss      = flag.Float64("loss", 0, "per-frame network loss probability [0,1]")
-		corrupt   = flag.Float64("corrupt", 0, "per-frame network corruption probability [0,1]")
-		delayRate = flag.Float64("delay", 0, "per-frame network delay probability [0,1]")
-		maxDelay  = flag.Int("maxdelay", 0, "max in-transit delay in 10ms ticks (0 = default)")
-		crashRate = flag.Float64("crashrate", 0, "per-syscall Apache worker crash probability [0,1]")
-		faultSeed = flag.Uint64("faultseed", 0, "fault-sampling seed (0 = derive from -seed)")
-		deadline  = flag.Duration("deadline", 0, "wall-clock budget for the whole run (0 = none)")
-		watchdog  = flag.Uint64("watchdog", 0, "livelock window in cycles (0 = default)")
+// parse reads the command line into a config. A -ckpt-every without
+// -checkpoint is rejected: auto-checkpoints would have nowhere to go.
+func parse(args []string, stderr io.Writer) (*config, error) {
+	c := &config{}
+	if err := c.flagSet(stderr).Parse(args); err != nil {
+		return nil, err
+	}
+	if c.sup.CheckpointEvery > 0 && c.sup.CheckpointPath == "" {
+		err := errors.New("ossmt: -ckpt-every needs -checkpoint")
+		fmt.Fprintln(stderr, err)
+		return nil, err
+	}
+	return c, nil
+}
 
-		// Overload (see FAULTS.md, "Overload").
-		backlog     = flag.Int("backlog", 0, "accept-backlog bound on the listen socket (0 = default 1024)")
-		idleTimeout = flag.Int("idle-timeout", 0, "reap connections idle for N 10ms ticks (0 = off)")
-		slowRate    = flag.Float64("slowrate", 0, "probability a client is a slow-trickle (slowloris) sender [0,1]")
-		trickle     = flag.Int("trickle", 0, "ticks between a slow client's request chunks (0 = default)")
-		stormRate   = flag.Float64("stormrate", 0, "probability a client is a keep-alive storm client [0,1]")
-		stormHold   = flag.Int("stormhold", 0, "ticks a storm client holds its connection idle (0 = default)")
-		burstEvery  = flag.Int("burst-every", 0, "activate a flash-crowd burst every N ticks (0 = off)")
-		burstSize   = flag.Int("burst-size", 0, "clients per flash-crowd burst (0 = default)")
-
-		// Resource exhaustion (see FAULTS.md, "Exhaustion").
-		memFrames     = flag.Uint64("mem-frames", 0, "cap the frame allocator at N frames (0 = all of physical memory)")
-		sockTable     = flag.Int("sock-table", 0, "socket-table size (0 = default 4096)")
-		mbufPool      = flag.Int("mbuf-pool", 0, "mbuf-pool frames (0 = default 8192)")
-		procTable     = flag.Int("proc-table", 0, "process-table slots (0 = default 256)")
-		fdLimit       = flag.Int("fd-limit", 0, "per-process descriptor limit (0 = default 64)")
-		memSqueeze    = flag.Float64("mem-squeeze", 0, "mid-run squeeze: shrink effective memory by this fraction [0,1)")
-		poolSqueeze   = flag.Float64("pool-squeeze", 0, "mid-run squeeze: shrink effective pool capacities by this fraction [0,1)")
-		squeezeTick   = flag.Int("squeeze-tick", 0, "10ms tick at which the squeeze lands (0 = default 50)")
-		squeezeJitter = flag.Int("squeeze-jitter", 0, "max extra ticks of seeded jitter on the squeeze time (0 = none)")
-
-		// Checkpoint/restore and auditing (see CHECKPOINT.md).
-		ckptPath  = flag.String("checkpoint", "", "write a checkpoint here when the run finishes")
-		restore   = flag.String("restore", "", "resume from this checkpoint instead of a fresh boot")
-		ckptEvery = flag.Uint64("ckpt-every", 0, "also auto-checkpoint every N cycles (needs -checkpoint)")
-		auditAt   = flag.Uint64("audit", 0, "run the invariant auditor every N cycles (0 = off)")
-
-		// Profiling (see EXPERIMENTS.md, "Performance work").
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+// run is the whole command; every path returns through it so the profile
+// stop runs before the process exits.
+func run(args []string, stdout, stderr io.Writer) int {
+	c, err := parse(args, stderr)
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
-
-	opts := core.Options{
-		Seed:             *seed,
-		AppOnly:          *appOnly,
-		OmitPrivileged:   *omitOS,
-		CyclesPer10ms:    *interval,
-		Contexts:         *contexts,
-		ServerProcesses:  *procs,
-		Clients:          *clients,
-		ThinkTicks:       *think,
-		StaggerTicks:     *stagger,
-		MeasureLatency:   *measLat,
-		IdleSpin:         *idleSpin,
-		RoundRobinFetch:  *rrFetch,
-		AcceptBacklog:    *backlog,
-		IdleTimeoutTicks: *idleTimeout,
-		MemFrameLimit:    *memFrames,
-		SocketTable:      *sockTable,
-		MbufPool:         *mbufPool,
-		ProcTable:        *procTable,
-		FDLimit:          *fdLimit,
-		Faults: faults.Config{
-			Seed:               *faultSeed,
-			LossRate:           *loss,
-			CorruptRate:        *corrupt,
-			DelayRate:          *delayRate,
-			MaxDelayTicks:      *maxDelay,
-			CrashRate:          *crashRate,
-			LivelockWindow:     *watchdog,
-			SlowClientRate:     *slowRate,
-			TrickleTicks:       *trickle,
-			StormClientRate:    *stormRate,
-			StormHoldTicks:     *stormHold,
-			BurstEvery:         *burstEvery,
-			BurstSize:          *burstSize,
-			MemSqueezeFrac:     *memSqueeze,
-			PoolSqueezeFrac:    *poolSqueeze,
-			SqueezeAtTick:      *squeezeTick,
-			SqueezeJitterTicks: *squeezeJitter,
-		},
-	}
-	if *sample {
-		opts.Sampling = core.Sampling{Period: *samplePeriod, DetailWindow: *sampleWindow}
-	}
-	switch *proc {
-	case "smt":
-		opts.Processor = core.SMT
-	case "ss", "superscalar":
-		opts.Processor = core.Superscalar
-	default:
-		fmt.Fprintf(os.Stderr, "unknown processor %q (smt|ss)\n", *proc)
 		return 2
+	}
+	stop, err := c.prof.Start(stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	defer stop()
+	if !c.sample {
+		c.opts.Sampling = core.Sampling{}
 	}
 
 	var sim *core.Simulator
-	var err error
-	if *restore != "" {
+	workload := c.workload
+	if c.restore != "" {
 		// The checkpoint carries its own workload and options; the
 		// configuration flags above are ignored on resume.
-		sim, err = core.RestoreFile(*restore)
+		sim, err = core.RestoreFile(c.restore)
 		if err == nil {
-			*workload = sim.Workload
-			fmt.Fprintf(os.Stderr, "ossmt: resumed %s/%s at cycle %d from %s\n",
-				sim.Workload, sim.Opts.Processor, sim.Now(), *restore)
+			workload = sim.Workload
+			fmt.Fprintf(stderr, "ossmt: resumed %s/%s at cycle %d from %s\n",
+				sim.Workload, sim.Opts.Processor, sim.Now(), c.restore)
 		}
 	} else {
-		sim, err = core.New(*workload, opts)
+		sim, err = core.New(workload, c.opts)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	sim.Sup = core.Supervision{
-		CheckpointEvery: *ckptEvery,
-		CheckpointPath:  *ckptPath,
-		AuditEvery:      *auditAt,
-	}
+	sim.Sup = c.sup
 
 	ctx := context.Background()
-	if *deadline > 0 {
+	if c.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		ctx, cancel = context.WithTimeout(ctx, c.deadline)
 		defer cancel()
 	}
 
-	if err := sim.RunChecked(ctx, *warmup); err != nil {
-		return fail(err)
+	if err := sim.RunChecked(ctx, c.warmup); err != nil {
+		return fail(stderr, err)
 	}
 	before := report.Take(sim)
-	if err := sim.RunChecked(ctx, *cycles); err != nil {
-		return fail(err)
+	if err := sim.RunChecked(ctx, c.cycles); err != nil {
+		return fail(stderr, err)
 	}
 	after := report.Take(sim)
 	w := report.Delta(before, after)
 
-	if *ckptPath != "" {
-		if err := sim.WriteCheckpoint(*ckptPath); err != nil {
-			return fail(err)
+	if c.sup.CheckpointPath != "" {
+		if err := sim.WriteCheckpoint(c.sup.CheckpointPath); err != nil {
+			return fail(stderr, err)
 		}
-		fmt.Fprintf(os.Stderr, "ossmt: checkpoint written to %s (cycle %d)\n", *ckptPath, sim.Now())
+		fmt.Fprintf(stderr, "ossmt: checkpoint written to %s (cycle %d)\n", c.sup.CheckpointPath, sim.Now())
 	}
-	if *auditAt > 0 {
+	if c.sup.AuditEvery > 0 {
 		if err := sim.Audit(); err != nil {
-			return fail(err)
+			return fail(stderr, err)
 		}
 	}
 
 	title := fmt.Sprintf("%s on %s (seed %d, warmup %d, measured %d cycles)",
-		*workload, sim.Opts.Processor, sim.Opts.Seed, *warmup, *cycles)
-	fmt.Print(report.Summary(title, w))
-	if *perProg {
-		fmt.Println()
-		fmt.Print(report.PerProgram(sim))
+		workload, sim.Opts.Processor, sim.Opts.Seed, c.warmup, c.cycles)
+	fmt.Fprint(stdout, report.Summary(title, w))
+	if c.perThread {
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, report.PerProgram(sim))
 	}
 	return 0
 }
@@ -247,7 +160,7 @@ func run() int {
 // fail prints a structured error (watchdog trip, recovered panic, invariant
 // audit failure — each already carries its diagnostics) and returns the
 // nonzero exit code.
-func fail(err error) int {
+func fail(stderr io.Writer, err error) int {
 	var (
 		ll *faults.LivelockError
 		dl *faults.DeadlineError
@@ -256,14 +169,14 @@ func fail(err error) int {
 	)
 	switch {
 	case errors.As(err, &ll):
-		fmt.Fprintln(os.Stderr, "ossmt: watchdog tripped (livelock)")
+		fmt.Fprintln(stderr, "ossmt: watchdog tripped (livelock)")
 	case errors.As(err, &dl):
-		fmt.Fprintln(os.Stderr, "ossmt: watchdog tripped (deadline)")
+		fmt.Fprintln(stderr, "ossmt: watchdog tripped (deadline)")
 	case errors.As(err, &pe):
-		fmt.Fprintln(os.Stderr, "ossmt: simulation panic (recovered)")
+		fmt.Fprintln(stderr, "ossmt: simulation panic (recovered)")
 	case errors.As(err, &ae):
-		fmt.Fprintln(os.Stderr, "ossmt: invariant audit failed")
+		fmt.Fprintln(stderr, "ossmt: invariant audit failed")
 	}
-	fmt.Fprintln(os.Stderr, err)
+	fmt.Fprintln(stderr, err)
 	return 1
 }

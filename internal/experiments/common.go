@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,21 +84,9 @@ func IDs() []string {
 	return out
 }
 
-// Run regenerates one experiment.
-func Run(id string, sc Scale, seed uint64) (Result, error) {
-	r, ok := registry[id]
-	if !ok {
-		return Result{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
-	}
-	res := r.fn(&env{}, sc, seed)
-	res.ID = id
-	res.Title = r.title
-	return res, nil
-}
-
 // --------------------------------------------------------------- helpers
 
-// advance moves a simulation forward by n cycles. Under RunSupervised it
+// advance moves a simulation forward by n cycles. Under supervision it
 // routes through the run's supervisor (deadline, periodic audits, checkpoint
 // memoization); otherwise it is a plain Run.
 func (ev *env) advance(sim *core.Simulator, n uint64) {

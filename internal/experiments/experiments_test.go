@@ -8,6 +8,16 @@ import (
 // tiny is a minimal scale for smoke tests; shape assertions use Quick.
 var tiny = Scale{Warmup: 250_000, Measure: 350_000, Interval: 80_000}
 
+// runOne regenerates one experiment through Execute, serially and
+// unsupervised; a non-nil wr regenerates it from checkpoint-library windows.
+func runOne(id string, sc Scale, seed uint64, wr *WindowRunner) (Result, error) {
+	out, err := Execute(Plan{IDs: []string{id}, Scale: sc, Seed: seed, Seeds: 1, Workers: 1, Library: wr})
+	if err != nil {
+		return Result{}, err
+	}
+	return out[0].Res, out[0].Err
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
@@ -29,8 +39,10 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestUnknownID confirms an unknown id surfaces as an error in its job's
+// outcome slot, not a panic or a dropped slot.
 func TestUnknownID(t *testing.T) {
-	if _, err := Run("nope", tiny, 1); err == nil {
+	if _, err := runOne("nope", tiny, 1, nil); err == nil {
 		t.Fatal("unknown id did not error")
 	}
 }
@@ -39,7 +51,7 @@ func TestUnknownID(t *testing.T) {
 // experiments at tiny scale and checks they produce text and values.
 func TestEverySPECIntExperimentRenders(t *testing.T) {
 	for _, id := range []string{"fig1", "fig3", "fig4", "tab2", "tab3"} {
-		res, err := Run(id, tiny, 1)
+		res, err := runOne(id, tiny, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -54,7 +66,7 @@ func TestEverySPECIntExperimentRenders(t *testing.T) {
 
 func TestApacheExperimentsRender(t *testing.T) {
 	for _, id := range []string{"fig5", "fig7", "tab5"} {
-		res, err := Run(id, tiny, 1)
+		res, err := runOne(id, tiny, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -71,7 +83,7 @@ func TestHeadlineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline shape needs Quick scale")
 	}
-	res, err := Run("tab6", Quick, 1)
+	res, err := runOne("tab6", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +95,7 @@ func TestHeadlineShape(t *testing.T) {
 		t.Fatalf("SPECInt should out-IPC Apache on SMT: %.2f vs %.2f", v["specSMTIPC"], v["apacheSMTIPC"])
 	}
 
-	res5, err := Run("fig5", Quick, 1)
+	res5, err := runOne("fig5", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +110,7 @@ func TestOSImpactShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs Quick scale")
 	}
-	res, err := Run("tab4", Quick, 1)
+	res, err := runOne("tab4", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +127,11 @@ func TestOSImpactShape(t *testing.T) {
 }
 
 func TestDeterministicExperiments(t *testing.T) {
-	a, err := Run("fig3", tiny, 5)
+	a, err := runOne("fig3", tiny, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("fig3", tiny, 5)
+	b, err := runOne("fig3", tiny, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +149,7 @@ func TestExperimentsProduceStableKeys(t *testing.T) {
 		"tab2": {"steadyKernelPhysLoadPct", "steadyUserLoadPct"},
 	}
 	for id, keys := range wantKeys {
-		res, err := Run(id, tiny, 2)
+		res, err := runOne(id, tiny, 2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -156,7 +168,7 @@ func TestSamplingAblationWithinBand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-detail replay of the sampled instruction region is slow")
 	}
-	res, err := Run("ablation-sampling", Quick, 1)
+	res, err := runOne("ablation-sampling", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +189,7 @@ func TestFaultAblationsRender(t *testing.T) {
 		t.Skip("several multi-hundred-kilocycle simulations")
 	}
 	for _, id := range []string{"ablation-loss", "ablation-crash"} {
-		res, err := Run(id, tiny, 1)
+		res, err := runOne(id, tiny, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -197,7 +209,7 @@ func TestOverloadAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten supervised simulations at Quick scale")
 	}
-	res, err := Run("ablation-overload", Quick, 1)
+	res, err := runOne("ablation-overload", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +227,7 @@ func TestOverloadAblationShape(t *testing.T) {
 				tag, last, peak, res.Text)
 		}
 	}
-	rerun, err := Run("ablation-overload", Quick, 1)
+	rerun, err := runOne("ablation-overload", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +246,7 @@ func TestExhaustionAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a dozen supervised simulations at Quick scale")
 	}
-	res, err := Run("ablation-exhaustion", Quick, 1)
+	res, err := runOne("ablation-exhaustion", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +267,7 @@ func TestExhaustionAblationShape(t *testing.T) {
 			t.Fatalf("%s: 0.5x-demand row never exercised reclaim or admission control:\n%s", tag, res.Text)
 		}
 	}
-	rerun, err := Run("ablation-exhaustion", Quick, 1)
+	rerun, err := runOne("ablation-exhaustion", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +286,7 @@ func TestScaleAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a million-client fleet at Quick scale")
 	}
-	res, err := Run("ablation-scale", Quick, 1)
+	res, err := runOne("ablation-scale", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +302,7 @@ func TestScaleAblationShape(t *testing.T) {
 	if r := v["done1mOver1k"]; r < 0.5 {
 		t.Fatalf("throughput degraded with dormant population: 1m/1k ratio %.2f\n%s", r, res.Text)
 	}
-	rerun, err := Run("ablation-scale", Quick, 1)
+	rerun, err := runOne("ablation-scale", Quick, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -96,16 +95,12 @@ func (s *supervisor) noteFaults(sim *core.Simulator) {
 	}
 }
 
-// RunSupervised regenerates one experiment under a per-experiment timeout
-// (0 = none) with invariant audits every auditEvery cycles (0 = off). On a
-// deadline trip it retries once, resuming completed steps from their
-// checkpoints. The Result is always rendered — marked Partial in the status
-// when some steps never finished.
-func RunSupervised(id string, sc Scale, seed uint64, timeout time.Duration, auditEvery uint64) (Result, RunStatus, error) {
-	r, ok := registry[id]
-	if !ok {
-		return Result{}, RunStatus{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
-	}
+// supervise runs one experiment under a per-experiment timeout (0 = none)
+// with invariant audits every auditEvery cycles (0 = off). On a deadline
+// trip it retries once, resuming completed steps from their checkpoints.
+// The Result is always rendered — marked Partial in the status when some
+// steps never finished.
+func supervise(r runner, id string, sc Scale, seed uint64, timeout time.Duration, auditEvery uint64) (Result, RunStatus) {
 	st := RunStatus{ID: id}
 	images := map[int]*checkpoint.Image{}
 
@@ -122,9 +117,7 @@ func RunSupervised(id string, sc Scale, seed uint64, timeout time.Duration, audi
 			images:     images,
 			faultBySim: map[*core.Simulator]faults.Snapshot{},
 		}
-		res := r.fn(&env{sup: s}, sc, seed)
-		res.ID, res.Title = id, r.title
-		return res, s
+		return r.fn(&env{sup: s}, sc, seed), s
 	}
 
 	res, s := attempt()
@@ -145,8 +138,8 @@ func RunSupervised(id string, sc Scale, seed uint64, timeout time.Duration, audi
 	if s.failed != nil {
 		st.Partial = true
 		st.Error = s.failed.Error()
-		return res, st, nil
+		return res, st
 	}
 	st.OK = true
-	return res, st, nil
+	return res, st
 }

@@ -248,18 +248,6 @@ func BuildLibrary(dir, workloadName string, o core.Options, span uint64) (checkp
 	return idx, nil
 }
 
-// RunWindowJob restores one window image and runs only its warmup and
-// measurement phases in full detail, returning the measurement-window report
-// delta. wantFP guards against stale libraries (manifest fingerprint
-// mismatch is a *checkpoint.FormatError).
-func RunWindowJob(dir string, win int, wantFP string) (WindowResult, error) {
-	res, err := RunWindowJobs(dir, []int{win}, wantFP)
-	if err != nil {
-		return WindowResult{}, err
-	}
-	return res[0], nil
-}
-
 // RunWindowJobs restores each listed window image and runs only its warmup
 // and measurement phases in full detail. The windows must come from one
 // library (same configuration): the static machine is built once, from the
@@ -367,36 +355,15 @@ func WindowedSampling(sc Scale) core.Sampling {
 	return core.Sampling{Period: (sc.Warmup + sc.Measure) / 32}
 }
 
-// RunWindowed regenerates one experiment from the runner's checkpoint
-// libraries. sc.Sampling must be enabled (use WindowedSampling for the
-// standard configuration).
-func RunWindowed(id string, sc Scale, seed uint64, wr *WindowRunner) (Result, error) {
-	if !sc.Sampling.Enabled() {
-		return Result{}, fmt.Errorf("experiments: windowed regeneration needs sampling enabled (see WindowedSampling)")
-	}
-	r, ok := registry[id]
-	if !ok {
-		return Result{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
-	}
-	res := r.fn(&env{win: wr}, sc, seed)
-	res.ID = id
-	res.Title = r.title
-	return res, nil
-}
-
-// RenderWindowed renders the ids in order from checkpoint libraries. The
-// experiments run serially; parallelism lives inside the window jobs, and
-// the memoized libraries are shared across ids, so every configuration's
-// windows run once. Output is byte-identical for any worker/process count.
+// RenderWindowed renders the ids in order from checkpoint libraries (see
+// Plan.Library). The experiments run serially; parallelism lives inside the
+// window jobs, and the memoized libraries are shared across ids, so every
+// configuration's windows run once. Output is byte-identical for any
+// worker/process count.
 func RenderWindowed(ids []string, sc Scale, seed uint64, wr *WindowRunner) string {
-	var b bytes.Buffer
-	for _, id := range ids {
-		res, err := RunWindowed(id, sc, seed, wr)
-		if err != nil {
-			fmt.Fprintf(&b, "%s: %v\n", id, err)
-			continue
-		}
-		fmt.Fprintf(&b, "################ %s — %s\n\n%s\n", res.ID, res.Title, res.Text)
+	out, err := Execute(Plan{IDs: ids, Scale: sc, Seed: seed, Seeds: 1, Workers: 1, Library: wr})
+	if err != nil {
+		return fmt.Sprintln(err)
 	}
-	return b.String()
+	return Render(out)
 }

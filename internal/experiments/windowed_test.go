@@ -20,11 +20,11 @@ var winScale = func() Scale {
 
 func renderBoth(t *testing.T, wr *WindowRunner) (fig1, fig5 string) {
 	t.Helper()
-	r1, err := RunWindowed("fig1", winScale, 1, wr)
+	r1, err := runOne("fig1", winScale, 1, wr)
 	if err != nil {
 		t.Fatalf("fig1: %v", err)
 	}
-	r5, err := RunWindowed("fig5", winScale, 1, wr)
+	r5, err := runOne("fig5", winScale, 1, wr)
 	if err != nil {
 		t.Fatalf("fig5: %v", err)
 	}
@@ -110,18 +110,18 @@ func TestWindowedStaleLibrary(t *testing.T) {
 		t.Fatalf("BuildLibrary: %v", err)
 	}
 
-	_, err := RunWindowJob(filepath.Join(dir, fp), 0, "0000deadbeef0000")
+	_, err := RunWindowJobs(filepath.Join(dir, fp), []int{0}, "0000deadbeef0000")
 	if err == nil {
-		t.Fatal("RunWindowJob with wrong fingerprint succeeded, want *checkpoint.FormatError")
+		t.Fatal("RunWindowJobs with wrong fingerprint succeeded, want *checkpoint.FormatError")
 	}
 	var ferr *checkpoint.FormatError
 	if !errors.As(err, &ferr) {
-		t.Fatalf("RunWindowJob error is %T (%v), want *checkpoint.FormatError", err, err)
+		t.Fatalf("RunWindowJobs error is %T (%v), want *checkpoint.FormatError", err, err)
 	}
 
 	// The right fingerprint restores fine.
-	if _, err := RunWindowJob(filepath.Join(dir, fp), 0, fp); err != nil {
-		t.Fatalf("RunWindowJob with matching fingerprint: %v", err)
+	if _, err := RunWindowJobs(filepath.Join(dir, fp), []int{0}, fp); err != nil {
+		t.Fatalf("RunWindowJobs with matching fingerprint: %v", err)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestWindowedMidWindowAudit(t *testing.T) {
 func TestWindowedRequiresSampling(t *testing.T) {
 	sc := Scale{Warmup: 100_000, Measure: 150_000, Interval: 40_000}
 	wr := NewWindowRunner(WindowedConfig{Dir: t.TempDir(), Workers: 1})
-	if _, err := RunWindowed("fig1", sc, 1, wr); err == nil {
-		t.Fatal("RunWindowed without sampling succeeded, want error")
+	if _, err := runOne("fig1", sc, 1, wr); err == nil {
+		t.Fatal("windowed regeneration without sampling succeeded, want error")
 	}
 	o := core.Options{Seed: 1, CyclesPer10ms: sc.Interval}
 	if _, err := BuildLibrary(t.TempDir(), "specint", o, 250_000); err == nil {
