@@ -21,7 +21,7 @@ var CounterFlow = &Analyzer{
 A monotone counter is a uint64 (or [N]uint64) struct field that some function
 in a counted subsystem package (kernel, mem, cache, tlb, netsim, faults — or
 any package defining its own Take/Delta pair) increments with ++ or += and
-never decrements or plainly reassigns outside New*/Restore*/Reset* functions.
+never decrements or plainly reassigns outside New*/Load*/Reset* functions.
 Each such counter must be read by some function reachable from the report
 sink's Take (directly, or through an accessor method Take calls), and every
 top-level field of the snapshot type Take returns must be referenced in both
@@ -176,7 +176,7 @@ type counter struct {
 
 // monotoneCounters finds pkg's counter fields: uint64 / [N]uint64 fields with
 // at least one ++/+= and no decrement or plain reassignment outside
-// New*/Restore*/Reset* (or init) functions. Results are in deterministic
+// New*/Load*/Reset* (or init) functions. Results are in deterministic
 // (first increment position) order.
 func monotoneCounters(pkg *Package) []counter {
 	inc := map[string]*counter{}
@@ -246,9 +246,9 @@ func monotoneCounters(pkg *Package) []counter {
 }
 
 // counterExemptFunc reports whether writes in a function named name may
-// freely assign counter fields (construction, checkpoint restore, reset).
+// freely assign counter fields (construction, checkpoint load, reset).
 func counterExemptFunc(name string) bool {
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Restore") ||
+	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Load") ||
 		strings.HasPrefix(name, "Reset") || name == "init"
 }
 

@@ -8,21 +8,23 @@ import (
 )
 
 // SnapshotComplete verifies checkpoint coverage: for every type that
-// participates in the checkpoint layer — it has both a Snapshot method and a
-// Restore (or Restore-prefixed) method — every struct field must be
+// participates in the checkpoint layer — it has the codec pair, a Save
+// method and a Load (or Load-prefixed) method — every struct field must be
 // referenced in both methods, directly or through same-type helper methods.
-// This catches checkpoint drift the moment a struct grows a field that the
-// serialization code does not know about: the class of bug that silently
-// breaks crash-consistent restore (see CHECKPOINT.md).
+// A field that is saved but never loaded, or loaded but never saved, fails
+// the same way as one missing from both. This catches checkpoint drift the
+// moment a struct grows a field that the section codec does not know
+// about: the class of bug that silently breaks crash-consistent restore
+// (see CHECKPOINT.md).
 var SnapshotComplete = &Analyzer{
 	Name: "snapshotcomplete",
-	Doc: `verify every field of a Snapshot/Restore type is covered by both methods
+	Doc: `verify every field of a Save/Load type is covered by both methods
 
-A type with a Snapshot/Restore method pair is part of the checkpoint
-contract: its entire mutable state must round-trip. The analyzer enumerates
-the type's struct fields with go/types and requires each one to be selected
-somewhere in the body of Snapshot and of Restore (helper methods on the same
-type are followed; passing the whole receiver to an encoder counts as
+A type with a Save/Load method pair is part of the checkpoint contract: its
+entire mutable state must round-trip through its section. The analyzer
+enumerates the type's struct fields with go/types and requires each one to
+be selected somewhere in the body of Save and of Load (helper methods on the
+same type are followed; passing the whole receiver to an encoder counts as
 covering every field). Fields that are configuration, derived indexes
 rebuilt on restore, or wiring re-established by the caller are annotated
 //detlint:ignore snapshotcomplete <reason> on the field line; a directive on
@@ -39,18 +41,18 @@ func runSnapshotComplete(pass *Pass) error {
 	sort.Strings(typeNames)
 	for _, typeName := range typeNames {
 		byName := methods[typeName]
-		snap := byName["Snapshot"]
-		rest := byName["Restore"]
+		snap := byName["Save"]
+		rest := byName["Load"]
 		if rest == nil {
-			// Accept a Restore-prefixed variant (kernel uses RestoreState);
-			// pick the first in name order so the choice is deterministic.
+			// Accept a Load-prefixed variant; pick the first in name order
+			// so the choice is deterministic.
 			methodNames := make([]string, 0, len(byName))
 			for name := range byName {
 				methodNames = append(methodNames, name)
 			}
 			sort.Strings(methodNames)
 			for _, name := range methodNames {
-				if strings.HasPrefix(name, "Restore") {
+				if strings.HasPrefix(name, "Load") {
 					rest = byName[name]
 					break
 				}

@@ -2,68 +2,90 @@
 // including coverage through same-type helper methods.
 package complete
 
+// Enc and Dec stand in for the checkpoint section codec.
+type Enc struct{ buf []uint64 }
+
+func (e *Enc) Uint(v uint64) { e.buf = append(e.buf, v) }
+
+type Dec struct{ buf []uint64 }
+
+func (d *Dec) Uint() uint64 {
+	v := d.buf[0]
+	d.buf = d.buf[1:]
+	return v
+}
+
 type Counter struct {
 	ticks uint64
 	hits  uint64
 }
 
-type CounterSnap struct {
-	Ticks, Hits uint64
+func (c *Counter) Save(e *Enc) {
+	e.Uint(c.ticks)
+	e.Uint(c.hits)
 }
 
-func (c *Counter) Snapshot() CounterSnap {
-	return CounterSnap{Ticks: c.ticks, Hits: c.hits}
-}
-
-func (c *Counter) Restore(s CounterSnap) {
-	c.ticks = s.Ticks
-	c.hits = s.Hits
+func (c *Counter) Load(d *Dec) {
+	c.ticks = d.Uint()
+	c.hits = d.Uint()
 }
 
 // Split covers one field through a helper method on the same type.
 type Split struct {
-	x, y int
+	x, y uint64
 }
 
-func (s *Split) Snapshot() [2]int { return [2]int{s.x, s.snapY()} }
-
-func (s *Split) snapY() int { return s.y }
-
-func (s *Split) Restore(v [2]int) {
-	s.x = v[0]
-	s.restY(v[1])
+func (s *Split) Save(e *Enc) {
+	e.Uint(s.x)
+	s.saveY(e)
 }
 
-func (s *Split) restY(v int) { s.y = v }
+func (s *Split) saveY(e *Enc) { e.Uint(s.y) }
 
-// NoPair has no Restore method: not part of the checkpoint contract.
+func (s *Split) Load(d *Dec) {
+	s.x = d.Uint()
+	s.loadY(d)
+}
+
+func (s *Split) loadY(d *Dec) { s.y = d.Uint() }
+
+// NoPair has no Load method: not part of the checkpoint contract.
 type NoPair struct {
 	scratch int
 }
 
-func (n *NoPair) Snapshot() int { return 0 }
+func (n *NoPair) Save(e *Enc) {}
 
-// Hist mirrors the report latency histogram: a fixed bucket array plus
-// scalar tallies, all round-tripped by value. Array-typed fields must count
-// as covered when copied whole.
+// Hist mirrors the latency histogram: a fixed bucket array plus scalar
+// tallies. An array field counts as covered when any element is selected
+// through it.
 type Hist struct {
 	buckets [8]uint64
 	count   uint64
 	sum     uint64
 }
 
-type HistSnap struct {
-	Buckets [8]uint64
-	Count   uint64
-	Sum     uint64
+func (h *Hist) Save(e *Enc) {
+	for _, b := range h.buckets {
+		e.Uint(b)
+	}
+	e.Uint(h.count)
+	e.Uint(h.sum)
 }
 
-func (h *Hist) Snapshot() HistSnap {
-	return HistSnap{Buckets: h.buckets, Count: h.count, Sum: h.sum}
+func (h *Hist) Load(d *Dec) {
+	for i := range h.buckets {
+		h.buckets[i] = d.Uint()
+	}
+	h.count = d.Uint()
+	h.sum = d.Uint()
 }
 
-func (h *Hist) Restore(s HistSnap) {
-	h.buckets = s.Buckets
-	h.count = s.Count
-	h.sum = s.Sum
+// Kernel uses a Load-prefixed variant that takes an extra argument.
+type Kernel struct {
+	next uint64
 }
+
+func (k *Kernel) Save(e *Enc) { e.Uint(k.next) }
+
+func (k *Kernel) LoadWith(d *Dec, factory func() int) { k.next = d.Uint() + uint64(factory()) }

@@ -2,21 +2,22 @@
 // //detlint:ignore directives suppress coverage requirements.
 package exempt
 
+// Enc and Dec stand in for the checkpoint section codec.
+type Enc struct{ buf []int }
+
+type Dec struct{ buf []int }
+
 type Tagged struct {
 	data []int
 	name string //detlint:ignore snapshotcomplete label fixed at construction
 }
 
-type TaggedSnap struct {
-	Data []int
+func (t *Tagged) Save(e *Enc) {
+	e.buf = append(e.buf, t.data...)
 }
 
-func (t *Tagged) Snapshot() TaggedSnap {
-	return TaggedSnap{Data: append([]int(nil), t.data...)}
-}
-
-func (t *Tagged) Restore(s TaggedSnap) {
-	t.data = append(t.data[:0], s.Data...)
+func (t *Tagged) Load(d *Dec) {
+	t.data = append(t.data[:0], d.buf...)
 }
 
 //detlint:ignore snapshotcomplete scratch type whose state is rebuilt each run
@@ -24,6 +25,6 @@ type Whole struct {
 	x int
 }
 
-func (w *Whole) Snapshot() int { return 0 }
+func (w *Whole) Save(e *Enc) {}
 
-func (w *Whole) Restore(int) {}
+func (w *Whole) Load(d *Dec) {}

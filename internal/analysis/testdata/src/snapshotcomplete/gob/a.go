@@ -11,15 +11,13 @@ type Blob struct {
 	a, b, c int
 }
 
-func (t *Blob) Snapshot() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
+func (t *Blob) Save(buf *bytes.Buffer) {
+	if err := gob.NewEncoder(buf).Encode(t); err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
 }
 
-func (t *Blob) Restore(data []byte) {
+func (t *Blob) Load(data []byte) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(t); err != nil {
 		panic(err)
 	}

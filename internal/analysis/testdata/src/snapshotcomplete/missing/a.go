@@ -1,53 +1,73 @@
 // Fixture for snapshotcomplete: a deliberately missing field is flagged on
-// its declaration line, for the method(s) that fail to reference it.
+// its declaration line, for the method(s) that fail to reference it — in
+// either direction.
 package missing
+
+// Enc and Dec stand in for the checkpoint section codec.
+type Enc struct{ buf []uint64 }
+
+func (e *Enc) Uint(v uint64) { e.buf = append(e.buf, v) }
+
+type Dec struct{ buf []uint64 }
+
+func (d *Dec) Uint() uint64 {
+	v := d.buf[0]
+	d.buf = d.buf[1:]
+	return v
+}
 
 type Core struct {
 	cycles uint64
 	pc     uint64
-	phase  uint8 // want `field Core\.phase is not referenced in Snapshot or Restore`
+	phase  uint8 // want `field Core\.phase is not referenced in Save or Load`
 }
 
-type CoreSnap struct {
-	Cycles, PC uint64
+func (c *Core) Save(e *Enc) {
+	e.Uint(c.cycles)
+	e.Uint(c.pc)
 }
 
-func (c *Core) Snapshot() CoreSnap {
-	return CoreSnap{Cycles: c.cycles, PC: c.pc}
+func (c *Core) Load(d *Dec) {
+	c.cycles = d.Uint()
+	c.pc = d.Uint()
 }
 
-func (c *Core) Restore(s CoreSnap) {
-	c.cycles = s.Cycles
-	c.pc = s.PC
-}
-
-// Half persists b but forgets to put it back.
+// Half saves b but forgets to load it back.
 type Half struct {
 	a uint64
-	b uint64 // want `field Half\.b is not referenced in Restore`
+	b uint64 // want `field Half\.b is not referenced in Load`
 }
 
-type HalfSnap struct {
-	A, B uint64
+func (h *Half) Save(e *Enc) {
+	e.Uint(h.a)
+	e.Uint(h.b)
 }
 
-func (h *Half) Snapshot() HalfSnap { return HalfSnap{A: h.a, B: h.b} }
+func (h *Half) Load(d *Dec) { h.a = d.Uint() }
 
-func (h *Half) Restore(s HalfSnap) { h.a = s.A }
+// Reverse loads b but never saves it: the section the loader reads was
+// never written.
+type Reverse struct {
+	a uint64
+	b uint64 // want `field Reverse\.b is not referenced in Save`
+}
 
-// Machine uses the Restore-prefixed variant (kernel.RestoreState shape).
+func (r *Reverse) Save(e *Enc) { e.Uint(r.a) }
+
+func (r *Reverse) Load(d *Dec) {
+	r.a = d.Uint()
+	r.b = d.Uint()
+}
+
+// Machine uses a Load-prefixed variant.
 type Machine struct {
-	mode int
-	seq  uint64 // want `field Machine\.seq is not referenced in RestoreState`
+	mode uint64
+	seq  uint64 // want `field Machine\.seq is not referenced in LoadState`
 }
 
-type MachineSnap struct {
-	Mode int
-	Seq  uint64
+func (m *Machine) Save(e *Enc) {
+	e.Uint(m.mode)
+	e.Uint(m.seq)
 }
 
-func (m *Machine) Snapshot() MachineSnap {
-	return MachineSnap{Mode: m.mode, Seq: m.seq}
-}
-
-func (m *Machine) RestoreState(s MachineSnap) { m.mode = s.Mode }
+func (m *Machine) LoadState(d *Dec, strict bool) { m.mode = d.Uint() }

@@ -1,85 +1,79 @@
 // Checkpoint serialization for the branch predictor.
 package bpred
 
-import "repro/internal/conflict"
+import "repro/internal/checkpoint"
 
-// BTBSnap is the serialized form of one BTB entry.
-type BTBSnap struct {
-	Valid   bool
-	Tag     uint64
-	Target  uint64
-	LastUse uint64
-	Filler  conflict.Agent
-	IsRet   bool
+// Per-entry flag bits in the BTB rows of the predictor section.
+const (
+	btbValid = 1 << iota
+	btbIsRet
+	btbFillerPrv
+)
+
+// Save writes the predictor's complete mutable state.
+func (p *Predictor) Save(e *checkpoint.Enc) {
+	checkpoint.PutUints(e, p.localPHT[:])
+	checkpoint.PutUints(e, p.localHist[:])
+	checkpoint.PutUints(e, p.global[:])
+	checkpoint.PutUints(e, p.selector[:])
+	checkpoint.PutUints(e, p.ghr)
+	e.Uint(uint64(len(p.ras)))
+	for _, r := range p.ras {
+		checkpoint.PutUints(e, r)
+	}
+	e.Uint(uint64(len(p.btb)))
+	for i := range p.btb {
+		b := &p.btb[i]
+		e.Uint(checkpoint.Flags(b.valid, b.isRet, b.filler.Priv))
+		e.Uint(b.tag)
+		e.Uint(b.target)
+		e.Uint(b.lastUse)
+		e.Uint(uint64(b.filler.TID))
+	}
+	e.Uint(p.tick)
+	p.btbTracker.Save(e)
+	checkpoint.PutUints(e, p.Lookups[:])
+	checkpoint.PutUints(e, p.Mispredicts[:])
+	checkpoint.PutUints(e, p.BTBLookups[:])
+	checkpoint.PutUints(e, p.BTBMisses[:])
+	p.BTBCauses.Save(e)
 }
 
-// Snapshot captures all mutable predictor state.
-type Snapshot struct {
-	LocalPHT    [localPHTSize]uint8
-	LocalHist   [localHistSize]uint16
-	Global      [globalSize]uint8
-	Selector    [globalSize]uint8
-	GHR         []uint32
-	RAS         [][]uint64
-	BTB         []BTBSnap
-	Tick        uint64
-	Tracker     conflict.TrackerSnap
-	Lookups     [2]uint64
-	Mispredicts [2]uint64
-	BTBLookups  [2]uint64
-	BTBMisses   [2]uint64
-	BTBCauses   conflict.Matrix
-}
-
-// Snapshot returns the predictor's complete mutable state.
-func (p *Predictor) Snapshot() Snapshot {
-	s := Snapshot{
-		LocalPHT:    p.localPHT,
-		LocalHist:   p.localHist,
-		Global:      p.global,
-		Selector:    p.selector,
-		GHR:         append([]uint32(nil), p.ghr...),
-		RAS:         make([][]uint64, len(p.ras)),
-		BTB:         make([]BTBSnap, len(p.btb)),
-		Tick:        p.tick,
-		Tracker:     p.btbTracker.Snapshot(),
-		Lookups:     p.Lookups,
-		Mispredicts: p.Mispredicts,
-		BTBLookups:  p.BTBLookups,
-		BTBMisses:   p.BTBMisses,
-		BTBCauses:   p.BTBCauses,
+// Load overwrites the predictor's state from a section written by Save on
+// a predictor with the same context count.
+func (p *Predictor) Load(d *checkpoint.Dec) {
+	checkpoint.LoadUints(d, p.localPHT[:], "local PHT")
+	checkpoint.LoadUints(d, p.localHist[:], "local history")
+	checkpoint.LoadUints(d, p.global[:], "global PHT")
+	checkpoint.LoadUints(d, p.selector[:], "selector")
+	checkpoint.LoadUints(d, p.ghr, "global histories")
+	if d.Expect(len(p.ras), "return stacks") {
+		for i := range p.ras {
+			p.ras[i] = checkpoint.GetUints(d, p.ras[i])
+			if len(p.ras[i]) > rasDepth {
+				d.Fail("return stack %d holds %d entries, depth %d", i, len(p.ras[i]), rasDepth)
+				p.ras[i] = p.ras[i][:0]
+			}
+		}
 	}
-	for i, r := range p.ras {
-		s.RAS[i] = append([]uint64(nil), r...)
+	if d.Expect(len(p.btb), "BTB entries") {
+		for i := range p.btb {
+			b := &p.btb[i]
+			flags := d.Uint()
+			b.valid = flags&btbValid != 0
+			b.isRet = flags&btbIsRet != 0
+			b.filler.Priv = flags&btbFillerPrv != 0
+			b.tag = d.Uint()
+			b.target = d.Uint()
+			b.lastUse = d.Uint()
+			b.filler.TID = uint32(d.Uint())
+		}
 	}
-	for i, e := range p.btb {
-		s.BTB[i] = BTBSnap{Valid: e.valid, Tag: e.tag, Target: e.target, LastUse: e.lastUse, Filler: e.filler, IsRet: e.isRet}
-	}
-	return s
-}
-
-// Restore overwrites the predictor's state from a snapshot taken on a
-// predictor with the same context count.
-func (p *Predictor) Restore(s Snapshot) {
-	if len(s.GHR) != len(p.ghr) || len(s.BTB) != len(p.btb) {
-		panic("bpred: snapshot geometry mismatch")
-	}
-	p.localPHT = s.LocalPHT
-	p.localHist = s.LocalHist
-	p.global = s.Global
-	p.selector = s.Selector
-	copy(p.ghr, s.GHR)
-	for i, r := range s.RAS {
-		p.ras[i] = append(p.ras[i][:0], r...)
-	}
-	for i, e := range s.BTB {
-		p.btb[i] = btbEntry{valid: e.Valid, tag: e.Tag, target: e.Target, lastUse: e.LastUse, filler: e.Filler, isRet: e.IsRet}
-	}
-	p.tick = s.Tick
-	p.btbTracker.Restore(s.Tracker)
-	p.Lookups = s.Lookups
-	p.Mispredicts = s.Mispredicts
-	p.BTBLookups = s.BTBLookups
-	p.BTBMisses = s.BTBMisses
-	p.BTBCauses = s.BTBCauses
+	p.tick = d.Uint()
+	p.btbTracker.Load(d)
+	checkpoint.LoadUints(d, p.Lookups[:], "lookups")
+	checkpoint.LoadUints(d, p.Mispredicts[:], "mispredicts")
+	checkpoint.LoadUints(d, p.BTBLookups[:], "BTB lookups")
+	checkpoint.LoadUints(d, p.BTBMisses[:], "BTB misses")
+	p.BTBCauses.Load(d)
 }

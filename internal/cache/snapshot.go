@@ -3,208 +3,167 @@
 package cache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"repro/internal/conflict"
+	"repro/internal/checkpoint"
 )
 
-// CacheSnap captures one cache's mutable state. The line array is
-// serialized sparsely — only lines that differ from the zero value appear —
-// and as parallel primitive-typed arrays rather than a slice of per-line
-// structs: a fresh L2 is >99% untouched early in a run, and gob decodes
-// []uint64/[]uint8 through its fast paths instead of reflecting over every
-// element, which matters on the checkpoint-library restore hot path.
-// Line i of the snapshot is (LineIdx[i], LineTag[i], ...); LineIdx is
-// ascending.
-type CacheSnap struct {
-	// NumLines is the cache's total line count (the geometry check).
-	NumLines int
-	// LineIdx names the positions of the serialized lines in the cache's
-	// dense line array.
-	LineIdx []uint32
-	LineTag []uint64
-	LineUse []uint64
-	// LineTID is the filler agent's thread id; its privilege bit lives in
-	// LineFlags.
-	LineTID   []uint32
-	LineTouch []uint64
-	// LineFlags packs the per-line booleans: bit 0 valid, bit 1 dirty,
-	// bit 2 filler-privileged.
-	LineFlags     []uint8
-	Tick          uint64
-	Tracker       conflict.TrackerSnap
-	Accesses      [2]uint64
-	Misses        [2]uint64
-	Causes        conflict.Matrix
-	Shared        conflict.Sharing
-	Invalidations uint64
-	Writebacks    uint64
-}
-
+// Per-line flag bits in the cache section.
 const (
-	lineValid     = 1 << 0
-	lineDirty     = 1 << 1
-	lineFillerPrv = 1 << 2
+	lineValid = 1 << iota
+	lineDirty
+	lineFillerPrv
 )
 
-// Snapshot returns the cache's complete mutable state.
-func (c *Cache) Snapshot() CacheSnap {
-	s := CacheSnap{
-		NumLines:      len(c.lines),
-		Tick:          c.tick,
-		Tracker:       c.tracker.Snapshot(),
-		Accesses:      c.Accesses,
-		Misses:        c.Misses,
-		Causes:        c.Causes,
-		Shared:        c.Shared,
-		Invalidations: c.Invalidations,
-		Writebacks:    c.Writebacks,
-	}
-	for i, l := range c.lines {
+// Save writes the cache's mutable state. Lines are written sparsely — only
+// lines that differ from the zero value, each as its index gap from the
+// previous written line and its fields — because a fresh L2 is >99%
+// untouched early in a run.
+func (c *Cache) Save(e *checkpoint.Enc) {
+	e.Uint(uint64(len(c.lines)))
+	k := 0
+	for i := range c.lines {
 		// Invalidated lines keep their stale tag/lastUse, so comparing
-		// against the zero value (not l.valid) preserves them exactly.
-		if l == (line{}) {
+		// against the zero value (not valid) preserves them exactly.
+		if c.lines[i] != (line{}) {
+			k++
+		}
+	}
+	e.Uint(uint64(k))
+	next := 0
+	for i := range c.lines {
+		l := &c.lines[i]
+		if *l == (line{}) {
 			continue
 		}
-		var flags uint8
-		if l.valid {
-			flags |= lineValid
-		}
-		if l.dirty {
-			flags |= lineDirty
-		}
-		if l.filler.Priv {
-			flags |= lineFillerPrv
-		}
-		s.LineIdx = append(s.LineIdx, uint32(i))
-		s.LineTag = append(s.LineTag, l.tag)
-		s.LineUse = append(s.LineUse, l.lastUse)
-		s.LineTID = append(s.LineTID, l.filler.TID)
-		s.LineTouch = append(s.LineTouch, l.touched)
-		s.LineFlags = append(s.LineFlags, flags)
+		e.Uint(uint64(i - next))
+		e.Uint(l.tag)
+		e.Uint(l.lastUse)
+		e.Uint(uint64(l.filler.TID))
+		e.Uint(l.touched)
+		e.Uint(checkpoint.Flags(l.valid, l.dirty, l.filler.Priv))
+		next = i + 1
 	}
-	return s
+	e.Uint(c.tick)
+	c.tracker.Save(e)
+	checkpoint.PutUints(e, c.Accesses[:])
+	checkpoint.PutUints(e, c.Misses[:])
+	c.Causes.Save(e)
+	c.Shared.Save(e)
+	e.Uint(c.Invalidations)
+	e.Uint(c.Writebacks)
 }
 
-// Restore overwrites the cache's state from a snapshot taken on a cache with
-// the same geometry.
-func (c *Cache) Restore(s CacheSnap) {
-	if s.NumLines != len(c.lines) {
-		panic("cache: snapshot geometry mismatch")
+// Load overwrites the cache's state from a section written by Save on a
+// cache of the same geometry.
+func (c *Cache) Load(d *checkpoint.Dec) {
+	if !d.Expect(len(c.lines), "cache lines") {
+		return
 	}
 	clear(c.lines)
-	for i, idx := range s.LineIdx {
-		c.lines[idx] = line{
-			valid:   s.LineFlags[i]&lineValid != 0,
-			dirty:   s.LineFlags[i]&lineDirty != 0,
-			tag:     s.LineTag[i],
-			lastUse: s.LineUse[i],
-			filler:  conflict.Agent{TID: s.LineTID[i], Priv: s.LineFlags[i]&lineFillerPrv != 0},
-			touched: s.LineTouch[i],
+	k := d.Len()
+	next := 0
+	for j := 0; j < k; j++ {
+		i := next + d.Index(len(c.lines)-next)
+		if d.Failed() {
+			break
 		}
+		l := &c.lines[i]
+		l.tag = d.Uint()
+		l.lastUse = d.Uint()
+		l.filler.TID = uint32(d.Uint())
+		l.touched = d.Uint()
+		flags := d.Uint()
+		l.valid = flags&lineValid != 0
+		l.dirty = flags&lineDirty != 0
+		l.filler.Priv = flags&lineFillerPrv != 0
+		next = i + 1
 	}
-	c.tick = s.Tick
-	c.tracker.Restore(s.Tracker)
-	c.Accesses = s.Accesses
-	c.Misses = s.Misses
-	c.Causes = s.Causes
-	c.Shared = s.Shared
-	c.Invalidations = s.Invalidations
-	c.Writebacks = s.Writebacks
+	c.tick = d.Uint()
+	c.tracker.Load(d)
+	checkpoint.LoadUints(d, c.Accesses[:], "cache accesses")
+	checkpoint.LoadUints(d, c.Misses[:], "cache misses")
+	c.Causes.Load(d)
+	c.Shared.Load(d)
+	c.Invalidations = d.Uint()
+	c.Writebacks = d.Uint()
 }
 
-// MSHRFill is one in-flight fill (serialized sorted by line address).
-type MSHRFill struct {
-	Line  uint64
-	Ready uint64
-}
-
-// MSHRSnap captures one MSHR table.
-type MSHRSnap struct {
-	Inflight    []MSHRFill
-	FullStalls  uint64
-	LatencyArea uint64
-	Fills       uint64
-}
-
-func (m *mshr) snapshot() MSHRSnap {
-	s := MSHRSnap{
-		Inflight:    make([]MSHRFill, 0, len(m.inflight)),
-		FullStalls:  m.FullStalls,
-		LatencyArea: m.latencyArea,
-		Fills:       m.fills,
+// save writes one MSHR table, its fills sorted by line address.
+func (m *mshr) save(e *checkpoint.Enc) {
+	fills := slices.Clone(m.inflight)
+	slices.SortFunc(fills, func(a, b mshrFill) int { return cmp.Compare(a.la, b.la) })
+	e.Uint(uint64(len(fills)))
+	for _, f := range fills {
+		e.Uint(f.la)
+		e.Uint(f.ready)
 	}
-	for _, f := range m.inflight {
-		s.Inflight = append(s.Inflight, MSHRFill{Line: f.la, Ready: f.ready})
+	e.Uint(m.FullStalls)
+	e.Uint(m.latencyArea)
+	e.Uint(m.fills)
+}
+
+// load reads a table written by save; more fills than the table holds is
+// damage.
+func (m *mshr) load(d *checkpoint.Dec) {
+	n := d.Len()
+	if n > m.cap {
+		d.Fail("%d in-flight fills, MSHR holds %d", n, m.cap)
+		n = 0
 	}
-	sort.Slice(s.Inflight, func(i, j int) bool { return s.Inflight[i].Line < s.Inflight[j].Line })
-	return s
-}
-
-func (m *mshr) restore(s MSHRSnap) {
-	m.inflight = make([]mshrFill, 0, len(s.Inflight))
-	for _, f := range s.Inflight {
-		m.inflight = append(m.inflight, mshrFill{la: f.Line, ready: f.Ready})
+	m.inflight = checkpoint.Resize(m.inflight, n)
+	for i := range m.inflight {
+		m.inflight[i] = mshrFill{la: d.Uint(), ready: d.Uint()}
 	}
-	m.FullStalls = s.FullStalls
-	m.latencyArea = s.LatencyArea
-	m.fills = s.Fills
+	m.FullStalls = d.Uint()
+	m.latencyArea = d.Uint()
+	m.fills = d.Uint()
 }
 
-// HierSnap captures the hierarchy's complete mutable state.
-type HierSnap struct {
-	L1I, L1D, L2         CacheSnap
-	MSHRI, MSHRD, MSHRL2 MSHRSnap
-	L2NextFree           uint64
-	MemNextFree          uint64
-	BusTransactions      uint64
+// Save writes the hierarchy's mutable state (configuration excluded).
+func (h *Hierarchy) Save(e *checkpoint.Enc) {
+	h.L1I.Save(e)
+	h.L1D.Save(e)
+	h.L2.Save(e)
+	h.mshrI.save(e)
+	h.mshrD.save(e)
+	h.mshrL2.save(e)
+	e.Uint(h.l2NextFree)
+	e.Uint(h.memNextFree)
+	e.Uint(h.BusTransactions)
 }
 
-// Snapshot returns the hierarchy's mutable state (configuration excluded).
-func (h *Hierarchy) Snapshot() HierSnap {
-	return HierSnap{
-		L1I: h.L1I.Snapshot(), L1D: h.L1D.Snapshot(), L2: h.L2.Snapshot(),
-		MSHRI: h.mshrI.snapshot(), MSHRD: h.mshrD.snapshot(), MSHRL2: h.mshrL2.snapshot(),
-		L2NextFree: h.l2NextFree, MemNextFree: h.memNextFree,
-		BusTransactions: h.BusTransactions,
+// Load overwrites the hierarchy's state from a section written by Save.
+func (h *Hierarchy) Load(d *checkpoint.Dec) {
+	h.L1I.Load(d)
+	h.L1D.Load(d)
+	h.L2.Load(d)
+	h.mshrI.load(d)
+	h.mshrD.load(d)
+	h.mshrL2.load(d)
+	h.l2NextFree = d.Uint()
+	h.memNextFree = d.Uint()
+	h.BusTransactions = d.Uint()
+}
+
+// Save writes the store buffer's state.
+func (s *StoreBuffer) Save(e *checkpoint.Enc) {
+	checkpoint.PutUints(e, s.entries)
+	e.Uint(s.FullStalls)
+	e.Uint(s.Pushed)
+	e.Uint(s.Drained)
+}
+
+// Load overwrites the store buffer's state; more entries than its capacity
+// is damage.
+func (s *StoreBuffer) Load(d *checkpoint.Dec) {
+	s.entries = checkpoint.GetUints(d, s.entries)
+	if len(s.entries) > s.capacity {
+		d.Fail("%d store-buffer entries, capacity %d", len(s.entries), s.capacity)
+		s.entries = s.entries[:0]
 	}
-}
-
-// Restore overwrites the hierarchy's state from a snapshot.
-func (h *Hierarchy) Restore(s HierSnap) {
-	h.L1I.Restore(s.L1I)
-	h.L1D.Restore(s.L1D)
-	h.L2.Restore(s.L2)
-	h.mshrI.restore(s.MSHRI)
-	h.mshrD.restore(s.MSHRD)
-	h.mshrL2.restore(s.MSHRL2)
-	h.l2NextFree = s.L2NextFree
-	h.memNextFree = s.MemNextFree
-	h.BusTransactions = s.BusTransactions
-}
-
-// SBSnap captures the store buffer.
-type SBSnap struct {
-	Entries    []uint64
-	FullStalls uint64
-	Pushed     uint64
-	Drained    uint64
-}
-
-// Snapshot returns the store buffer's state.
-func (s *StoreBuffer) Snapshot() SBSnap {
-	return SBSnap{
-		Entries:    append([]uint64(nil), s.entries...),
-		FullStalls: s.FullStalls,
-		Pushed:     s.Pushed,
-		Drained:    s.Drained,
-	}
-}
-
-// Restore overwrites the store buffer's state.
-func (s *StoreBuffer) Restore(snap SBSnap) {
-	s.entries = append(s.entries[:0], snap.Entries...)
-	s.FullStalls = snap.FullStalls
-	s.Pushed = snap.Pushed
-	s.Drained = snap.Drained
+	s.FullStalls = d.Uint()
+	s.Pushed = d.Uint()
+	s.Drained = d.Uint()
 }

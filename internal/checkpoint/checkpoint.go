@@ -1,7 +1,8 @@
 // Package checkpoint defines the on-disk container for simulator
-// checkpoints: a versioned, CRC-protected set of named gob-encoded
-// sections. The package knows nothing about the simulator — core composes
-// the sections — so it can be imported from every layer without cycles.
+// checkpoints — a versioned, CRC-protected set of named sections — and the
+// section codec every layer writes its state with (Enc, Dec; see codec.go).
+// The package knows nothing about the simulator — core composes the
+// sections — so it can be imported from every layer without cycles.
 //
 // Format (all integers little-endian):
 //
@@ -10,18 +11,17 @@
 //	4 bytes  section count
 //	per section:
 //	  4 bytes  name length, then the name (UTF-8)
-//	  8 bytes  payload length, then the payload (gob)
+//	  8 bytes  payload length, then the payload (Enc-encoded)
 //	4 bytes  CRC-32 (IEEE) of everything above
 //
 // Sections are written sorted by name, so the same state always produces
-// the same bytes. Decoding a corrupt or truncated file returns a
-// *FormatError; it never panics.
+// the same bytes. Decoding a corrupt or truncated file, or loading a
+// damaged section, returns a *FormatError; it never panics.
 package checkpoint
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -33,8 +33,9 @@ import (
 // Magic identifies a checkpoint file.
 const Magic = "OSSMTCKP"
 
-// Version is the current format version. Readers reject other versions.
-const Version = 1
+// Version is the current format version. Readers reject other versions:
+// version 1 held gob-encoded sections, and version 2 holds Enc-encoded ones.
+const Version = 2
 
 // Sanity bounds on decoded lengths, so a corrupt header cannot drive a
 // multi-gigabyte allocation before the CRC check is reached.
@@ -78,27 +79,25 @@ func NewImage() *Image {
 	return &Image{sections: map[string][]byte{}}
 }
 
-// Put gob-encodes v into the named section, replacing any previous content.
-func (img *Image) Put(name string, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("checkpoint: encoding section %q: %w", name, err)
-	}
-	img.sections[name] = buf.Bytes()
-	return nil
+// Put stores the section save writes, replacing any previous content. The
+// section is copied out of the writer's buffer at its exact length, so an
+// image held in memory carries no append slack.
+func (img *Image) Put(name string, save func(e *Enc)) {
+	var e Enc
+	save(&e)
+	img.sections[name] = bytes.Clone(e.Bytes())
 }
 
-// Get decodes the named section into v (a pointer). A missing section is a
-// *FormatError.
-func (img *Image) Get(name string, v any) error {
+// Get runs load over the named section. A missing section, a failed read,
+// or bytes left over after load are a *FormatError.
+func (img *Image) Get(name string, load func(d *Dec)) error {
 	b, ok := img.sections[name]
 	if !ok {
 		return &FormatError{Reason: fmt.Sprintf("missing section %q", name)}
 	}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return &FormatError{Reason: fmt.Sprintf("decoding section %q", name), Err: err}
-	}
-	return nil
+	d := NewDec(name, b)
+	load(&d)
+	return d.Finish()
 }
 
 // Has reports whether the named section exists.

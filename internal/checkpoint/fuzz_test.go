@@ -5,42 +5,65 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // fuzzState is a section shaped like the simulator's: parallel primitive
-// arrays (the tracker and cache encodings), a nested struct and a map.
+// arrays (the tracker layout), a string, signed values, a sparse column
+// and a float.
 type fuzzState struct {
-	Keys  []uint64
-	TIDs  []uint32
-	Flags []uint8
-	Name  string
-	Inner struct {
-		Cycle uint64
-		Vals  []int64
-	}
-	Counts map[string]uint64
+	Keys   []uint64
+	TIDs   []uint32
+	Flags  []uint8
+	Name   string
+	Cycle  uint64
+	Vals   []int64
+	Sparse [64]uint64
+	Ratio  float64
+}
+
+func (s *fuzzState) Save(e *Enc) {
+	PutUints(e, s.Keys)
+	PutUints(e, s.TIDs)
+	PutUints(e, s.Flags)
+	e.String(s.Name)
+	e.Uint(s.Cycle)
+	PutInts(e, s.Vals)
+	e.Column(len(s.Sparse), func(i int) uint64 { return s.Sparse[i] })
+	e.Float(s.Ratio)
+}
+
+func (s *fuzzState) Load(d *Dec) {
+	s.Keys = GetUints(d, s.Keys)
+	s.TIDs = GetUints(d, s.TIDs)
+	s.Flags = GetUints(d, s.Flags)
+	s.Name = d.String()
+	s.Cycle = d.Uint()
+	s.Vals = GetInts(d, s.Vals)
+	clear(s.Sparse[:])
+	d.Column(len(s.Sparse), func(i int, v uint64) { s.Sparse[i] = v })
+	s.Ratio = d.Float()
 }
 
 // fuzzImage encodes a small but real image: a library manifest and one
 // state section.
 func fuzzImage(tb testing.TB) []byte {
 	img := NewImage()
-	if err := PutManifest(img, libManifest()); err != nil {
-		tb.Fatal(err)
-	}
+	PutManifest(img, libManifest())
 	st := fuzzState{
-		Keys:   []uint64{64, 128, 1 << 40},
-		TIDs:   []uint32{1, 2, 3},
-		Flags:  []uint8{0, 1, 2},
-		Name:   "l2",
-		Counts: map[string]uint64{"hits": 7, "misses": 3},
+		Keys:  []uint64{64, 128, 1 << 40},
+		TIDs:  []uint32{1, 2, 3},
+		Flags: []uint8{0, 1, 2},
+		Name:  "l2",
+		Cycle: 123_456,
+		Vals:  []int64{-1, 0, 1},
+		Ratio: 0.25,
 	}
-	st.Inner.Cycle = 123_456
-	st.Inner.Vals = []int64{-1, 0, 1}
-	if err := img.Put("state", st); err != nil {
-		tb.Fatal(err)
-	}
+	st.Sparse[3], st.Sparse[60] = 7, 1<<33
+	img.Put("state", st.Save)
 	var buf bytes.Buffer
 	if err := img.Encode(&buf); err != nil {
 		tb.Fatal(err)
@@ -51,7 +74,8 @@ func fuzzImage(tb testing.TB) []byte {
 // FuzzCheckpointDecode feeds corrupted images to Decode and Image.Get:
 // every failure must be a *FormatError, never a panic. With fixCRC the
 // fuzzer's bytes get a valid checksum, so the corruption reaches the
-// section parser and gob instead of stopping at the CRC check.
+// container parser and the section decoder instead of stopping at the CRC
+// check.
 func FuzzCheckpointDecode(f *testing.F) {
 	good := fuzzImage(f)
 	f.Add(good, false)
@@ -66,6 +90,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Add(flipped, false)
 		f.Add(flipped, true)
 	}
+	// A state section whose first length prefix claims 2^40 elements.
+	huge := NewImage()
+	PutManifest(huge, libManifest())
+	huge.Put("state", func(e *Enc) { e.Uint(1 << 40) })
+	var buf bytes.Buffer
+	if err := huge.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes(), false)
 	f.Fuzz(func(t *testing.T, raw []byte, fixCRC bool) {
 		if fixCRC && len(raw) >= 4 {
 			raw = bytes.Clone(raw)
@@ -79,11 +112,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		for _, name := range img.Names() {
 			var st fuzzState
-			if err := img.Get(name, &st); err != nil {
+			if err := img.Get(name, st.Load); err != nil {
 				wantFormatError(t, "Get "+name, err)
 			}
+			if n := len(st.Keys) + len(st.TIDs) + len(st.Flags) + len(st.Vals); n > img.SectionLen(name) {
+				t.Fatalf("Get %s: decoded %d elements from a %d-byte section", name, n, img.SectionLen(name))
+			}
 			var m LibraryManifest
-			if err := img.Get(name, &m); err != nil {
+			if err := img.Get(name, m.Load); err != nil {
 				wantFormatError(t, "Get "+name, err)
 			}
 		}
@@ -115,10 +151,32 @@ func TestDecodeSectionsAreCapped(t *testing.T) {
 		}
 	}
 	var st fuzzState
-	if err := img.Get("state", &st); err != nil {
+	if err := img.Get("state", st.Load); err != nil {
 		t.Fatal(err)
 	}
-	if st.Name != "l2" || st.Inner.Cycle != 123_456 || st.Counts["misses"] != 3 {
+	if st.Name != "l2" || st.Cycle != 123_456 || st.Vals[0] != -1 || st.Sparse[60] != 1<<33 || st.Ratio != 0.25 {
 		t.Fatalf("state section decoded as %+v", st)
+	}
+}
+
+// TestReadFileRejectsVersion1 hands ReadFile a version-1 header (the gob
+// format) behind a valid checksum: the one reader must refuse it with a
+// *FormatError that names the version, never try to decode it.
+func TestReadFileRejectsVersion1(t *testing.T) {
+	raw := []byte(Magic)
+	raw = binary.LittleEndian.AppendUint32(raw, 1) // format version
+	raw = binary.LittleEndian.AppendUint32(raw, 0) // section count
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(path)
+	var ferr *FormatError
+	if !errors.As(err, &ferr) {
+		t.Fatalf("ReadFile = %v, want a *FormatError", err)
+	}
+	if !strings.Contains(ferr.Reason, "version 1") {
+		t.Fatalf("error %q does not name version 1", ferr.Reason)
 	}
 }

@@ -38,16 +38,36 @@ type LibraryManifest struct {
 	Cycle, Retired uint64
 }
 
+// Save writes the manifest to a checkpoint section.
+func (m *LibraryManifest) Save(e *Enc) {
+	e.String(m.Fingerprint)
+	e.String(m.CodeVersion)
+	e.Uint(m.Seed)
+	e.Int(int64(m.Window))
+	e.Uint(m.Cycle)
+	e.Uint(m.Retired)
+}
+
+// Load reads a manifest written by Save.
+func (m *LibraryManifest) Load(d *Dec) {
+	m.Fingerprint = d.String()
+	m.CodeVersion = d.String()
+	m.Seed = d.Uint()
+	m.Window = int(d.Int())
+	m.Cycle = d.Uint()
+	m.Retired = d.Uint()
+}
+
 // PutManifest stores m as the image's manifest section.
-func PutManifest(img *Image, m LibraryManifest) error {
-	return img.Put(ManifestSection, m)
+func PutManifest(img *Image, m LibraryManifest) {
+	img.Put(ManifestSection, m.Save)
 }
 
 // Manifest decodes the image's manifest section. A missing section is a
 // *FormatError (the image predates libraries or is not a library image).
 func Manifest(img *Image) (LibraryManifest, error) {
 	var m LibraryManifest
-	err := img.Get(ManifestSection, &m)
+	err := img.Get(ManifestSection, m.Load)
 	return m, err
 }
 

@@ -65,9 +65,9 @@ func (c Cause) String() string {
 // that key can be classified.
 //
 // The state is a frozen base plus an overlay. The base is the state as of
-// the last Restore or Snapshot, held as key-sorted parallel arrays in the
-// TrackerSnap layout, so restoring a checkpoint is three copies instead of
-// a rehash of every key. Writes since then go to the overlay, a
+// the last Load or Save, held as key-sorted parallel arrays in the order
+// the checkpoint section stores them, so loading a checkpoint decodes
+// straight into three arrays instead of rehashing every key. Writes since then go to the overlay, a
 // power-of-two open-addressing table with linear probing. A lookup checks
 // the overlay first, then binary-searches the base; an overlay entry
 // shadows the base entry for the same key.
@@ -167,7 +167,7 @@ func (t *Tracker) reserve() {
 	}
 	old, oldGen := t.ov, t.ovGen
 	size := max(2*len(old), minOverlay)
-	t.ov = make([]slot, size) //detlint:ignore hotalloc amortized doubling: the overlay keeps its capacity across Restore, so it stops growing once it holds the busiest interval's writes
+	t.ov = make([]slot, size) //detlint:ignore hotalloc amortized doubling: the overlay keeps its capacity across Load, so it stops growing once it holds the busiest interval's writes
 	t.ovGen = 1
 	for _, s := range old {
 		if s.gen == oldGen {

@@ -1,8 +1,11 @@
 package conflict
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/checkpoint"
 )
 
 func TestClassifyCompulsoryOnce(t *testing.T) {
@@ -136,24 +139,39 @@ func TestCauseString(t *testing.T) {
 	}
 }
 
-// bigSnap returns a tracker snapshot of n line-address keys with mixed
+// bigSnap returns a tracker section of n line-address keys with mixed
 // evictors, the shape of a library window's cache trackers.
-func bigSnap(n int) TrackerSnap {
+func bigSnap(n int) []byte {
 	tr := NewTracker()
 	for i := 0; i < n; i++ {
 		tr.Evicted(uint64(i)*3<<6, Agent{TID: uint32(i % 7), Priv: i%3 == 0})
 	}
-	return tr.Snapshot()
+	return save(tr)
+}
+
+// save returns the tracker's checkpoint section.
+func save(tr *Tracker) []byte {
+	var e checkpoint.Enc
+	tr.Save(&e)
+	return e.Bytes()
+}
+
+// load replaces the tracker's contents with section b.
+func load(tr *Tracker, b []byte) error {
+	d := checkpoint.NewDec("tracker", b)
+	tr.Load(&d)
+	return d.Finish()
 }
 
 // TestTrackerRestoreZeroAlloc pins the restore path's allocation budget:
-// once the base and overlay have grown to a workload's size, restoring a
-// same-size snapshot and replaying a burst of misses allocates nothing.
+// once the base and overlay have grown to a workload's size, loading a
+// same-size section and replaying a burst of misses allocates nothing.
 func TestTrackerRestoreZeroAlloc(t *testing.T) {
 	snap := bigSnap(20_000)
 	tr := NewTracker()
 	burst := func() {
-		tr.Restore(snap)
+		d := checkpoint.NewDec("tracker", snap)
+		tr.Load(&d)
 		for i := uint64(0); i < 5_000; i++ {
 			a := Agent{TID: uint32(i % 5), Priv: i%4 == 0}
 			tr.Classify(i<<6, a)
@@ -163,7 +181,7 @@ func TestTrackerRestoreZeroAlloc(t *testing.T) {
 	}
 	burst()
 	if n := testing.AllocsPerRun(20, burst); n != 0 {
-		t.Fatalf("Restore + miss burst = %v allocs/run, want 0", n)
+		t.Fatalf("Load + miss burst = %v allocs/run, want 0", n)
 	}
 }
 
@@ -173,10 +191,12 @@ func TestTrackerRestoreZeroAlloc(t *testing.T) {
 func TestTrackerOverlayGenerationWrap(t *testing.T) {
 	const stale, other = 1 << 6, 2 << 6
 	tr := NewTracker()
-	empty := tr.Snapshot()
+	empty := save(tr)
 	tr.Evicted(stale, Agent{TID: 1})
 	for i := 0; i < 1<<16+3; i++ {
-		tr.Restore(empty)
+		if err := load(tr, empty); err != nil {
+			t.Fatal(err)
+		}
 		tr.Evicted(other, Agent{TID: 2})
 		if tr.Seen(stale) {
 			t.Fatalf("restore %d: key %#x, written before the first restore, is live again", i, stale)
@@ -187,34 +207,55 @@ func TestTrackerOverlayGenerationWrap(t *testing.T) {
 	}
 }
 
+// TestTrackerRestoreRejectsMismatchedArrays loads sections whose TID or
+// flag column is shorter than the key column: each must fail with a
+// *checkpoint.FormatError and leave the tracker empty, never panic.
 func TestTrackerRestoreRejectsMismatchedArrays(t *testing.T) {
-	for name, s := range map[string]TrackerSnap{
-		"short TIDs":  {Keys: []uint64{1, 2}, TIDs: []uint32{0}, Flags: []uint8{0, 0}},
-		"short Flags": {Keys: []uint64{1}, TIDs: []uint32{0}},
+	section := func(keys []uint64, tids []uint32, flags []uint8) []byte {
+		var e checkpoint.Enc
+		e.Uint(uint64(len(keys)))
+		prev := uint64(0)
+		for _, k := range keys {
+			e.Uint(k - prev)
+			prev = k
+		}
+		checkpoint.PutUints(&e, tids)
+		checkpoint.PutUints(&e, flags)
+		return e.Bytes()
+	}
+	for name, b := range map[string][]byte{
+		"short TIDs":  section([]uint64{1, 2}, []uint32{0}, []uint8{0, 0}),
+		"short Flags": section([]uint64{1}, []uint32{0}, nil),
 	} {
 		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("Restore accepted arrays of different lengths")
-				}
-			}()
-			NewTracker().Restore(s)
+			tr := NewTracker()
+			err := load(tr, b)
+			var ferr *checkpoint.FormatError
+			if !errors.As(err, &ferr) {
+				t.Fatalf("Load = %v, want a *checkpoint.FormatError", err)
+			}
+			if tr.Len() != 0 {
+				t.Fatalf("failed Load left %d entries", tr.Len())
+			}
 		})
 	}
 }
 
-// BenchmarkTrackerRestore restores a snapshot the size of the largest
-// library window's trackers combined (about 360k keys) and reports the
-// cost per key.
+// BenchmarkTrackerRestore loads a section the size of the largest library
+// window's trackers combined (about 360k keys) and reports the cost per
+// key.
 func BenchmarkTrackerRestore(b *testing.B) {
 	const keys = 360_000
 	snap := bigSnap(keys)
 	tr := NewTracker()
-	tr.Restore(snap)
+	if err := load(tr, snap); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Restore(snap)
+		d := checkpoint.NewDec("tracker", snap)
+		tr.Load(&d)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
 }

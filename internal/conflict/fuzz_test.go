@@ -1,9 +1,11 @@
 package conflict
 
 import (
-	"reflect"
+	"bytes"
 	"slices"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 // evictor is the reference model's record of what displaced a key: the
@@ -33,28 +35,34 @@ func (o oracle) classify(key uint64, by Agent) Cause {
 	}
 }
 
-func (o oracle) snapshot() TrackerSnap {
+// section encodes the oracle in the tracker's checkpoint layout: the
+// canonical bytes a tracker holding the same entries must Save.
+func (o oracle) section() []byte {
 	keys := make([]uint64, 0, len(o))
 	for k := range o {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	s := TrackerSnap{
-		Keys:  keys,
-		TIDs:  make([]uint32, len(keys)),
-		Flags: make([]uint8, len(keys)),
-	}
+	tids := make([]uint32, len(keys))
+	flags := make([]uint8, len(keys))
+	var e checkpoint.Enc
+	e.Uint(uint64(len(keys)))
+	prev := uint64(0)
 	for i, k := range keys {
+		e.Uint(k - prev)
+		prev = k
 		ev := o[k]
-		s.TIDs[i] = ev.tid
+		tids[i] = ev.tid
 		if ev.priv {
-			s.Flags[i] |= trackerPriv
+			flags[i] |= trackerPriv
 		}
 		if ev.invalidated {
-			s.Flags[i] |= trackerInvalidated
+			flags[i] |= trackerInvalidated
 		}
 	}
-	return s
+	checkpoint.PutUints(&e, tids)
+	checkpoint.PutUints(&e, flags)
+	return e.Bytes()
 }
 
 func (o oracle) clone() oracle {
@@ -63,10 +71,6 @@ func (o oracle) clone() oracle {
 		c[k] = v
 	}
 	return c
-}
-
-func cloneSnap(s TrackerSnap) TrackerSnap {
-	return TrackerSnap{Keys: slices.Clone(s.Keys), TIDs: slices.Clone(s.TIDs), Flags: slices.Clone(s.Flags)}
 }
 
 // fuzzKey maps an input byte to a key: a few dozen line-address-like keys
@@ -80,8 +84,8 @@ func fuzzKey(b byte) uint64 {
 	return k
 }
 
-// FuzzTracker runs random sequences of tracker operations, with snapshot
-// and restore round trips in between, against the map it replaced. Each
+// FuzzTracker runs random sequences of tracker operations, with Save and
+// Load round trips in between, against the map it replaced. Each
 // operation is three input bytes: opcode, key, agent (or count).
 func FuzzTracker(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 3, 1, 2, 5, 0, 0, 3, 1, 9})
@@ -94,7 +98,12 @@ func FuzzTracker(f *testing.F) {
 func checkTrackerOps(t *testing.T, ops []byte) {
 	tr := NewTracker()
 	or := oracle{}
-	saved, savedOr := tr.Snapshot(), oracle{}
+	saved, savedOr := save(tr), oracle{}
+	mustLoad := func(step int, b []byte) {
+		if err := load(tr, b); err != nil {
+			t.Fatalf("step %d: Load: %v", step, err)
+		}
+	}
 	for step := 0; len(ops) >= 3; step++ {
 		op, key, a := ops[0], fuzzKey(ops[1]), ops[2]
 		ops = ops[3:]
@@ -121,19 +130,19 @@ func checkTrackerOps(t *testing.T, ops []byte) {
 				t.Fatalf("step %d: Seen(%#x) = %v, want %v", step, key, got, want)
 			}
 		case 5:
-			// Round trip through a snapshot, restored into this
-			// tracker or a fresh one; scribbling on the snapshot
-			// afterwards must not reach the tracker.
-			s := tr.Snapshot()
-			if want := or.snapshot(); !reflect.DeepEqual(s, want) {
-				t.Fatalf("step %d: Snapshot = %+v, want %+v", step, s, want)
+			// Round trip through a section, loaded into this tracker
+			// or a fresh one; scribbling on the section afterwards
+			// must not reach the tracker.
+			s := save(tr)
+			if want := or.section(); !bytes.Equal(s, want) {
+				t.Fatalf("step %d: Save = %x, want %x", step, s, want)
 			}
 			if a&1 != 0 {
 				tr = NewTracker()
 			}
-			tr.Restore(s)
-			for i := range s.Keys {
-				s.Keys[i], s.TIDs[i], s.Flags[i] = ^uint64(0), 99, 0xff
+			mustLoad(step, s)
+			for i := range s {
+				s[i] = 0xff
 			}
 		case 6:
 			if got, want := tr.Len(), len(or); got != want {
@@ -149,18 +158,18 @@ func checkTrackerOps(t *testing.T, ops []byte) {
 				or[k] = evictor{tid: uint32(i & 3)}
 			}
 		case 8:
-			saved, savedOr = tr.Snapshot(), or.clone()
+			saved, savedOr = save(tr), or.clone()
 		case 9:
-			// Restore an older state over whatever the overlay holds
+			// Load an older state over whatever the overlay holds
 			// now, as RestoreInto does for each library window.
-			tr.Restore(cloneSnap(saved))
+			mustLoad(step, bytes.Clone(saved))
 			or = savedOr.clone()
 		}
 	}
 	if got, want := tr.Len(), len(or); got != want {
 		t.Fatalf("final Len = %d, want %d", got, want)
 	}
-	if got, want := tr.Snapshot(), or.snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("final Snapshot = %+v, want %+v", got, want)
+	if got, want := save(tr), or.section(); !bytes.Equal(got, want) {
+		t.Fatalf("final Save = %x, want %x", got, want)
 	}
 }

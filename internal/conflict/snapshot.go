@@ -3,32 +3,39 @@ package conflict
 import (
 	"cmp"
 	"slices"
+
+	"repro/internal/checkpoint"
 )
 
-// TrackerSnap is the serialized form of a Tracker. It is a struct of
-// parallel arrays rather than a slice of per-key structs: gob decodes
-// primitive-typed slices through its fast paths instead of reflecting over
-// every element, and checkpoint restore decodes trackers with tens of
-// thousands of keys on the hot path of checkpoint-library regeneration.
-// Entry i is (Keys[i], TIDs[i], Flags[i]); Keys are strictly ascending.
-// The layout is also the tracker's in-memory base, so Restore copies it.
-type TrackerSnap struct {
-	Keys []uint64
-	TIDs []uint32
-	// Flags packs the evictor booleans: bit 0 priv, bit 1 invalidated.
-	Flags []uint8
-}
-
+// The tracker's checkpoint layout is its base: the entry count, then the
+// keys (ascending, each written as its difference from the previous key),
+// then the TIDs, then the flags.
 const (
 	trackerPriv        = 1 << 0
 	trackerInvalidated = 1 << 1
 )
 
-// Snapshot returns the tracker's contents key-sorted, so that the
-// serialized form of a deterministic run is itself deterministic. It merges
-// the overlay into the base as it goes and keeps the result as the new
-// base, so the next Snapshot sorts only the keys written after this one.
-func (t *Tracker) Snapshot() TrackerSnap {
+// Save writes the tracker's contents key-sorted, so that the section of a
+// deterministic run is itself deterministic. It first merges the overlay
+// into the base and keeps the result as the new base, so the next Save
+// sorts only the keys written after this one.
+func (t *Tracker) Save(e *checkpoint.Enc) {
+	t.merge()
+	e.Uint(uint64(len(t.keys)))
+	prev := uint64(0)
+	for _, k := range t.keys {
+		e.Uint(k - prev)
+		prev = k
+	}
+	checkpoint.PutUints(e, t.tids)
+	checkpoint.PutUints(e, t.flags)
+}
+
+// merge folds the overlay into the base and empties it.
+func (t *Tracker) merge() {
+	if t.ovLen == 0 {
+		return
+	}
 	ov := make([]slot, 0, t.ovLen)
 	for _, s := range t.ov {
 		if s.gen == t.ovGen {
@@ -37,47 +44,89 @@ func (t *Tracker) Snapshot() TrackerSnap {
 	}
 	slices.SortFunc(ov, func(a, b slot) int { return cmp.Compare(a.key, b.key) })
 	n := len(t.keys) + len(ov)
-	s := TrackerSnap{
-		Keys: make([]uint64, 0, n),
-		TIDs: make([]uint32, 0, n),
-		// A fully zero []uint8 still gob-encodes per element; that is fine
-		// at this size, and Flags is rarely all zero in practice.
-		Flags: make([]uint8, 0, n),
-	}
+	keys := make([]uint64, 0, n)
+	tids := make([]uint32, 0, n)
+	flags := make([]uint8, 0, n)
 	i := 0
 	for _, o := range ov {
 		j, found := slices.BinarySearch(t.keys[i:], o.key)
 		j += i
-		s.Keys = append(s.Keys, t.keys[i:j]...)
-		s.TIDs = append(s.TIDs, t.tids[i:j]...)
-		s.Flags = append(s.Flags, t.flags[i:j]...)
-		s.Keys = append(s.Keys, o.key)
-		s.TIDs = append(s.TIDs, o.tid)
-		s.Flags = append(s.Flags, o.flags)
+		keys = append(keys, t.keys[i:j]...)
+		tids = append(tids, t.tids[i:j]...)
+		flags = append(flags, t.flags[i:j]...)
+		keys = append(keys, o.key)
+		tids = append(tids, o.tid)
+		flags = append(flags, o.flags)
 		if found {
 			j++ // the overlay entry shadows the base's
 		}
 		i = j
 	}
-	s.Keys = append(s.Keys, t.keys[i:]...)
-	s.TIDs = append(s.TIDs, t.tids[i:]...)
-	s.Flags = append(s.Flags, t.flags[i:]...)
-	t.Restore(s)
-	return s
+	t.keys = append(keys, t.keys[i:]...)
+	t.tids = append(tids, t.tids[i:]...)
+	t.flags = append(flags, t.flags[i:]...)
+	t.resetOverlay()
 }
 
-// Restore replaces the tracker's contents with a snapshot: it copies the
-// snapshot into the base and empties the overlay. Both keep their capacity,
-// so repeated restores onto one tracker do not reallocate. Restore trusts
-// the key order Snapshot wrote (checkpoint images are CRC-protected); a
-// snapshot whose arrays differ in length panics, as the other structures'
-// Restore does on a geometry mismatch.
-func (t *Tracker) Restore(s TrackerSnap) {
-	if len(s.TIDs) != len(s.Keys) || len(s.Flags) != len(s.Keys) {
-		panic("conflict: tracker snapshot arrays differ in length")
+// Load replaces the tracker's contents with a section written by Save: it
+// decodes into the base and empties the overlay. Both keep their capacity,
+// so repeated loads onto one tracker do not reallocate. Keys that are not
+// strictly ascending, and a TID or flag column shorter than the key column,
+// are damage.
+func (t *Tracker) Load(d *checkpoint.Dec) {
+	n := d.Len()
+	t.keys = checkpoint.Resize(t.keys, n)
+	var k uint64
+	for i := range t.keys {
+		delta := d.Uint()
+		if i > 0 && (delta == 0 || k+delta < k) {
+			d.Fail("tracker keys not strictly ascending at entry %d", i)
+		}
+		k += delta
+		t.keys[i] = k
 	}
-	t.keys = append(t.keys[:0], s.Keys...)
-	t.tids = append(t.tids[:0], s.TIDs...)
-	t.flags = append(t.flags[:0], s.Flags...)
+	if d.Expect(n, "tracker TIDs") {
+		t.tids = checkpoint.Resize(t.tids, n)
+		for i := range t.tids {
+			t.tids[i] = uint32(d.Uint())
+		}
+	}
+	if d.Expect(n, "tracker flags") {
+		t.flags = checkpoint.Resize(t.flags, n)
+		for i := range t.flags {
+			t.flags[i] = uint8(d.Uint())
+		}
+	}
+	if d.Failed() {
+		t.keys, t.tids, t.flags = t.keys[:0], t.tids[:0], t.flags[:0]
+	}
 	t.resetOverlay()
+}
+
+// Save writes the miss-cause matrix.
+func (m *Matrix) Save(e *checkpoint.Enc) {
+	for p := range m.Counts {
+		checkpoint.PutUints(e, m.Counts[p][:])
+	}
+}
+
+// Load reads a matrix written by Save.
+func (m *Matrix) Load(d *checkpoint.Dec) {
+	for p := range m.Counts {
+		checkpoint.LoadUints(d, m.Counts[p][:], "miss causes")
+	}
+}
+
+// Save writes the constructive-sharing matrix.
+func (s *Sharing) Save(e *checkpoint.Enc) {
+	for p := range s.Avoided {
+		checkpoint.PutUints(e, s.Avoided[p][:])
+	}
+}
+
+// Load reads a matrix written by Save.
+func (s *Sharing) Load(d *checkpoint.Dec) {
+	for p := range s.Avoided {
+		checkpoint.LoadUints(d, s.Avoided[p][:], "shared fills")
+	}
 }

@@ -1,18 +1,19 @@
 // Crash-consistent checkpoint/restore for the whole simulator. A checkpoint
-// is a versioned checkpoint.Image with one section per layer:
+// is a versioned checkpoint.Image with one section per layer, each written
+// by the layer's Save and read back by its Load:
 //
 //	meta    workload name, Options, cycle
-//	engine  pipeline.Snapshot (ROBs, event heap, caches, TLBs, predictor)
-//	kernel  kernel.Snapshot (threads, feeds, generator stacks, sockets, mem)
-//	net     netsim.Snapshot (client fleet; apache workloads only)
-//	server  apache.ServerSnap (pool cursor; apache workloads only)
-//	faults  faults.Snapshot (injector RNGs and counters; when enabled)
+//	engine  pipeline.Engine (ROBs, event heap, caches, TLBs, predictor)
+//	kernel  kernel.Kernel (threads, feeds, generator stacks, sockets, mem)
+//	net     netsim.Network (client fleet; apache workloads only)
+//	server  apache.Server (pool cursor; apache workloads only)
+//	faults  faults.Injector (injector RNGs and counters; when enabled)
 //
 // The golden guarantee: save at cycle N, restore into a fresh process, run M
 // more cycles — the result is bit-identical to running N+M straight through.
-// Restore rebuilds the static machine from the serialized Options (the
-// structure is a deterministic function of them) and then overwrites every
-// piece of mutable state.
+// Restore rebuilds the static machine from the saved Options (the structure
+// is a deterministic function of them) and then loads every piece of
+// mutable state straight into it.
 //
 // WriteCheckpoint runs the invariant auditor first and refuses to persist an
 // inconsistent state, so a checkpoint on disk is always a safe resume point.
@@ -23,12 +24,8 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/checkpoint"
-	"repro/internal/faults"
 	"repro/internal/kernel"
-	"repro/internal/netsim"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
-	"repro/internal/workload/apache"
 	"repro/internal/workload/specint"
 )
 
@@ -49,39 +46,37 @@ func (s *Simulator) Audit() error {
 	return audit.Run(audit.Target{Engine: s.Engine, Kernel: s.Kernel})
 }
 
-// Checkpoint captures the simulator's complete state as an image.
+// Save writes the meta section.
+func (m *Meta) Save(e *checkpoint.Enc) {
+	e.String(m.Workload)
+	m.Opts.Save(e)
+	e.Uint(m.Cycle)
+}
+
+// Load reads a meta section written by Save.
+func (m *Meta) Load(d *checkpoint.Dec) {
+	m.Workload = d.String()
+	m.Opts.Load(d)
+	m.Cycle = d.Uint()
+}
+
+// Checkpoint captures the simulator's complete state as an image. The
+// error is always nil; it stays in the signature for callers that treat a
+// checkpoint as fallible I/O.
 func (s *Simulator) Checkpoint() (*checkpoint.Image, error) {
 	img := checkpoint.NewImage()
-	put := func(name string, v any) error {
-		if err := img.Put(name, v); err != nil {
-			return fmt.Errorf("core: checkpoint: %w", err)
-		}
-		return nil
-	}
 	meta := Meta{Workload: s.Workload, Opts: s.Opts, Cycle: s.Now()}
-	if err := put("meta", meta); err != nil {
-		return nil, err
-	}
-	if err := put("engine", s.Engine.Snapshot()); err != nil {
-		return nil, err
-	}
-	if err := put("kernel", s.Kernel.Snapshot()); err != nil {
-		return nil, err
-	}
+	img.Put("meta", meta.Save)
+	img.Put("engine", s.Engine.Save)
+	img.Put("kernel", s.Kernel.Save)
 	if s.Net != nil {
-		if err := put("net", s.Net.Snapshot()); err != nil {
-			return nil, err
-		}
+		img.Put("net", s.Net.Save)
 	}
 	if s.Server != nil {
-		if err := put("server", s.Server.Snapshot()); err != nil {
-			return nil, err
-		}
+		img.Put("server", s.Server.Save)
 	}
 	if s.Faults != nil {
-		if err := put("faults", s.Faults.Snapshot()); err != nil {
-			return nil, err
-		}
+		img.Put("faults", s.Faults.Save)
 	}
 	return img, nil
 }
@@ -102,7 +97,10 @@ func (s *Simulator) WriteCheckpoint(path string) error {
 
 // progFactory builds the workload-specific program reconstructor used when
 // restoring thread state: given a program name and slot, it returns a fresh
-// ScriptProgram whose walker and state the kernel then overwrites.
+// ScriptProgram whose walker and state the kernel then overwrites. It
+// refuses slots the run cannot have handed out — an Apache slot past the
+// pool's cursor, a SPECInt benchmark off its suite position — so a damaged
+// image cannot make it build programs without bound.
 func (s *Simulator) progFactory() kernel.ProgFactory {
 	return func(name string, slot int) *workload.ScriptProgram {
 		key := progKey{name: name, slot: slot}
@@ -111,10 +109,13 @@ func (s *Simulator) progFactory() kernel.ProgFactory {
 		}
 		var p *workload.ScriptProgram
 		if s.Server != nil && name == "apache" {
+			if slot < 0 || slot > s.Server.NextSlot() {
+				return nil
+			}
 			p = s.Server.ProcessFor(slot)
 		} else {
-			for _, spec := range specint.Suite() {
-				if spec.Name == name {
+			for i, spec := range specint.Suite() {
+				if spec.Name == name && slot == i+1 {
 					p = specint.New(spec, slot, s.Opts.Seed+101)
 					break
 				}
@@ -130,63 +131,54 @@ func (s *Simulator) progFactory() kernel.ProgFactory {
 	}
 }
 
-// RestoreInto overwrites this simulator's state from a checkpoint image. The
-// image must come from a simulator with the same workload and options (the
-// static structure must match; Restore handles the general case).
+// RestoreInto overwrites this simulator's state from a checkpoint image,
+// loading each section straight into the live layer. The image must come
+// from a simulator with the same workload and options (the static
+// structure must match; Restore handles the general case). A failed
+// restore leaves the simulator partly overwritten: discard it, or restore
+// a good image into it.
 func (s *Simulator) RestoreInto(img *checkpoint.Image) error {
 	var meta Meta
-	if err := img.Get("meta", &meta); err != nil {
+	if err := img.Get("meta", meta.Load); err != nil {
 		return err
 	}
 	if meta.Workload != s.Workload {
-		return fmt.Errorf("core: checkpoint is for workload %q, simulator runs %q", meta.Workload, s.Workload)
+		return &checkpoint.FormatError{Reason: fmt.Sprintf("checkpoint is for workload %q, simulator runs %q", meta.Workload, s.Workload)}
 	}
-	var es pipeline.Snapshot
-	if err := img.Get("engine", &es); err != nil {
+	if err := img.Get("engine", s.Engine.Load); err != nil {
 		return err
 	}
-	var ks kernel.Snapshot
-	if err := img.Get("kernel", &ks); err != nil {
-		return err
-	}
-	if err := s.Engine.Restore(es); err != nil {
-		return fmt.Errorf("core: restoring engine: %w", err)
-	}
-	progs, err := s.Kernel.RestoreState(ks, s.progFactory())
-	if err != nil {
-		return fmt.Errorf("core: restoring kernel: %w", err)
-	}
-	s.Programs = progs
-	if s.Net != nil {
-		var ns netsim.Snapshot
-		if err := img.Get("net", &ns); err != nil {
-			return err
-		}
-		s.Net.Restore(ns)
-	}
+	// The server's slot cursor bounds the program rebuilds the kernel
+	// section asks for, so it loads first.
 	if s.Server != nil {
-		var ss apache.ServerSnap
-		if err := img.Get("server", &ss); err != nil {
+		if err := img.Get("server", s.Server.Load); err != nil {
 			return err
 		}
-		s.Server.Restore(ss)
+	}
+	factory := s.progFactory()
+	err := img.Get("kernel", func(d *checkpoint.Dec) { s.Programs = s.Kernel.Load(d, factory) })
+	if err != nil {
+		return err
+	}
+	if s.Net != nil {
+		if err := img.Get("net", s.Net.Load); err != nil {
+			return err
+		}
 	}
 	if s.Faults != nil {
-		var fs faults.Snapshot
-		if err := img.Get("faults", &fs); err != nil {
+		if err := img.Get("faults", s.Faults.Load); err != nil {
 			return err
 		}
-		s.Faults.Restore(fs)
 	}
 	return nil
 }
 
 // Restore builds a fresh simulator from a checkpoint image: the machine is
-// reassembled from the serialized options, then every layer's state is
-// overwritten from the image.
+// reassembled from the saved options, then every layer's state is loaded
+// from the image.
 func Restore(img *checkpoint.Image) (*Simulator, error) {
 	var meta Meta
-	if err := img.Get("meta", &meta); err != nil {
+	if err := img.Get("meta", meta.Load); err != nil {
 		return nil, err
 	}
 	sim, err := New(meta.Workload, meta.Opts)

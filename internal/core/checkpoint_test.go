@@ -15,7 +15,6 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/kernel"
 	"repro/internal/report"
 )
 
@@ -288,13 +287,11 @@ func TestCheckpointCorruptionIsStructuredError(t *testing.T) {
 		// An image with only the meta section: the machine rebuilds, but
 		// the state sections are gone.
 		var meta core.Meta
-		if err := img.Get("meta", &meta); err != nil {
+		if err := img.Get("meta", meta.Load); err != nil {
 			t.Fatal(err)
 		}
 		stripped := checkpoint.NewImage()
-		if err := stripped.Put("meta", meta); err != nil {
-			t.Fatal(err)
-		}
+		stripped.Put("meta", meta.Save)
 		_, err = core.Restore(stripped)
 		var ferr *checkpoint.FormatError
 		if !errors.As(err, &ferr) {
@@ -370,30 +367,22 @@ func TestAuditorCatchesOrphanSocket(t *testing.T) {
 	}
 	sim := core.NewApache(core.Options{Processor: core.SMT, Seed: 4, CyclesPer10ms: 100_000})
 	sim.Run(1_000_000)
-	// Seed the corruption through the checkpoint path: rewrite one open
-	// socket's owner to a thread ID that does not exist, as if a crashed
-	// worker's descriptors had not been reaped.
-	img, err := sim.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ks kernel.Snapshot
-	if err := img.Get("kernel", &ks); err != nil {
-		t.Fatal(err)
-	}
+	// Seed the corruption and carry it through the checkpoint path: give
+	// one open socket an owner thread ID that does not exist, as if a
+	// crashed worker's descriptors had not been reaped, then checkpoint and
+	// restore (a restore tolerates the orphan and leaves it to the auditor).
 	seeded := false
-	for i := range ks.Net.Socks {
-		s := &ks.Net.Socks[i]
+	for _, s := range sim.Kernel.SocketInfos() {
 		if !s.Closed && !s.Listen && s.Owner != 0 {
-			s.Owner = 60_000
-			seeded = true
+			seeded = sim.Kernel.SetSocketOwner(s.ID, 60_000)
 			break
 		}
 	}
 	if !seeded {
 		t.Skip("no open owned socket at this cycle; adjust run length")
 	}
-	if err := img.Put("kernel", ks); err != nil {
+	img, err := sim.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RestoreInto(img); err != nil {

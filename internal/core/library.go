@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/checkpoint"
@@ -12,25 +10,22 @@ import (
 // CodeVersion names the simulator's behavioral revision for checkpoint-library
 // invalidation. Bump it whenever a change alters simulated behavior for the
 // same Options (new kernel policy, pipeline timing fix, workload script
-// change, ...): libraries built under a different CodeVersion are rejected at
-// restore time instead of silently replaying stale state.
-const CodeVersion = "ossmt-sim-1"
+// change, ...) or the checkpoint section layout: libraries built under a
+// different CodeVersion are rejected at restore time instead of silently
+// replaying stale state.
+const CodeVersion = "ossmt-sim-2"
 
 // Fingerprint condenses everything that determines a simulation's trajectory
-// — workload, the full option set (gob-encoded; Options is map-free, so the
-// encoding is deterministic), the seed-partition scheme, the checkpoint
-// format version, the code version, and the cycle span — into a short hex
-// string. Two configurations share a checkpoint library if and only if their
-// fingerprints match.
+// — workload, the full option set (as the meta section's Options bytes), the
+// seed-partition scheme, the checkpoint format version, the code version,
+// and the cycle span — into a short hex string. Two configurations share a
+// checkpoint library if and only if their fingerprints match.
 func Fingerprint(workloadName string, o Options, span uint64) string {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s|%s|ckpt%d|span%d|stride%d|parts%d|",
+	var e checkpoint.Enc
+	o.Save(&e)
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|%s|ckpt%d|span%d|stride%d|parts%d|",
 		CodeVersion, workloadName, checkpoint.Version, span, seedStride, seedPartitionCount)
-	if err := gob.NewEncoder(&buf).Encode(o); err != nil {
-		// Options is a plain struct of scalars; encoding cannot fail short of
-		// a programming error.
-		panic(fmt.Sprintf("core: fingerprinting options: %v", err))
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return fmt.Sprintf("%x", sum[:16])
+	h.Write(e.Bytes())
+	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }

@@ -51,7 +51,12 @@ type supervisor struct {
 	failed     error
 	audits     uint64
 	ckpts      uint64
-	faultBySim map[*core.Simulator]faults.Snapshot
+	faultBySim map[*core.Simulator]faultCounts
+}
+
+// faultCounts is the injector counters a run status reports.
+type faultCounts struct {
+	crashes, dropped uint64
 }
 
 // step advances sim by n cycles under supervision.
@@ -91,7 +96,8 @@ func (s *supervisor) step(sim *core.Simulator, n uint64) {
 // simulator, so multi-step experiments are not double-counted).
 func (s *supervisor) noteFaults(sim *core.Simulator) {
 	if sim.Faults != nil {
-		s.faultBySim[sim] = sim.Faults.Snapshot()
+		f := sim.Faults
+		s.faultBySim[sim] = faultCounts{crashes: f.Crashes, dropped: f.DroppedToServer + f.DroppedToClient}
 	}
 }
 
@@ -115,7 +121,7 @@ func supervise(r runner, id string, sc Scale, seed uint64, timeout time.Duration
 			ctx:        ctx,
 			auditEvery: auditEvery,
 			images:     images,
-			faultBySim: map[*core.Simulator]faults.Snapshot{},
+			faultBySim: map[*core.Simulator]faultCounts{},
 		}
 		return r.fn(&env{sup: s}, sc, seed), s
 	}
@@ -132,8 +138,8 @@ func supervise(r runner, id string, sc Scale, seed uint64, timeout time.Duration
 	st.Audits = s.audits
 	st.Checkpoints = s.ckpts
 	for _, fs := range s.faultBySim {
-		st.FaultCrashes += fs.Crashes
-		st.FramesDropped += fs.DroppedToServer + fs.DroppedToClient
+		st.FaultCrashes += fs.crashes
+		st.FramesDropped += fs.dropped
 	}
 	if s.failed != nil {
 		st.Partial = true

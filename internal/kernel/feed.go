@@ -28,9 +28,9 @@ type ctxFeed struct {
 	// head indexes the first live instruction in buf: retirement advances it
 	// instead of reslicing (which would strand the front capacity and force
 	// the generator to reallocate the buffer every refill). Compaction is
-	// amortized in Retired; snapshots serialize buf[head:], so the head never
+	// amortized in Retired; sections hold buf[head:], so the head never
 	// appears in the checkpoint format.
-	head  int //detlint:ignore snapshotcomplete normalized away: snapshots serialize buf[head:]
+	head  int //detlint:ignore snapshotcomplete normalized away: sections hold buf[head:]
 	base  uint64
 	stack []genEntry
 	cur   *Thread

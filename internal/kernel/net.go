@@ -49,7 +49,7 @@ type socket struct {
 	// head instead of re-slicing so the consumed prefix of the backing
 	// array does not leak; the queue compacts amortized (same pattern as
 	// ctxFeed in feed.go).
-	acceptHead int //detlint:ignore snapshotcomplete normalized away: snapshots serialize acceptQ[acceptHead:]
+	acceptHead int //detlint:ignore snapshotcomplete normalized away: sections hold acceptQ[acceptHead:]
 	data       int
 	closed     bool
 	waiters    []*Thread

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/sys"
 )
 
@@ -71,8 +73,8 @@ func TestAcceptQueueOrderAndCompaction(t *testing.T) {
 	}
 }
 
-// TestAcceptQueuePartialConsumptionRoundTrip: a snapshot taken with a
-// partially-consumed accept queue serializes only the live window, and the
+// TestAcceptQueuePartialConsumptionRoundTrip: a section saved with a
+// partially-consumed accept queue holds only the live window, and the
 // restored kernel hands out the remaining connections in the same order.
 func TestAcceptQueuePartialConsumptionRoundTrip(t *testing.T) {
 	cfg := netCfg()
@@ -88,32 +90,31 @@ func TestAcceptQueuePartialConsumptionRoundTrip(t *testing.T) {
 		t.Fatal("test did not produce a partially-consumed queue")
 	}
 
-	snap := k.Snapshot()
-	var lsSnap *SocketSnap
-	for i := range snap.Net.Socks {
-		if snap.Net.Socks[i].Listen {
-			lsSnap = &snap.Net.Socks[i]
-		}
+	live := append([]int(nil), ls.acceptQ[ls.acceptHead:]...)
+	if len(live) != 6 {
+		t.Fatalf("%d live accept-queue entries, want 6", len(live))
 	}
-	if lsSnap == nil {
-		t.Fatal("no listen socket in snapshot")
-	}
-	if len(lsSnap.AcceptQ) != 6 {
-		t.Fatalf("snapshot serialized %d accept-queue entries, want the 6 live ones (head must be normalized away)",
-			len(lsSnap.AcceptQ))
-	}
+	var sec checkpoint.Enc
+	k.Save(&sec)
 
 	k2 := New(cfg)
-	if _, err := k2.RestoreState(snap, nil); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	d := checkpoint.NewDec("kernel", sec.Bytes())
+	k2.Load(&d, nil)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("Load: %v", err)
 	}
 	ls2 := k2.net.socks[ListenFD]
 	if ls2.acceptLen() != 6 || ls2.acceptHead != 0 {
 		t.Fatalf("restored queue: len=%d head=%d, want 6 live at head 0", ls2.acceptLen(), ls2.acceptHead)
 	}
+	// The head is normalized away: the restored kernel, whose queue starts
+	// at 0, writes the same section bytes.
+	var sec2 checkpoint.Enc
+	if k2.Save(&sec2); !bytes.Equal(sec.Bytes(), sec2.Bytes()) {
+		t.Fatal("restored kernel writes a different section: the accept-queue head leaked into the encoding")
+	}
 	owner2 := k2.threads[0]
-	for i := 0; i < 6; i++ {
-		want := lsSnap.AcceptQ[i]
+	for i, want := range live {
 		if got := accept(t, k2, owner2); got != want {
 			t.Fatalf("restored accept %d returned socket %d, want %d", i, got, want)
 		}

@@ -1,26 +1,21 @@
 // Checkpoint serialization for the kernel: threads, per-context generation
 // state (including mid-flight generation stacks), the network stack, the
 // codebase walkers, and every counter. Pointers (threads, walkers) are
-// serialized as identifiers — TIDs for threads, (region, context) pairs for
-// kernel-code walkers — and relinked on restore.
+// written as identifiers — TIDs for threads, (region, context) pairs for
+// kernel-code walkers — and relinked on load.
 package kernel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"reflect"
 	"sort"
 
-	"repro/internal/flatmap"
+	"repro/internal/checkpoint"
 	"repro/internal/isa"
-	"repro/internal/mem"
-	"repro/internal/pipeline"
 	"repro/internal/sys"
 	"repro/internal/workload"
 )
 
-// Generation-stack entry wrappers and generator sources (see GenSnap).
+// Generation-stack entry wrappers and generator sources (see saveGen).
 const (
 	wrapNone uint8 = iota // bare *workload.Limit
 	wrapTail              // *workload.Tail (optionally around a Limit)
@@ -32,216 +27,16 @@ const (
 	srcProg                // Limit around a user program's walker
 )
 
-// GenSnap is the serialized form of one generation-stack entry. The walker a
-// Limit draws from is identified either by kernel region name plus walker
-// index (srcRegion) or by the owning thread (srcProg); the walker's own
-// state is serialized elsewhere (CodeWalkers / ThreadSnap).
-type GenSnap struct {
-	Wrap     uint8
-	Mode     isa.Mode   // wrapMode: forced instruction mode
-	Extra    []isa.Inst // wrapTail: trailing instructions
-	TailPos  int        // wrapTail: next Extra index
-	HasInner bool       // an inner Limit exists (Tail may have drained its G)
-	Src      uint8
-	Region   string // srcRegion: region name
-	WCtx     int    // srcRegion: walker index within the region
-	TID      uint32 // srcProg: owning thread
-	N        uint64 // remaining Limit budget
-	Tmpl     pipeline.FedInst
-	Done     action
-}
-
-// ProgSnap is the serialized form of a user program: identity for the
-// factory rebuild, walker state, and the gob-encoded script state.
-type ProgSnap struct {
-	Name   string
-	Slot   int
-	Walker workload.WalkerSnap
-	State  []byte
-}
-
-// ThreadSnap is the serialized form of one thread.
-type ThreadSnap struct {
-	TID        uint32
-	PID        uint64
-	ASN        uint16
-	Kind       uint8
-	State      uint8
-	Burst      uint64
-	SinceSched uint64
-	LastCtx    int
-	HasWake    bool
-	WakeReq    sys.Request
-	WakeResult int
-	Sock       int
-	Worker     bool
-	Released   bool
-	FDs        int
-	Slot       int
-	HasProg    bool
-	Prog       ProgSnap
-}
-
-// FeedSnap is the serialized form of one context's generation state.
-type FeedSnap struct {
-	Buf            []pipeline.FedInst
-	Base           uint64
-	Stack          []GenSnap
-	CurTID         uint32 // 0 = none
-	IdleTID        uint32
-	Paused         bool
-	PendingReq     sys.Request
-	SyscallRetired bool
-	IntrNet        bool
-}
-
-// SocketSnap is the serialized form of one kernel socket. AcceptQ holds
-// only the live window acceptQ[acceptHead:]; the head index is normalized
-// away.
-type SocketSnap struct {
-	ID         int
-	Listen     bool
-	Conn       int
-	AcceptQ    []int
-	Data       int
-	Closed     bool
-	Waiters    []uint32
-	Owner      uint32
-	LastActive uint64
-	ReqBytes   int
-	Served     bool
-	Free       bool
-}
-
-// NetSnap is the serialized form of the kernel network stack.
-type NetSnap struct {
-	Socks     []SocketSnap
-	ByConn    []ConnSock // sorted by Conn
-	SockFree  []int      // socket-table freelist, LIFO order preserved
-	Pending   []Frame
-	Now       uint64
-	Ticks     uint64
-	Delivered uint64
-	Dropped   uint64
-}
-
-// ConnSock is one connection-id-to-socket-id mapping.
-type ConnSock struct {
-	Conn, Sock int
-}
-
-// CodeWalkerSnap is the state of one kernel-code walker.
-type CodeWalkerSnap struct {
-	Region string
-	Ctx    int
-	W      workload.WalkerSnap
-}
-
-// Snapshot is the kernel's complete mutable state.
-type Snapshot struct {
-	RNG         [4]uint64
-	Mem         mem.Snapshot
-	CodeWalkers []CodeWalkerSnap
-	Threads     []ThreadSnap
-	RunQ        []uint32
-	Feeds       []FeedSnap
-	Net         NetSnap
-
-	NextASN  uint16
-	ASNEpoch uint64
-	NextTID  uint32
-	NextPID  uint64
-	RRIntCtx int
-	LastTick uint64
-
-	ContextSwitches uint64
-	Preemptions     uint64
-	SyscallCount    [sys.NumSyscalls]uint64
-	VMFaults        [3]uint64
-	ASNRecycles     uint64
-	ClockInterrupts uint64
-	NetInterrupts   uint64
-	IdleScheduled   uint64
-	SvcInstByRes    [5]uint64
-	LockHolder      [5]uint32
-	LockContentions uint64
-	SpinInsts       uint64
-	DiskReads       uint64
-	WorkerCrashes   uint64
-	WorkerRespawns  uint64
-	ConnsRefused    uint64
-	ReapedIdle      uint64
-	ReapedSlowloris uint64
-
-	// Finite-resource state: process table, effective (possibly squeezed)
-	// pool capacities, and the exhaustion counters/gauges.
-	ProcSlots       []uint32
-	ProcFree        []int // process-table freelist, LIFO order preserved
-	LiveUsers       int
-	PendingRespawns int
-	SockCapEff      int
-	MbufCapEff      int
-	FDLimEff        int
-	ProcCapEff      int
-	Squeezed        bool
-	SockPoolRejects uint64
-	MbufDrops       uint64
-	FDRejects       uint64
-	ForkRejects     uint64
-	SockHighwater   int
-	MbufHighwater   int
-}
-
 // ProgFactory rebuilds the structure of a user program identified by
 // (name, slot); the checkpoint layer then overwrites its walker and script
-// state. core provides one per workload.
+// state. core provides one per workload; it returns nil for a program it
+// cannot build.
 type ProgFactory func(name string, slot int) *workload.ScriptProgram
 
-// Snapshot captures the kernel's mutable state.
-func (k *Kernel) Snapshot() Snapshot {
-	s := Snapshot{
-		RNG:             k.rng.State(),
-		Mem:             k.Mem.Snapshot(),
-		NextASN:         k.nextASN,
-		ASNEpoch:        k.asnEpoch,
-		NextTID:         k.nextTID,
-		NextPID:         k.nextPID,
-		RRIntCtx:        k.rrIntCtx,
-		LastTick:        k.lastTick,
-		ContextSwitches: k.ContextSwitches,
-		Preemptions:     k.Preemptions,
-		SyscallCount:    k.SyscallCount,
-		VMFaults:        k.VMFaults,
-		ASNRecycles:     k.ASNRecycles,
-		ClockInterrupts: k.ClockInterrupts,
-		NetInterrupts:   k.NetInterrupts,
-		IdleScheduled:   k.IdleScheduled,
-		SvcInstByRes:    k.SvcInstByRes,
-		LockHolder:      k.lockHolder,
-		LockContentions: k.LockContentions,
-		SpinInsts:       k.SpinInsts,
-		DiskReads:       k.DiskReads,
-		WorkerCrashes:   k.WorkerCrashes,
-		WorkerRespawns:  k.WorkerRespawns,
-		ConnsRefused:    k.ConnsRefused,
-		ReapedIdle:      k.ReapedIdle,
-		ReapedSlowloris: k.ReapedSlowloris,
-		ProcSlots:       append([]uint32(nil), k.procSlots...),
-		ProcFree:        append([]int(nil), k.procFree...),
-		LiveUsers:       k.liveUsers,
-		PendingRespawns: k.pendingRespawns,
-		SockCapEff:      k.sockCapEff,
-		MbufCapEff:      k.mbufCapEff,
-		FDLimEff:        k.fdLimEff,
-		ProcCapEff:      k.procCapEff,
-		Squeezed:        k.squeezed,
-		SockPoolRejects: k.SockPoolRejects,
-		MbufDrops:       k.MbufDrops,
-		FDRejects:       k.FDRejects,
-		ForkRejects:     k.ForkRejects,
-		SockHighwater:   k.SockHighwater,
-		MbufHighwater:   k.MbufHighwater,
-	}
+// Save writes the kernel's mutable state.
+func (k *Kernel) Save(e *checkpoint.Enc) {
+	k.rng.Save(e)
+	k.Mem.Save(e)
 
 	// Kernel-code walkers, in deterministic (region, ctx) order.
 	names := make([]string, 0, len(k.code.byName))
@@ -249,12 +44,15 @@ func (k *Kernel) Snapshot() Snapshot {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	regionOf := map[*workload.Walker]CodeWalkerSnap{}
+	regionOf := map[*workload.Walker]walkerRef{}
+	e.Uint(uint64(len(names)))
 	for _, name := range names {
 		rw := k.code.byName[name]
+		e.String(name)
+		e.Uint(uint64(len(rw.ws)))
 		for c, w := range rw.ws {
-			s.CodeWalkers = append(s.CodeWalkers, CodeWalkerSnap{Region: name, Ctx: c, W: w.Snapshot()})
-			regionOf[w] = CodeWalkerSnap{Region: name, Ctx: c}
+			w.Save(e)
+			regionOf[w] = walkerRef{region: name, ctx: c}
 		}
 	}
 	progOf := map[*workload.Walker]uint32{}
@@ -264,246 +62,567 @@ func (k *Kernel) Snapshot() Snapshot {
 		}
 	}
 
+	e.Uint(uint64(len(k.threads)))
 	for _, t := range k.threads {
-		ts := ThreadSnap{
-			TID: t.tid, PID: t.pid, ASN: t.asn,
-			Kind: uint8(t.kind), State: uint8(t.state),
-			Burst: t.burst, SinceSched: t.sinceSched, LastCtx: t.lastCtx,
-			WakeResult: t.wakeResult, Sock: t.sock, Worker: t.worker,
-			Released: t.released, FDs: t.fds, Slot: t.slot,
-		}
-		if t.wakeReq != nil {
-			ts.HasWake = true
-			ts.WakeReq = *t.wakeReq
-		}
-		if t.prog != nil {
-			sp, ok := t.prog.(*workload.ScriptProgram)
-			if !ok {
-				panic(fmt.Sprintf("kernel: thread %d runs a non-script program %T", t.tid, t.prog))
-			}
-			ts.HasProg = true
-			ts.Prog = ProgSnap{
-				Name:   sp.ProgName,
-				Slot:   sp.Slot,
-				Walker: sp.W.Snapshot(),
-				State:  encodeProgState(sp.State),
-			}
-		}
-		s.Threads = append(s.Threads, ts)
+		saveThread(e, t)
 	}
+	e.Uint(uint64(len(k.runQ)))
 	for _, t := range k.runQ {
-		s.RunQ = append(s.RunQ, t.tid)
+		e.Uint(uint64(t.tid))
 	}
-
-	s.Feeds = make([]FeedSnap, len(k.feeds))
+	e.Uint(uint64(len(k.feeds)))
 	for i := range k.feeds {
 		f := &k.feeds[i]
-		fs := &s.Feeds[i]
-		fs.Buf = append([]pipeline.FedInst(nil), f.buf[f.head:]...)
-		fs.Base = f.base
-		fs.Paused = f.paused
-		fs.PendingReq = f.pendingReq
-		fs.SyscallRetired = f.syscallRetired
-		fs.IntrNet = f.intrNet
-		if f.cur != nil {
-			fs.CurTID = f.cur.tid
+		live := f.buf[f.head:]
+		e.Uint(uint64(len(live)))
+		for j := range live {
+			live[j].Save(e)
 		}
-		if f.idle != nil {
-			fs.IdleTID = f.idle.tid
+		e.Uint(f.base)
+		e.Uint(uint64(len(f.stack)))
+		for _, g := range f.stack {
+			saveGen(e, g, regionOf, progOf)
 		}
-		for _, e := range f.stack {
-			fs.Stack = append(fs.Stack, snapGen(e, regionOf, progOf))
-		}
+		e.Uint(uint64(tidOf(f.cur)))
+		e.Uint(uint64(tidOf(f.idle)))
+		e.Bool(f.paused)
+		f.pendingReq.Save(e)
+		e.Bool(f.syscallRetired)
+		e.Bool(f.intrNet)
 	}
+	k.saveNet(e)
+	e.Uint(k.net.Delivered)
+	e.Uint(k.net.Dropped)
 
-	ns := k.net
-	s.Net = NetSnap{Pending: append([]Frame(nil), ns.pending...), Now: ns.now,
-		Ticks: ns.ticks, Delivered: ns.Delivered, Dropped: ns.Dropped,
-		SockFree: append([]int(nil), ns.sockFree...)}
-	for _, so := range ns.socks {
-		ss := SocketSnap{
-			ID: so.id, Listen: so.listen, Conn: so.conn,
-			AcceptQ: append([]int(nil), so.acceptQ[so.acceptHead:]...),
-			Data:    so.data, Closed: so.closed, Owner: so.owner,
-			LastActive: so.lastActive, ReqBytes: so.reqBytes, Served: so.served,
-			Free: so.free,
-		}
-		for _, w := range so.waiters {
-			ss.Waiters = append(ss.Waiters, w.tid)
-		}
-		s.Net.Socks = append(s.Net.Socks, ss)
+	e.Uint(uint64(k.nextASN))
+	e.Uint(k.asnEpoch)
+	e.Uint(uint64(k.nextTID))
+	e.Uint(k.nextPID)
+	e.Int(int64(k.rrIntCtx))
+	e.Uint(k.lastTick)
+	for _, v := range [...]uint64{k.ContextSwitches, k.Preemptions, k.ASNRecycles,
+		k.ClockInterrupts, k.NetInterrupts, k.IdleScheduled, k.LockContentions, k.SpinInsts,
+		k.DiskReads, k.WorkerCrashes, k.WorkerRespawns, k.ConnsRefused, k.ReapedIdle,
+		k.ReapedSlowloris, k.SockPoolRejects, k.MbufDrops, k.FDRejects, k.ForkRejects} {
+		e.Uint(v)
 	}
-	ns.byConn.Range(func(conn, sock int) {
-		s.Net.ByConn = append(s.Net.ByConn, ConnSock{Conn: conn, Sock: sock})
-	})
-	sort.Slice(s.Net.ByConn, func(i, j int) bool { return s.Net.ByConn[i].Conn < s.Net.ByConn[j].Conn })
-	return s
+	checkpoint.PutUints(e, k.SyscallCount[:])
+	checkpoint.PutUints(e, k.VMFaults[:])
+	checkpoint.PutUints(e, k.SvcInstByRes[:])
+	checkpoint.PutUints(e, k.lockHolder[:])
+	checkpoint.PutUints(e, k.procSlots)
+	checkpoint.PutInts(e, k.procFree)
+	for _, v := range [...]int{k.liveUsers, k.pendingRespawns, k.sockCapEff, k.mbufCapEff,
+		k.fdLimEff, k.procCapEff, k.SockHighwater, k.MbufHighwater} {
+		e.Int(int64(v))
+	}
+	e.Bool(k.squeezed)
 }
 
-// snapGen serializes one generation-stack entry. The generator shapes are a
+// walkerRef names a kernel-code walker: its region and context index.
+type walkerRef struct {
+	region string
+	ctx    int
+}
+
+func tidOf(t *Thread) uint32 {
+	if t == nil {
+		return 0
+	}
+	return t.tid
+}
+
+// saveThread writes one thread; a thread running a user program also
+// carries the program's identity, walker and script state.
+func saveThread(e *checkpoint.Enc, t *Thread) {
+	e.Uint(uint64(t.tid))
+	e.Uint(t.pid)
+	e.Uint(uint64(t.asn))
+	e.Uint(uint64(t.kind))
+	e.Uint(uint64(t.state))
+	e.Uint(t.burst)
+	e.Uint(t.sinceSched)
+	e.Int(int64(t.lastCtx))
+	e.Bool(t.wakeReq != nil)
+	if t.wakeReq != nil {
+		t.wakeReq.Save(e)
+	}
+	e.Int(int64(t.wakeResult))
+	e.Int(int64(t.sock))
+	e.Bool(t.worker)
+	e.Bool(t.released)
+	e.Int(int64(t.fds))
+	e.Int(int64(t.slot))
+	e.Bool(t.prog != nil)
+	if t.prog == nil {
+		return
+	}
+	sp, ok := t.prog.(*workload.ScriptProgram)
+	if !ok {
+		panic(fmt.Sprintf("kernel: thread %d runs a non-script program %T", t.tid, t.prog))
+	}
+	e.String(sp.ProgName)
+	e.Int(int64(sp.Slot))
+	sp.W.Save(e)
+	e.Bool(sp.State != nil)
+	if sp.State != nil {
+		sp.State.Save(e)
+	}
+}
+
+// saveGen writes one generation-stack entry. The generator shapes are a
 // closed set (see the push sites in feed.go and net.go): a Limit over a
-// walker, optionally wrapped in a Tail or a modeForce.
-func snapGen(e genEntry, regionOf map[*workload.Walker]CodeWalkerSnap, progOf map[*workload.Walker]uint32) GenSnap {
-	s := GenSnap{Tmpl: e.tmpl, Done: e.done}
+// walker, optionally wrapped in a Tail or a modeForce. The walker a Limit
+// draws from is written as a kernel region name plus walker index
+// (srcRegion) or as the owning thread (srcProg); the walker's own state is
+// written with its region or thread.
+func saveGen(e *checkpoint.Enc, g genEntry, regionOf map[*workload.Walker]walkerRef, progOf map[*workload.Walker]uint32) {
+	g.tmpl.Save(e)
+	saveAction(e, &g.done)
 	var inner *workload.Limit
-	switch g := e.g.(type) {
+	switch gen := g.g.(type) {
 	case *workload.Limit:
-		s.Wrap = wrapNone
-		inner = g
+		e.Uint(uint64(wrapNone))
+		inner = gen
 	case *workload.Tail:
-		s.Wrap = wrapTail
-		s.Extra = append([]isa.Inst(nil), g.Extra...)
-		s.TailPos = g.Pos
-		if g.G != nil {
-			inner, _ = g.G.(*workload.Limit)
+		e.Uint(uint64(wrapTail))
+		e.Uint(uint64(len(gen.Extra)))
+		for i := range gen.Extra {
+			gen.Extra[i].Save(e)
+		}
+		e.Int(int64(gen.Pos))
+		if gen.G != nil {
+			inner, _ = gen.G.(*workload.Limit)
 			if inner == nil {
-				panic(fmt.Sprintf("kernel: unsnapshotable tail inner generator %T", g.G))
+				panic(fmt.Sprintf("kernel: unsavable tail inner generator %T", gen.G))
 			}
 		}
 	case *modeForce:
-		s.Wrap = wrapMode
-		s.Mode = g.mode
-		inner, _ = g.g.(*workload.Limit)
+		e.Uint(uint64(wrapMode))
+		e.Uint(uint64(gen.mode))
+		inner, _ = gen.g.(*workload.Limit)
 		if inner == nil {
-			panic(fmt.Sprintf("kernel: unsnapshotable modeForce inner generator %T", g.g))
+			panic(fmt.Sprintf("kernel: unsavable modeForce inner generator %T", gen.g))
 		}
 	default:
-		panic(fmt.Sprintf("kernel: unsnapshotable generator %T", e.g))
+		panic(fmt.Sprintf("kernel: unsavable generator %T", g.g))
 	}
+	e.Bool(inner != nil)
 	if inner == nil {
-		return s
+		return
 	}
-	s.HasInner = true
-	s.N = inner.N
+	e.Uint(inner.N)
 	w, ok := inner.G.(*workload.Walker)
 	if !ok {
-		panic(fmt.Sprintf("kernel: unsnapshotable limit source %T", inner.G))
+		panic(fmt.Sprintf("kernel: unsavable limit source %T", inner.G))
 	}
 	if ref, ok := regionOf[w]; ok {
-		s.Src = srcRegion
-		s.Region = ref.Region
-		s.WCtx = ref.Ctx
-		return s
+		e.Uint(uint64(srcRegion))
+		e.String(ref.region)
+		e.Int(int64(ref.ctx))
+		return
 	}
 	if tid, ok := progOf[w]; ok {
-		s.Src = srcProg
-		s.TID = tid
-		return s
+		e.Uint(uint64(srcProg))
+		e.Uint(uint64(tid))
+		return
 	}
 	panic("kernel: stack walker is neither kernel code nor a program")
 }
 
-// RestoreState overwrites the kernel's mutable state from a snapshot taken
-// on a kernel with the same configuration. User programs are rebuilt through
-// factory and their walker/script state overwritten; it returns the restored
-// programs in thread order so the caller can rebuild its own program list.
-func (k *Kernel) RestoreState(s Snapshot, factory ProgFactory) ([]*workload.ScriptProgram, error) {
-	if len(s.Feeds) != len(k.feeds) {
-		return nil, fmt.Errorf("kernel: snapshot has %d contexts, kernel has %d", len(s.Feeds), len(k.feeds))
+func saveAction(e *checkpoint.Enc, a *action) {
+	e.Uint(uint64(a.Kind))
+	e.Uint(uint64(a.TID))
+	a.Req.Save(e)
+	e.Int(int64(a.Res))
+	e.Uint(uint64(len(a.Batch)))
+	for i := range a.Batch {
+		a.Batch[i].Save(e)
 	}
-	k.rng.SetState(s.RNG)
-	k.Mem.Restore(s.Mem)
-	for _, cw := range s.CodeWalkers {
-		rw := k.code.byName[cw.Region]
-		if rw == nil || cw.Ctx < 0 || cw.Ctx >= len(rw.ws) {
-			return nil, fmt.Errorf("kernel: snapshot references unknown code walker %s/%d", cw.Region, cw.Ctx)
+}
+
+// Flag bits of a socket in the kernel section.
+const (
+	sockListen = 1 << iota
+	sockClosed
+	sockServed
+	sockFree
+)
+
+// saveNet writes the network stack. An accept queue is written as its live
+// window acceptQ[acceptHead:] (the head index is normalized away), and the
+// connection index sorted by connection.
+func (k *Kernel) saveNet(e *checkpoint.Enc) {
+	ns := k.net
+	e.Uint(uint64(len(ns.socks)))
+	for _, so := range ns.socks {
+		e.Uint(checkpoint.Flags(so.listen, so.closed, so.served, so.free))
+		e.Int(int64(so.conn))
+		checkpoint.PutInts(e, so.acceptQ[so.acceptHead:])
+		e.Int(int64(so.data))
+		e.Uint(uint64(len(so.waiters)))
+		for _, w := range so.waiters {
+			e.Uint(uint64(w.tid))
 		}
-		rw.ws[cw.Ctx].Restore(cw.W)
+		e.Uint(uint64(so.owner))
+		e.Uint(so.lastActive)
+		e.Int(int64(so.reqBytes))
+	}
+	type connSock struct{ conn, sock int }
+	byConn := make([]connSock, 0, ns.byConn.Len())
+	ns.byConn.Range(func(conn, sock int) { byConn = append(byConn, connSock{conn, sock}) })
+	sort.Slice(byConn, func(i, j int) bool { return byConn[i].conn < byConn[j].conn })
+	e.Uint(uint64(len(byConn)))
+	for _, cs := range byConn {
+		e.Int(int64(cs.conn))
+		e.Int(int64(cs.sock))
+	}
+	checkpoint.PutInts(e, ns.sockFree)
+	e.Uint(uint64(len(ns.pending)))
+	for i := range ns.pending {
+		ns.pending[i].Save(e)
+	}
+	e.Uint(ns.now)
+	e.Uint(ns.ticks)
+}
+
+// Load overwrites the kernel's mutable state from a section written by
+// Save on a kernel with the same configuration. User programs are rebuilt
+// through factory and their walker and script state loaded in place; it
+// returns the restored programs in thread order so the caller can rebuild
+// its own program list. References to unknown threads, walkers or sockets
+// are damage.
+func (k *Kernel) Load(d *checkpoint.Dec, factory ProgFactory) []*workload.ScriptProgram {
+	k.rng.Load(d)
+	k.Mem.Load(d)
+	for n := d.Len(); n > 0 && !d.Failed(); n-- {
+		name := d.Bytes()
+		rw := k.code.byName[string(name)]
+		if rw == nil {
+			d.Fail("unknown code region %q", name)
+			return nil
+		}
+		if !d.Expect(len(rw.ws), "region "+rw.reg.Name+" walkers") {
+			return nil
+		}
+		for _, w := range rw.ws {
+			w.Load(d)
+		}
 	}
 
 	var progs []*workload.ScriptProgram
-	k.threads = k.threads[:0]
-	for _, ts := range s.Threads {
-		t := &Thread{
-			tid: ts.TID, pid: ts.PID, asn: ts.ASN,
-			kind: threadKind(ts.Kind), state: threadState(ts.State),
-			burst: ts.Burst, sinceSched: ts.SinceSched, lastCtx: ts.LastCtx,
-			wakeResult: ts.WakeResult, sock: ts.Sock, worker: ts.Worker,
-			released: ts.Released, fds: ts.FDs, slot: ts.Slot,
-		}
-		if ts.HasWake {
-			t.wakeReq = &sys.Request{}
-			*t.wakeReq = ts.WakeReq
-		}
-		if ts.HasProg {
-			prog := factory(ts.Prog.Name, ts.Prog.Slot)
-			if prog == nil {
-				return nil, fmt.Errorf("kernel: no factory rebuild for program %q slot %d", ts.Prog.Name, ts.Prog.Slot)
-			}
-			prog.W.Restore(ts.Prog.Walker)
-			if err := decodeProgState(ts.Prog.State, prog.State); err != nil {
-				return nil, fmt.Errorf("kernel: program %q slot %d state: %w", ts.Prog.Name, ts.Prog.Slot, err)
-			}
-			t.prog = prog
+	k.threads = truncate(k.threads)
+	for n := d.Len(); n > 0 && !d.Failed(); n-- {
+		t, prog := loadThread(d, factory)
+		k.threads = append(k.threads, t)
+		if prog != nil {
 			progs = append(progs, prog)
 		}
-		k.threads = append(k.threads, t)
 	}
-
-	k.runQ = k.runQ[:0]
-	for _, tid := range s.RunQ {
-		t := k.threadByTID(tid)
-		if t == nil {
-			return nil, fmt.Errorf("kernel: run queue references unknown thread %d", tid)
+	// The run queue gets a fresh array: pickNext reslices it from the
+	// front, so the old one can hold stale threads below the slice.
+	k.runQ = nil
+	if n := d.Len(); n > 0 {
+		k.runQ = make([]*Thread, n)
+		for i := range k.runQ {
+			k.runQ[i] = k.loadThreadRef(d, false)
 		}
-		k.runQ = append(k.runQ, t)
 	}
-
+	if !d.Expect(len(k.feeds), "contexts") {
+		return nil
+	}
 	for i := range k.feeds {
 		f := &k.feeds[i]
-		fs := &s.Feeds[i]
-		f.buf = append(f.buf[:0], fs.Buf...)
+		f.buf = checkpoint.Resize(f.buf, d.Len())
+		for j := range f.buf {
+			f.buf[j].Load(d)
+		}
 		f.head = 0
-		f.base = fs.Base
-		f.paused = fs.Paused
-		f.pendingReq = fs.PendingReq
-		f.syscallRetired = fs.SyscallRetired
-		f.intrNet = fs.IntrNet
-		f.cur = k.threadByTID(fs.CurTID)
-		f.idle = k.threadByTID(fs.IdleTID)
-		f.stack = f.stack[:0]
-		for _, gs := range fs.Stack {
-			e, err := k.rebuildGen(gs)
-			if err != nil {
-				return nil, fmt.Errorf("kernel: context %d stack: %w", i, err)
-			}
-			f.stack = append(f.stack, e)
+		f.base = d.Uint()
+		n := d.Len()
+		f.stack = truncate(f.stack)
+		for ; n > 0 && !d.Failed(); n-- {
+			f.stack = append(f.stack, k.loadGen(d))
+		}
+		f.cur = k.loadThreadRef(d, true)
+		f.idle = k.loadThreadRef(d, true)
+		f.paused = d.Bool()
+		f.pendingReq.Load(d)
+		f.syscallRetired = d.Bool()
+		f.intrNet = d.Bool()
+	}
+	k.loadNet(d)
+	k.net.Delivered = d.Uint()
+	k.net.Dropped = d.Uint()
+
+	k.nextASN = uint16(d.Uint())
+	k.asnEpoch = d.Uint()
+	k.nextTID = uint32(d.Uint())
+	k.nextPID = d.Uint()
+	k.rrIntCtx = int(d.Int())
+	k.lastTick = d.Uint()
+	for _, p := range [...]*uint64{&k.ContextSwitches, &k.Preemptions, &k.ASNRecycles,
+		&k.ClockInterrupts, &k.NetInterrupts, &k.IdleScheduled, &k.LockContentions, &k.SpinInsts,
+		&k.DiskReads, &k.WorkerCrashes, &k.WorkerRespawns, &k.ConnsRefused, &k.ReapedIdle,
+		&k.ReapedSlowloris, &k.SockPoolRejects, &k.MbufDrops, &k.FDRejects, &k.ForkRejects} {
+		*p = d.Uint()
+	}
+	checkpoint.LoadUints(d, k.SyscallCount[:], "syscall counts")
+	checkpoint.LoadUints(d, k.VMFaults[:], "VM faults")
+	checkpoint.LoadUints(d, k.SvcInstByRes[:], "service instructions")
+	checkpoint.LoadUints(d, k.lockHolder[:], "lock holders")
+	checkpoint.LoadUints(d, k.procSlots, "process table")
+	k.procFree = checkpoint.GetInts(d, k.procFree)
+	for _, slot := range k.procFree {
+		if slot < 0 || slot >= len(k.procSlots) {
+			d.Fail("free process slot %d outside a table of %d", slot, len(k.procSlots))
+			k.procFree = k.procFree[:0]
+			break
 		}
 	}
+	for _, p := range [...]*int{&k.liveUsers, &k.pendingRespawns, &k.sockCapEff, &k.mbufCapEff,
+		&k.fdLimEff, &k.procCapEff, &k.SockHighwater, &k.MbufHighwater} {
+		*p = int(d.Int())
+	}
+	k.squeezed = d.Bool()
+	return progs
+}
 
+// truncate empties a reused slice of pointers for refilling, clearing its
+// whole backing array so stale entries past the new length do not keep
+// the previous state's threads, programs and walkers alive.
+func truncate[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// loadThread reads one thread written by saveThread, rebuilding its
+// program through factory.
+func loadThread(d *checkpoint.Dec, factory ProgFactory) (*Thread, *workload.ScriptProgram) {
+	t := &Thread{
+		tid:        uint32(d.Uint()),
+		pid:        d.Uint(),
+		asn:        uint16(d.Uint()),
+		kind:       threadKind(d.Uint()),
+		state:      threadState(d.Uint()),
+		burst:      d.Uint(),
+		sinceSched: d.Uint(),
+		lastCtx:    int(d.Int()),
+	}
+	if d.Bool() {
+		t.wakeReq = &sys.Request{}
+		t.wakeReq.Load(d)
+	}
+	t.wakeResult = int(d.Int())
+	t.sock = int(d.Int())
+	t.worker = d.Bool()
+	t.released = d.Bool()
+	t.fds = int(d.Int())
+	t.slot = int(d.Int())
+	if !d.Bool() || d.Failed() {
+		return t, nil
+	}
+	name := d.String()
+	slot := int(d.Int())
+	if d.Failed() {
+		return t, nil
+	}
+	var prog *workload.ScriptProgram
+	if factory != nil {
+		prog = factory(name, slot)
+	}
+	if prog == nil {
+		d.Fail("no factory rebuild for program %q slot %d", name, slot)
+		return t, nil
+	}
+	prog.W.Load(d)
+	if hasState := d.Bool(); hasState != (prog.State != nil) {
+		d.Fail("program %q slot %d: section has script state %v, program %v", name, slot, hasState, prog.State != nil)
+		return t, nil
+	}
+	if prog.State != nil {
+		prog.State.Load(d)
+	}
+	t.prog = prog
+	return t, prog
+}
+
+// loadThreadRef reads a TID and resolves it; 0 is nil where allowed.
+func (k *Kernel) loadThreadRef(d *checkpoint.Dec, zeroOK bool) *Thread {
+	tid := uint32(d.Uint())
+	if d.Failed() || (tid == 0 && zeroOK) {
+		return nil
+	}
+	t := k.threadByTID(tid)
+	if t == nil {
+		d.Fail("reference to unknown thread %d", tid)
+	}
+	return t
+}
+
+// loadGen rebuilds one generation-stack entry written by saveGen.
+func (k *Kernel) loadGen(d *checkpoint.Dec) genEntry {
+	var g genEntry
+	g.tmpl.Load(d)
+	loadAction(d, &g.done)
+	wrap := d.Uint()
+	var tail *workload.Tail
+	var mode isa.Mode
+	switch uint8(wrap) {
+	case wrapNone:
+	case wrapTail:
+		tail = &workload.Tail{Extra: make([]isa.Inst, d.Len())}
+		for i := range tail.Extra {
+			tail.Extra[i].Load(d)
+		}
+		tail.Pos = int(d.Int())
+	case wrapMode:
+		mode = isa.Mode(d.Index(isa.NumModes))
+	default:
+		d.Fail("unknown generator wrapper %d", wrap)
+		return g
+	}
+	var inner *workload.Limit
+	if d.Bool() {
+		n := d.Uint()
+		var w *workload.Walker
+		switch src := d.Uint(); uint8(src) {
+		case srcRegion:
+			name := d.Bytes()
+			ctx := d.Int()
+			rw := k.code.byName[string(name)]
+			if rw == nil || ctx < 0 || ctx >= int64(len(rw.ws)) {
+				d.Fail("unknown code walker %s/%d", name, ctx)
+				return g
+			}
+			w = rw.ws[ctx]
+		case srcProg:
+			t := k.threadByTID(uint32(d.Uint()))
+			if t == nil || t.prog == nil {
+				d.Fail("unknown program walker")
+				return g
+			}
+			w = t.prog.Walker()
+		default:
+			d.Fail("unknown generator source %d", src)
+			return g
+		}
+		inner = k.newLimit(w, n)
+	}
+	if d.Failed() {
+		return g
+	}
+	switch uint8(wrap) {
+	case wrapNone:
+		if inner == nil {
+			d.Fail("bare entry with no inner generator")
+			return g
+		}
+		g.g = inner
+	case wrapTail:
+		if inner != nil {
+			tail.G = inner
+		}
+		g.g = tail
+	case wrapMode:
+		if inner == nil {
+			d.Fail("modeForce entry with no inner generator")
+			return g
+		}
+		g.g = &modeForce{g: inner, mode: mode}
+	}
+	return g
+}
+
+func loadAction(d *checkpoint.Dec, a *action) {
+	a.Kind = actionKind(d.Uint())
+	a.TID = uint32(d.Uint())
+	a.Req.Load(d)
+	a.Res = int(d.Int())
+	n := d.Len()
+	if n > netisrBatch {
+		d.Fail("completion batch of %d frames, netisr takes %d", n, netisrBatch)
+		n = 0
+	}
+	a.Batch = nil
+	if n > 0 {
+		a.Batch = make([]Frame, n)
+		for i := range a.Batch {
+			a.Batch[i].Load(d)
+		}
+	}
+}
+
+// loadNet reads the network stack written by saveNet into the existing
+// socket table (sockets keep their queue capacity), then rebuilds the
+// derived state the section does not carry: the connection index, the
+// per-thread owned-socket lists and the idle-timeout wheel.
+func (k *Kernel) loadNet(d *checkpoint.Dec) {
 	ns := k.net
-	ns.socks = ns.socks[:0]
-	for _, ss := range s.Net.Socks {
-		so := &socket{
-			id: ss.ID, listen: ss.Listen, conn: ss.Conn,
-			acceptQ: append([]int(nil), ss.AcceptQ...),
-			data:    ss.Data, closed: ss.Closed, owner: ss.Owner,
-			lastActive: ss.LastActive, reqBytes: ss.ReqBytes, served: ss.Served,
-			free: ss.Free,
-		}
-		for _, tid := range ss.Waiters {
-			t := k.threadByTID(tid)
-			if t == nil {
-				return nil, fmt.Errorf("kernel: socket %d waiter references unknown thread %d", ss.ID, tid)
+	n := d.Len()
+	if n > k.cfg.SocketTableSize+1 {
+		d.Fail("%d sockets, table holds %d", n, k.cfg.SocketTableSize)
+		return
+	}
+	for len(ns.socks) < n {
+		ns.socks = append(ns.socks, &socket{})
+	}
+	clear(ns.socks[n:])
+	ns.socks = ns.socks[:n]
+	for id, so := range ns.socks {
+		// The accept queue's array is reused; the waiter list is not:
+		// popWaiter reslices it from the front, so its array can hold
+		// stale thread pointers below the slice that truncate cannot reach.
+		acceptQ := so.acceptQ[:0]
+		*so = socket{id: id}
+		flags := d.Uint()
+		so.listen = flags&sockListen != 0
+		so.closed = flags&sockClosed != 0
+		so.served = flags&sockServed != 0
+		so.free = flags&sockFree != 0
+		so.conn = int(d.Int())
+		so.acceptQ = checkpoint.GetInts(d, acceptQ)
+		so.data = int(d.Int())
+		if n := d.Len(); n > 0 {
+			so.waiters = make([]*Thread, n)
+			for i := range so.waiters {
+				so.waiters[i] = k.loadThreadRef(d, false)
 			}
-			so.waiters = append(so.waiters, t)
 		}
-		ns.socks = append(ns.socks, so)
+		so.owner = uint32(d.Uint())
+		so.lastActive = d.Uint()
+		so.reqBytes = int(d.Int())
+		if d.Failed() {
+			return
+		}
 	}
-	ns.byConn = flatmap.New(len(s.Net.ByConn))
-	for _, cs := range s.Net.ByConn {
-		ns.byConn.Put(cs.Conn, cs.Sock)
+	m := d.Len()
+	ns.byConn.Reset(m)
+	for ; m > 0 && !d.Failed(); m-- {
+		conn := int(d.Int())
+		ns.byConn.Put(conn, int(d.Int()))
 	}
-	ns.sockFree = append(ns.sockFree[:0], s.Net.SockFree...)
-	ns.pending = append(ns.pending[:0], s.Net.Pending...)
-	ns.now = s.Net.Now
-	ns.ticks = s.Net.Ticks
-	ns.Delivered = s.Net.Delivered
-	ns.Dropped = s.Net.Dropped
+	ns.sockFree = checkpoint.GetInts(d, ns.sockFree)
+	for _, id := range ns.sockFree {
+		if id < 0 || id >= len(ns.socks) {
+			d.Fail("free socket %d outside a table of %d", id, len(ns.socks))
+			ns.sockFree = ns.sockFree[:0]
+			break
+		}
+	}
+	ns.pending = checkpoint.Resize(ns.pending, d.Len())
+	for i := range ns.pending {
+		ns.pending[i].Load(d)
+	}
+	ns.now = d.Uint()
+	ns.ticks = d.Uint()
+	if d.Failed() {
+		return
+	}
 
-	// Rebuild derived network state the snapshot format knows nothing about
+	// Rebuild derived network state the section knows nothing about
 	// (checkpoint-by-derivation): per-thread owned-socket lists, and the
-	// idle-timeout wheel. Fresh Thread/socket structs above already zeroed
+	// idle-timeout wheel. Loaded threads and reset sockets already zeroed
 	// ownHead, the intrusive links, idleWakeAt, and the dirty flag; the
 	// scratch rings are always empty between cycles.
 	ns.dirtyRing = ns.dirtyRing[:0]
@@ -517,8 +636,7 @@ func (k *Kernel) RestoreState(s Snapshot, factory ProgFactory) ([]*workload.Scri
 		t := k.threadByTID(so.owner)
 		if t == nil {
 			// An orphaned socket (owner thread gone) is a state-consistency
-			// problem for the auditor to flag, not a restore failure; the old
-			// map-based restore tolerated it the same way.
+			// problem for the auditor to flag, not a restore failure.
 			continue
 		}
 		ns.linkOwned(t, so)
@@ -529,129 +647,30 @@ func (k *Kernel) RestoreState(s Snapshot, factory ProgFactory) ([]*workload.Scri
 			k.armIdle(so)
 		}
 	}
-
-	k.nextASN = s.NextASN
-	k.asnEpoch = s.ASNEpoch
-	k.nextTID = s.NextTID
-	k.nextPID = s.NextPID
-	k.rrIntCtx = s.RRIntCtx
-	k.lastTick = s.LastTick
-	k.ContextSwitches = s.ContextSwitches
-	k.Preemptions = s.Preemptions
-	k.SyscallCount = s.SyscallCount
-	k.VMFaults = s.VMFaults
-	k.ASNRecycles = s.ASNRecycles
-	k.ClockInterrupts = s.ClockInterrupts
-	k.NetInterrupts = s.NetInterrupts
-	k.IdleScheduled = s.IdleScheduled
-	k.SvcInstByRes = s.SvcInstByRes
-	k.lockHolder = s.LockHolder
-	k.LockContentions = s.LockContentions
-	k.SpinInsts = s.SpinInsts
-	k.DiskReads = s.DiskReads
-	k.WorkerCrashes = s.WorkerCrashes
-	k.WorkerRespawns = s.WorkerRespawns
-	k.ConnsRefused = s.ConnsRefused
-	k.ReapedIdle = s.ReapedIdle
-	k.ReapedSlowloris = s.ReapedSlowloris
-	k.procSlots = append(k.procSlots[:0], s.ProcSlots...)
-	k.procFree = append(k.procFree[:0], s.ProcFree...)
-	k.liveUsers = s.LiveUsers
-	k.pendingRespawns = s.PendingRespawns
-	k.sockCapEff = s.SockCapEff
-	k.mbufCapEff = s.MbufCapEff
-	k.fdLimEff = s.FDLimEff
-	k.procCapEff = s.ProcCapEff
-	k.squeezed = s.Squeezed
-	k.SockPoolRejects = s.SockPoolRejects
-	k.MbufDrops = s.MbufDrops
-	k.FDRejects = s.FDRejects
-	k.ForkRejects = s.ForkRejects
-	k.SockHighwater = s.SockHighwater
-	k.MbufHighwater = s.MbufHighwater
-	return progs, nil
 }
 
-// rebuildGen reconstructs one generation-stack entry from its snapshot.
-func (k *Kernel) rebuildGen(s GenSnap) (genEntry, error) {
-	var inner *workload.Limit
-	if s.HasInner {
-		var w *workload.Walker
-		switch s.Src {
-		case srcRegion:
-			rw := k.code.byName[s.Region]
-			if rw == nil || s.WCtx < 0 || s.WCtx >= len(rw.ws) {
-				return genEntry{}, fmt.Errorf("unknown code walker %s/%d", s.Region, s.WCtx)
-			}
-			w = rw.ws[s.WCtx]
-		case srcProg:
-			t := k.threadByTID(s.TID)
-			if t == nil || t.prog == nil {
-				return genEntry{}, fmt.Errorf("unknown program walker for thread %d", s.TID)
-			}
-			w = t.prog.Walker()
-		default:
-			return genEntry{}, fmt.Errorf("unknown generator source %d", s.Src)
-		}
-		inner = &workload.Limit{G: w, N: s.N}
-	}
-	e := genEntry{tmpl: s.Tmpl, done: s.Done}
-	switch s.Wrap {
-	case wrapNone:
-		if inner == nil {
-			return genEntry{}, fmt.Errorf("bare entry with no inner generator")
-		}
-		e.g = inner
-	case wrapTail:
-		tl := &workload.Tail{Extra: append([]isa.Inst(nil), s.Extra...), Pos: s.TailPos}
-		if inner != nil {
-			tl.G = inner
-		}
-		e.g = tl
-	case wrapMode:
-		if inner == nil {
-			return genEntry{}, fmt.Errorf("modeForce entry with no inner generator")
-		}
-		e.g = &modeForce{g: inner, mode: s.Mode}
-	default:
-		return genEntry{}, fmt.Errorf("unknown generator wrapper %d", s.Wrap)
-	}
-	return e, nil
+// Flag bits of a frame in a checkpoint section.
+const (
+	frameOpen = 1 << iota
+	frameClose
+	frameAck
+	frameCorrupt
+)
+
+// Save writes the frame to a checkpoint section.
+func (f *Frame) Save(e *checkpoint.Enc) {
+	e.Int(int64(f.Conn))
+	e.Int(int64(f.Bytes))
+	e.Uint(checkpoint.Flags(f.Open, f.Close, f.Ack, f.Corrupt))
 }
 
-// encodeProgState gob-encodes a program's script state (nil encodes empty).
-func encodeProgState(v any) []byte {
-	if v == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		panic(fmt.Sprintf("kernel: encoding program state %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
-
-// decodeProgState decodes a gob-encoded script state into the freshly built
-// program's state pointer (both are pointers to the same concrete type).
-func decodeProgState(b []byte, dst any) error {
-	if len(b) == 0 {
-		if dst != nil {
-			return fmt.Errorf("snapshot has no state but program expects %T", dst)
-		}
-		return nil
-	}
-	if dst == nil {
-		return fmt.Errorf("snapshot has state but program has none")
-	}
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return err
-	}
-	dv := reflect.ValueOf(v)
-	dd := reflect.ValueOf(dst)
-	if dv.Type() != dd.Type() {
-		return fmt.Errorf("state type mismatch: snapshot %T, program %T", v, dst)
-	}
-	dd.Elem().Set(dv.Elem())
-	return nil
+// Load reads a frame written by Save.
+func (f *Frame) Load(d *checkpoint.Dec) {
+	f.Conn = int(d.Int())
+	f.Bytes = int(d.Int())
+	flags := d.Uint()
+	f.Open = flags&frameOpen != 0
+	f.Close = flags&frameClose != 0
+	f.Ack = flags&frameAck != 0
+	f.Corrupt = flags&frameCorrupt != 0
 }

@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/checkpoint"
 )
 
 func TestNewMemoryRejectsTiny(t *testing.T) {
@@ -371,16 +374,18 @@ func TestSnapshotRoundTripPressureState(t *testing.T) {
 	for i := uint64(0); i < 12; i++ {
 		m.Touch(3, UserDataBase+i*PageSize)
 	}
-	s := m.Snapshot()
+	var s, s2 checkpoint.Enc
+	m.Save(&s)
 	m2, _ := NewMemory(8 * PageSize)
-	m2.Restore(s)
-	// Identical state must produce identical snapshots and identical
+	d := checkpoint.NewDec("mem", s.Bytes())
+	m2.Load(&d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// Identical state must produce identical sections and identical
 	// behavior on the next pressure event.
-	s2 := m2.Snapshot()
-	if len(s2.RSS) != len(s.RSS) || len(s2.Ref) != len(s.Ref) ||
-		len(s2.Dirty) != len(s.Dirty) || s2.Limit != s.Limit ||
-		s2.SecondChances != s.SecondChances || s2.FramesHighwater != s.FramesHighwater {
-		t.Fatalf("snapshot round trip differs:\n%+v\n%+v", s, s2)
+	if m2.Save(&s2); !bytes.Equal(s.Bytes(), s2.Bytes()) {
+		t.Fatalf("section round trip differs:\n%x\n%x", s.Bytes(), s2.Bytes())
 	}
 	pa1, k1 := m.Touch(3, UserDataBase+20*PageSize)
 	pa2, k2 := m2.Touch(3, UserDataBase+20*PageSize)

@@ -1,7 +1,11 @@
 // Checkpoint serialization and auditor accessors for the memory model.
 package mem
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/checkpoint"
+)
 
 // PTE is one serialized page-table entry.
 type PTE struct {
@@ -10,153 +14,180 @@ type PTE struct {
 	PFN uint64
 }
 
-// Mapping describes one frame's owner (serialized owners[] entry).
-type Mapping struct {
-	PID uint64
-	VPN uint64
-}
-
-// SharedRange is one serialized shared user range.
-type SharedRange struct {
-	Base, End uint64
-}
-
-// RSSEntry is one process's serialized resident-set count.
+// RSSEntry is one process's resident-set count.
 type RSSEntry struct {
 	PID   uint64
 	Pages uint64
 }
 
-// Snapshot captures all mutable memory state.
-type Snapshot struct {
-	Shared     []SharedRange
-	NextFrame  uint64
-	Free       []uint64
-	Owners     []Mapping
-	FIFO       []uint64
-	FIFOHead   int
-	Ref        []uint64 // pfns with the referenced bit set, sorted
-	Dirty      []uint64
-	Evict      []Eviction
-	RSS        []RSSEntry
-	Limit      uint64
-	Tables     []PTE
-	Reserved   uint64
-	Allocs     uint64
-	Reclaims   uint64
-	Refills    uint64
-	Unmappings uint64
-
-	ReclaimScans    uint64
-	SecondChances   uint64
-	LimitOverruns   uint64
-	RSSHighwater    uint64
-	FramesHighwater uint64
-}
-
-// Snapshot returns the memory's complete mutable state. Page tables are
-// emitted in (pid, vpn) sorted order so the serialized bytes of a
-// deterministic run are themselves deterministic.
-func (m *Memory) Snapshot() Snapshot {
-	s := Snapshot{
-		NextFrame:  m.nextFrame,
-		Free:       append([]uint64(nil), m.free...),
-		Owners:     make([]Mapping, len(m.owners)),
-		FIFO:       append([]uint64(nil), m.fifo...),
-		FIFOHead:   m.fifoHead,
-		Dirty:      append([]uint64(nil), m.dirty...),
-		Evict:      append([]Eviction(nil), m.evict...),
-		Limit:      m.limit,
-		Reserved:   m.reserved,
-		Allocs:     m.Allocs,
-		Reclaims:   m.Reclaims,
-		Refills:    m.Refills,
-		Unmappings: m.Unmappings,
-
-		ReclaimScans:    m.ReclaimScans,
-		SecondChances:   m.SecondChances,
-		LimitOverruns:   m.LimitOverruns,
-		RSSHighwater:    m.RSSHighwater,
-		FramesHighwater: m.FramesHighwater,
-	}
+// Save writes the memory's complete mutable state. Page tables are written
+// in (pid, vpn) sorted order so the section of a deterministic run is
+// itself deterministic; the per-frame owner and referenced arrays are
+// columns, nonzero only below the allocator's bump pointer.
+func (m *Memory) Save(e *checkpoint.Enc) {
+	e.Uint(m.frames)
+	e.Uint(uint64(len(m.shared)))
 	for _, r := range m.shared {
-		s.Shared = append(s.Shared, SharedRange{Base: r.base, End: r.end})
+		e.Uint(r.base)
+		e.Uint(r.end)
 	}
-	for i, o := range m.owners {
-		s.Owners[i] = Mapping{PID: o.pid, VPN: o.vpn}
-	}
-	for pfn, r := range m.ref {
-		if r {
-			s.Ref = append(s.Ref, uint64(pfn))
+	e.Uint(m.nextFrame)
+	checkpoint.PutUints(e, m.free)
+	e.Column(len(m.owners), func(i int) uint64 { return m.owners[i].pid })
+	e.Column(len(m.owners), func(i int) uint64 { return m.owners[i].vpn })
+	checkpoint.PutUints(e, m.fifo)
+	e.Int(int64(m.fifoHead))
+	e.Column(len(m.ref), func(i int) uint64 {
+		if m.ref[i] {
+			return 1
 		}
-	}
-	for pid, pages := range m.rss {
-		s.RSS = append(s.RSS, RSSEntry{PID: pid, Pages: pages})
-	}
-	sort.Slice(s.RSS, func(i, j int) bool { return s.RSS[i].PID < s.RSS[j].PID })
-	for pid, t := range m.tables {
-		for vpn, pfn := range t {
-			s.Tables = append(s.Tables, PTE{PID: pid, VPN: vpn, PFN: pfn})
-		}
-	}
-	sort.Slice(s.Tables, func(i, j int) bool {
-		if s.Tables[i].PID != s.Tables[j].PID {
-			return s.Tables[i].PID < s.Tables[j].PID
-		}
-		return s.Tables[i].VPN < s.Tables[j].VPN
+		return 0
 	})
-	return s
+	checkpoint.PutUints(e, m.dirty)
+	e.Uint(uint64(len(m.evict)))
+	for _, ev := range m.evict {
+		e.Uint(ev.PID)
+		e.Uint(ev.VPN)
+		e.Uint(ev.PFN)
+	}
+	rss := m.RSSEntries()
+	e.Uint(uint64(len(rss)))
+	for _, r := range rss {
+		e.Uint(r.PID)
+		e.Uint(r.Pages)
+	}
+	e.Uint(m.limit)
+	m.saveTables(e)
+	e.Uint(m.reserved)
+	e.Uint(m.Allocs)
+	e.Uint(m.Reclaims)
+	e.Uint(m.Refills)
+	e.Uint(m.Unmappings)
+	e.Uint(m.ReclaimScans)
+	e.Uint(m.SecondChances)
+	e.Uint(m.LimitOverruns)
+	e.Uint(m.RSSHighwater)
+	e.Uint(m.FramesHighwater)
 }
 
-// Restore overwrites the memory's state from a snapshot taken on a Memory of
-// the same physical size.
-func (m *Memory) Restore(s Snapshot) {
-	if uint64(len(s.Owners)) != m.frames {
-		panic("mem: snapshot geometry mismatch")
-	}
-	m.shared = m.shared[:0]
-	for _, r := range s.Shared {
-		m.shared = append(m.shared, struct{ base, end uint64 }{r.Base, r.End})
-	}
-	m.nextFrame = s.NextFrame
-	m.free = append(m.free[:0], s.Free...)
-	for i, o := range s.Owners {
-		m.owners[i] = mapping{pid: o.PID, vpn: o.VPN}
-	}
-	m.fifo = append(m.fifo[:0], s.FIFO...)
-	m.fifoHead = s.FIFOHead
-	for i := range m.ref {
-		m.ref[i] = false
-	}
-	for _, pfn := range s.Ref {
-		m.ref[pfn] = true
-	}
-	m.dirty = append(m.dirty[:0], s.Dirty...)
-	m.evict = append(m.evict[:0], s.Evict...)
-	m.rss = make(map[uint64]uint64, len(s.RSS))
-	for _, e := range s.RSS {
-		m.rss[e.PID] = e.Pages
-	}
-	m.limit = s.Limit
-	m.tables = make(map[uint64]map[uint64]uint64)
-	for _, e := range s.Tables {
-		t := m.tables[e.PID]
-		if t == nil {
-			t = make(map[uint64]uint64)
-			m.tables[e.PID] = t
+// saveTables writes the page tables: the count of pids with mappings, then
+// per pid its id, mapping count, and (vpn gap, pfn) pairs in vpn order.
+func (m *Memory) saveTables(e *checkpoint.Enc) {
+	all := m.AllMappings()
+	var pids int
+	for i := range all {
+		if i == 0 || all[i].PID != all[i-1].PID {
+			pids++
 		}
-		t[e.VPN] = e.PFN
 	}
-	m.reserved = s.Reserved
-	m.Allocs = s.Allocs
-	m.Reclaims = s.Reclaims
-	m.Refills = s.Refills
-	m.Unmappings = s.Unmappings
-	m.ReclaimScans = s.ReclaimScans
-	m.SecondChances = s.SecondChances
-	m.LimitOverruns = s.LimitOverruns
-	m.RSSHighwater = s.RSSHighwater
-	m.FramesHighwater = s.FramesHighwater
+	e.Uint(uint64(pids))
+	for i := 0; i < len(all); {
+		j := i
+		for j < len(all) && all[j].PID == all[i].PID {
+			j++
+		}
+		e.Uint(all[i].PID)
+		e.Uint(uint64(j - i))
+		prev := uint64(0)
+		for _, p := range all[i:j] {
+			e.Uint(p.VPN - prev)
+			e.Uint(p.PFN)
+			prev = p.VPN
+		}
+		i = j
+	}
+}
+
+// Load overwrites the memory's state from a section written by Save on a
+// Memory of the same physical size. Frame numbers outside the machine are
+// damage. The page-table and RSS maps are cleared and refilled rather
+// than rebuilt, so a repeated load reuses their buckets.
+func (m *Memory) Load(d *checkpoint.Dec) {
+	if frames := d.Uint(); frames != m.frames && !d.Failed() {
+		d.Fail("%d frames, machine has %d", frames, m.frames)
+	}
+	m.shared = checkpoint.Resize(m.shared, d.Len())
+	for i := range m.shared {
+		m.shared[i].base = d.Uint()
+		m.shared[i].end = d.Uint()
+	}
+	m.nextFrame = d.Uint()
+	m.free = m.loadFrames(d, m.free)
+	clear(m.owners)
+	d.Column(len(m.owners), func(i int, v uint64) { m.owners[i].pid = v })
+	d.Column(len(m.owners), func(i int, v uint64) { m.owners[i].vpn = v })
+	m.fifo = m.loadFrames(d, m.fifo)
+	m.fifoHead = int(d.Int())
+	if m.fifoHead < 0 || m.fifoHead > len(m.fifo) {
+		d.Fail("FIFO head %d outside a queue of %d", m.fifoHead, len(m.fifo))
+		m.fifoHead = 0
+	}
+	clear(m.ref)
+	d.Column(len(m.ref), func(i int, _ uint64) { m.ref[i] = true })
+	m.dirty = m.loadFrames(d, m.dirty)
+	m.evict = checkpoint.Resize(m.evict, d.Len())
+	for i := range m.evict {
+		m.evict[i] = Eviction{PID: d.Uint(), VPN: d.Uint(), PFN: m.loadFrame(d)}
+	}
+	clear(m.rss)
+	for n := d.Len(); n > 0 && !d.Failed(); n-- {
+		pid := d.Uint()
+		m.rss[pid] = d.Uint()
+	}
+	m.limit = d.Uint()
+	m.loadTables(d)
+	m.reserved = d.Uint()
+	m.Allocs = d.Uint()
+	m.Reclaims = d.Uint()
+	m.Refills = d.Uint()
+	m.Unmappings = d.Uint()
+	m.ReclaimScans = d.Uint()
+	m.SecondChances = d.Uint()
+	m.LimitOverruns = d.Uint()
+	m.RSSHighwater = d.Uint()
+	m.FramesHighwater = d.Uint()
+}
+
+// loadTables reads page tables written by saveTables into the existing
+// maps, emptied first.
+func (m *Memory) loadTables(d *checkpoint.Dec) {
+	for _, t := range m.tables {
+		clear(t)
+	}
+	for pids := d.Len(); pids > 0 && !d.Failed(); pids-- {
+		pid := d.Uint()
+		n := d.Len()
+		t := m.tables[pid]
+		if t == nil {
+			t = make(map[uint64]uint64, n)
+			m.tables[pid] = t
+		}
+		vpn := uint64(0)
+		for ; n > 0 && !d.Failed(); n-- {
+			vpn += d.Uint()
+			t[vpn] = m.loadFrame(d)
+		}
+	}
+}
+
+// loadFrame reads one frame number, which must name a frame of this
+// machine.
+func (m *Memory) loadFrame(d *checkpoint.Dec) uint64 {
+	pfn := d.Uint()
+	if pfn >= m.frames && !d.Failed() {
+		d.Fail("frame %d outside %d frames", pfn, m.frames)
+		return 0
+	}
+	return pfn
+}
+
+// loadFrames reads a frame list written by PutUints into dst.
+func (m *Memory) loadFrames(d *checkpoint.Dec, dst []uint64) []uint64 {
+	dst = checkpoint.Resize(dst, d.Len())
+	for i := range dst {
+		dst[i] = m.loadFrame(d)
+	}
+	return dst
 }
 
 // AllMappings returns every page-table entry in (pid, vpn) sorted order

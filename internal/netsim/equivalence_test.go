@@ -5,10 +5,10 @@ package netsim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faults"
 	"repro/internal/kernel"
 )
@@ -181,13 +181,22 @@ func buildNet(sc scenario, ref bool) *Network {
 	return n
 }
 
+// snapBytes returns the network's checkpoint section: its canonical state.
 func snapBytes(t *testing.T, n *Network) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(n.Snapshot()); err != nil {
-		t.Fatalf("encoding snapshot: %v", err)
+	var e checkpoint.Enc
+	n.Save(&e)
+	return e.Bytes()
+}
+
+// loadSection runs load over section b and fails the test on any error.
+func loadSection(t *testing.T, b []byte, load func(*checkpoint.Dec)) {
+	t.Helper()
+	d := checkpoint.NewDec("test", b)
+	load(&d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
 	}
-	return buf.Bytes()
 }
 
 // TestEventDrivenMatchesReference pins byte-identity of the event-driven
@@ -276,26 +285,20 @@ func TestSnapshotRoundTripMidWheel(t *testing.T) {
 		t.Fatal("dormant burst pool empty at checkpoint tick; scenario too tame")
 	}
 
-	snap := n.Snapshot()
+	snap := snapBytes(t, n)
 	restored := New(sc.cfg)
 	inj := faults.NewInjector(sc.faults)
-	inj.Restore(n.inj.Snapshot())
+	var injSec checkpoint.Enc
+	n.inj.Save(&injSec)
+	loadSection(t, injSec.Bytes(), inj.Load)
 	// SetFaults would redraw client kinds from the injector stream; attach
 	// the injector first, then overwrite all client state from the
-	// snapshot (the core restore path does the same dance).
+	// section (the core restore path does the same dance).
 	restored.SetFaults(inj)
-	restored.Restore(snap)
+	loadSection(t, snap, restored.Load)
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(restored.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var orig bytes.Buffer
-	if err := gob.NewEncoder(&orig).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), orig.Bytes()) {
-		t.Fatal("restore→snapshot is not the identity")
+	if !bytes.Equal(snapBytes(t, restored), snap) {
+		t.Fatal("load→save is not the identity")
 	}
 
 	// Continue both under identical servers: every subsequent tick must

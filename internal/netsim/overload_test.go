@@ -183,12 +183,12 @@ func TestOverloadDeterministicAndSnapshotRoundTrip(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		echoServer(a, a.Tick(i))
 	}
-	snap := a.Snapshot()
+	snap := snapBytes(t, a)
 
 	// Restored copy must pick up mid-trickle sends, parked burst clients,
 	// held storm connections, and the partial latency histogram.
 	b := build()
-	b.Restore(snap)
+	loadSection(t, snap, b.Load)
 	if grab(a) != grab(b) {
 		t.Fatalf("restore lost counters: a=%+v b=%+v", grab(a), grab(b))
 	}

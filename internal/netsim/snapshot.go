@@ -4,144 +4,119 @@ package netsim
 import (
 	"sort"
 
-	"repro/internal/flatmap"
-	"repro/internal/kernel"
-	"repro/internal/stats"
+	"repro/internal/checkpoint"
 )
 
-// ClientSnap is the serialized form of one client state machine.
-type ClientSnap struct {
-	State     uint8
-	Kind      uint8
-	Conn      int
-	NextAt    uint64
-	Got       int
-	Want      int
-	ReqsLeft  int
-	Closing   bool
-	Acks      int
-	RetryAt   uint64
-	Retries   int
-	Timeout   int
-	SendLeft  int
-	SendAt    uint64
-	StartTick uint64
-}
-
-// DelayedSnap is one frame in transit under fault-injected delay.
-type DelayedSnap struct {
-	Due   uint64
-	Frame kernel.Frame
-}
-
-// FileSnap records one connection's requested file size.
-type FileSnap struct {
-	Conn int
-	Size int
-}
-
-// Snapshot captures the network's complete mutable state.
-type Snapshot struct {
-	RNG         [4]uint64
-	Clients     []ClientSnap
-	Ticks       uint64
-	NextID      int
-	Files       []FileSnap
-	DelayedIn   []DelayedSnap
-	DelayedOut  []DelayedSnap
-	Requests    uint64
-	Completed   uint64
-	BytesServed uint64
-	PerClass    [4]uint64
-	Retransmits uint64
-	Aborted     uint64
-	Resets      uint64
-	Latency     stats.Hist
-}
-
-// Snapshot returns the network's mutable state. The files map is emitted
-// connection-sorted so serialization of a deterministic run is deterministic.
-func (n *Network) Snapshot() Snapshot {
-	s := Snapshot{
-		RNG:         n.rng.State(),
-		Clients:     make([]ClientSnap, len(n.clients)),
-		Ticks:       n.ticks,
-		NextID:      n.nextID,
-		Requests:    n.Requests,
-		Completed:   n.Completed,
-		BytesServed: n.BytesServed,
-		PerClass:    n.PerClass,
-		Retransmits: n.Retransmits,
-		Aborted:     n.Aborted,
-		Resets:      n.Resets,
-		Latency:     n.Latency,
-	}
-	for i, c := range n.clients {
-		s.Clients[i] = ClientSnap{
-			State: uint8(c.state), Kind: uint8(c.kind), Conn: c.conn, NextAt: c.nextAt,
-			Got: c.got, Want: c.want, ReqsLeft: c.reqsLeft, Closing: c.closing,
-			Acks: c.acks, RetryAt: c.retryAt, Retries: c.retries, Timeout: c.timeout,
-			SendLeft: c.sendLeft, SendAt: c.sendAt, StartTick: c.startTick,
+// Save writes the network's mutable state. The client fleet is written
+// column by column — one column per client field — so a 10^6-client fleet
+// whose clients mostly sit idle costs a dense column for the fields every
+// client sets and a few bytes for the rest. The files table is written
+// connection-sorted so the section of a deterministic run is deterministic.
+func (n *Network) Save(e *checkpoint.Enc) {
+	n.rng.Save(e)
+	cs := n.clients
+	e.Uint(uint64(len(cs)))
+	e.Column(len(cs), func(i int) uint64 { return uint64(cs[i].state) })
+	e.Column(len(cs), func(i int) uint64 { return uint64(cs[i].kind) })
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].conn) })
+	e.Column(len(cs), func(i int) uint64 { return cs[i].nextAt })
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].got) })
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].want) })
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].reqsLeft) })
+	e.Column(len(cs), func(i int) uint64 {
+		if cs[i].closing {
+			return 1
 		}
-	}
-	n.files.Range(func(conn, size int) {
-		s.Files = append(s.Files, FileSnap{Conn: conn, Size: size})
+		return 0
 	})
-	sort.Slice(s.Files, func(i, j int) bool { return s.Files[i].Conn < s.Files[j].Conn })
-	for _, d := range n.delayedIn {
-		s.DelayedIn = append(s.DelayedIn, DelayedSnap{Due: d.due, Frame: d.fr})
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].acks) })
+	e.Column(len(cs), func(i int) uint64 { return cs[i].retryAt })
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].retries) })
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].timeout) })
+	e.IntColumn(len(cs), func(i int) int64 { return int64(cs[i].sendLeft) })
+	e.Column(len(cs), func(i int) uint64 { return cs[i].sendAt })
+	e.Column(len(cs), func(i int) uint64 { return cs[i].startTick })
+	e.Uint(n.ticks)
+	e.Int(int64(n.nextID))
+	type file struct{ conn, size int }
+	files := make([]file, 0, n.files.Len())
+	n.files.Range(func(conn, size int) { files = append(files, file{conn, size}) })
+	sort.Slice(files, func(i, j int) bool { return files[i].conn < files[j].conn })
+	e.Uint(uint64(len(files)))
+	for _, f := range files {
+		e.Int(int64(f.conn))
+		e.Int(int64(f.size))
 	}
-	for _, d := range n.delayedOut {
-		s.DelayedOut = append(s.DelayedOut, DelayedSnap{Due: d.due, Frame: d.fr})
-	}
-	return s
-}
-
-// Restore overwrites the network's state from a snapshot taken on a network
-// with the same client count.
-func (n *Network) Restore(s Snapshot) {
-	if len(s.Clients) != len(n.clients) {
-		panic("netsim: snapshot geometry mismatch")
-	}
-	n.rng.SetState(s.RNG)
-	for i, c := range s.Clients {
-		n.clients[i] = client{
-			state: clientState(c.State), kind: clientKind(c.Kind), conn: c.Conn, nextAt: c.NextAt,
-			got: c.Got, want: c.Want, reqsLeft: c.ReqsLeft, closing: c.Closing,
-			acks: c.Acks, retryAt: c.RetryAt, retries: c.Retries, timeout: c.Timeout,
-			sendLeft: c.SendLeft, sendAt: c.SendAt, startTick: c.StartTick,
+	for _, q := range [...][]delayedFrame{n.delayedIn, n.delayedOut} {
+		e.Uint(uint64(len(q)))
+		for i := range q {
+			e.Uint(q[i].due)
+			q[i].fr.Save(e)
 		}
 	}
-	n.ticks = s.Ticks
-	n.nextID = s.NextID
-	n.files = flatmap.New(len(s.Files))
-	for _, f := range s.Files {
-		n.files.Put(f.Conn, f.Size)
+	for _, v := range [...]uint64{n.Requests, n.Completed, n.BytesServed, n.Retransmits, n.Aborted, n.Resets} {
+		e.Uint(v)
 	}
-	n.delayedIn = n.delayedIn[:0]
-	for _, d := range s.DelayedIn {
-		n.delayedIn = append(n.delayedIn, delayedFrame{due: d.Due, fr: d.Frame})
-	}
-	n.delayedOut = n.delayedOut[:0]
-	for _, d := range s.DelayedOut {
-		n.delayedOut = append(n.delayedOut, delayedFrame{due: d.Due, fr: d.Frame})
-	}
-	n.Requests = s.Requests
-	n.Completed = s.Completed
-	n.BytesServed = s.BytesServed
-	n.PerClass = s.PerClass
-	n.Retransmits = s.Retransmits
-	n.Aborted = s.Aborted
-	n.Resets = s.Resets
-	n.Latency = s.Latency
+	checkpoint.PutUints(e, n.PerClass[:])
+	n.Latency.Save(e)
+}
 
-	// Rebuild all derived scheduling/demux state from the serialized fields
-	// (checkpoint-by-derivation: the on-disk format knows nothing about the
-	// wheel, heap, or index layouts).
-	n.connClient = flatmap.New(len(n.clients))
+// Load overwrites the network's state from a section written by Save on a
+// network with the same client count. Clients are decoded field by field
+// into the live fleet, and the derived scheduling and demux state is then
+// rebuilt in place (checkpoint-by-derivation: the section knows nothing
+// about the wheel, heap or index layouts).
+func (n *Network) Load(d *checkpoint.Dec) {
+	n.rng.Load(d)
+	cs := n.clients
+	if !d.Expect(len(cs), "clients") {
+		return
+	}
+	clear(cs)
+	d.Column(len(cs), func(i int, v uint64) { cs[i].state = clientState(v) })
+	d.Column(len(cs), func(i int, v uint64) { cs[i].kind = clientKind(v) })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].conn = int(v) })
+	d.Column(len(cs), func(i int, v uint64) { cs[i].nextAt = v })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].got = int(v) })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].want = int(v) })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].reqsLeft = int(v) })
+	d.Column(len(cs), func(i int, v uint64) { cs[i].closing = v != 0 })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].acks = int(v) })
+	d.Column(len(cs), func(i int, v uint64) { cs[i].retryAt = v })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].retries = int(v) })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].timeout = int(v) })
+	d.IntColumn(len(cs), func(i int, v int64) { cs[i].sendLeft = int(v) })
+	d.Column(len(cs), func(i int, v uint64) { cs[i].sendAt = v })
+	d.Column(len(cs), func(i int, v uint64) { cs[i].startTick = v })
+	n.ticks = d.Uint()
+	n.nextID = int(d.Int())
+	files := d.Len()
+	n.files.Reset(files)
+	for ; files > 0 && !d.Failed(); files-- {
+		conn := int(d.Int())
+		n.files.Put(conn, int(d.Int()))
+	}
+	for _, q := range [...]*[]delayedFrame{&n.delayedIn, &n.delayedOut} {
+		*q = checkpoint.Resize(*q, d.Len())
+		for i := range *q {
+			f := &(*q)[i]
+			f.due = d.Uint()
+			f.fr.Load(d)
+		}
+	}
+	for _, p := range [...]*uint64{&n.Requests, &n.Completed, &n.BytesServed, &n.Retransmits, &n.Aborted, &n.Resets} {
+		*p = d.Uint()
+	}
+	checkpoint.LoadUints(d, n.PerClass[:], "per-class completions")
+	n.Latency.Load(d)
+	if d.Failed() {
+		return
+	}
+
+	n.connClient.Reset(len(cs))
 	n.waiting = 0
-	for i := range n.clients {
-		c := &n.clients[i]
+	for i := range cs {
+		c := &cs[i]
 		if c.conn != 0 {
 			n.connClient.Put(c.conn, i)
 		}

@@ -226,7 +226,7 @@ type event struct {
 
 // eventHeap is a typed min-heap ordered by completion cycle. It implements
 // the exact sift algorithms of container/heap so that the raw array layout
-// (which the checkpoint snapshot copies verbatim) is bit-identical to the
+// (which the engine section writes verbatim) is bit-identical to the
 // previous container/heap-based implementation — but without boxing every
 // event through interface{} on the per-cycle hot path.
 type eventHeap []event

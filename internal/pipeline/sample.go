@@ -27,6 +27,7 @@ package pipeline
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/stats"
@@ -48,8 +49,8 @@ type SampleConfig struct {
 	Seed uint64
 }
 
-// samplePhase is the sampling FSM state. sampleOff must be the zero value so
-// snapshots from pre-sampling checkpoints restore as "disabled".
+// samplePhase is the sampling FSM state. sampleOff must be the zero value, so
+// a fresh engine runs in full detail.
 type samplePhase uint8
 
 const (
@@ -122,73 +123,38 @@ func (s *sampler) nextRand() uint64 {
 	return z ^ (z >> 31)
 }
 
-// SamplerSnap is the serialized sampling FSM.
-type SamplerSnap struct {
-	Cfg            SampleConfig
-	Phase          uint8
-	Left, Post     uint64
-	RNG            uint64
-	Pace, Acc      uint64
-	Windows        uint64
-	FFCycles       uint64
-	DetailCycles   uint64
-	BaseCycles     stats.Cycles
-	BaseRetired    uint64
-	BaseCycleCount uint64
-	IPC            stats.Series
-	KernelPct      stats.Series
-	UserPct        stats.Series
-	IdlePct        stats.Series
-	AtWindow       bool
-	LibBuild       bool
-}
-
-// Snapshot captures the sampling FSM.
-func (s *sampler) Snapshot() SamplerSnap {
-	return SamplerSnap{
-		Cfg:            s.cfg,
-		Phase:          uint8(s.phase),
-		Left:           s.left,
-		Post:           s.post,
-		RNG:            s.rng,
-		Pace:           s.pace,
-		Acc:            s.acc,
-		Windows:        s.windows,
-		FFCycles:       s.ffCycles,
-		DetailCycles:   s.detailCycles,
-		BaseCycles:     s.baseCycles,
-		BaseRetired:    s.baseRetired,
-		BaseCycleCount: s.baseCycleCount,
-		IPC:            s.ipc,
-		KernelPct:      s.kernelPct,
-		UserPct:        s.userPct,
-		IdlePct:        s.idlePct,
-		AtWindow:       s.atWindow,
-		LibBuild:       s.libBuild,
+// Save writes the sampling FSM.
+func (s *sampler) Save(e *checkpoint.Enc) {
+	for _, v := range [...]uint64{s.cfg.Period, s.cfg.DetailWindow, s.cfg.Warmup, s.cfg.Seed,
+		uint64(s.phase), s.left, s.post, s.rng, s.pace, s.acc, s.windows, s.ffCycles,
+		s.detailCycles, s.baseRetired, s.baseCycleCount} {
+		e.Uint(v)
 	}
+	s.baseCycles.Save(e)
+	s.ipc.Save(e)
+	s.kernelPct.Save(e)
+	s.userPct.Save(e)
+	s.idlePct.Save(e)
+	e.Bool(s.atWindow)
+	e.Bool(s.libBuild)
 }
 
-// Restore overwrites the sampling FSM from a snapshot.
-func (s *sampler) Restore(sn SamplerSnap) {
-	s.cfg = sn.Cfg
-	s.phase = samplePhase(sn.Phase)
-	s.left = sn.Left
-	s.post = sn.Post
-	s.rng = sn.RNG
-	s.pace = sn.Pace
-	s.acc = sn.Acc
-	s.windows = sn.Windows
-	s.ffCycles = sn.FFCycles
-	s.detailCycles = sn.DetailCycles
-	s.baseCycles = sn.BaseCycles
-	s.baseRetired = sn.BaseRetired
-	s.baseCycleCount = sn.BaseCycleCount
-	s.ipc = sn.IPC
-	s.kernelPct = sn.KernelPct
-	s.userPct = sn.UserPct
-	s.idlePct = sn.IdlePct
-	s.atWindow = sn.AtWindow
-	s.libBuild = sn.LibBuild
+// Load reads a sampling FSM written by Save.
+func (s *sampler) Load(d *checkpoint.Dec) {
+	var phase uint64
+	for _, p := range [...]*uint64{&s.cfg.Period, &s.cfg.DetailWindow, &s.cfg.Warmup, &s.cfg.Seed,
+		&phase, &s.left, &s.post, &s.rng, &s.pace, &s.acc, &s.windows, &s.ffCycles,
+		&s.detailCycles, &s.baseRetired, &s.baseCycleCount} {
+		*p = d.Uint()
+	}
+	s.phase = samplePhase(phase)
+	s.baseCycles.Load(d)
+	s.ipc.Load(d)
+	s.kernelPct.Load(d)
+	s.userPct.Load(d)
+	s.idlePct.Load(d)
+	s.atWindow = d.Bool()
+	s.libBuild = d.Bool()
 }
 
 // SampleStats is the exported view of the sampling estimators, for reports.

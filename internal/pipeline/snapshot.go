@@ -1,251 +1,263 @@
 // Checkpoint serialization for the pipeline engine: every in-flight
-// instruction, the completion-event heap (copied as the raw heap array, so
+// instruction, the completion-event heap (written as the raw heap array, so
 // pop order is preserved exactly), issue-queue occupancy, renaming-register
 // accounting, and all metrics. The attached hardware structures (caches,
-// TLBs, predictor, store buffer) snapshot through their own packages.
+// TLBs, predictor, store buffer) save and load through their own packages.
 package pipeline
 
 import (
 	"fmt"
 
-	"repro/internal/bpred"
-	"repro/internal/cache"
+	"repro/internal/checkpoint"
 	"repro/internal/isa"
-	"repro/internal/stats"
 	"repro/internal/sys"
-	"repro/internal/tlb"
 )
 
-// UopSnap is the serialized form of one in-flight instruction.
-type UopSnap struct {
-	In        FedInst
-	Idx       uint64
-	Seq       uint64
-	ID        uint64
-	State     uint8
-	FetchedAt uint64
-	DoneAt    uint64
-	WrongPath bool
-	Mispred   bool
-	Faulted   bool
-	Paddr     uint64
-	UsesInt   bool
-	UsesFP    bool
-	InQueue   bool
+// Save writes the instruction and its thread attribution.
+func (f *FedInst) Save(e *checkpoint.Enc) {
+	f.Inst.Save(e)
+	e.Uint(uint64(f.TID))
+	e.Uint(uint64(f.ASN))
+	e.Uint(f.PID)
+	e.Uint(uint64(f.Cat))
+	e.Uint(uint64(f.Sys))
 }
 
-// EventSnap is one completion event.
-type EventSnap struct {
-	At  uint64
-	Ctx int
-	Seq uint64
-	ID  uint64
+// Load reads an instruction written by Save. A category outside the cycle
+// attribution table is damage.
+func (f *FedInst) Load(d *checkpoint.Dec) {
+	f.Inst.Load(d)
+	f.TID = uint32(d.Uint())
+	f.ASN = uint16(d.Uint())
+	f.PID = d.Uint()
+	f.Cat = sys.Category(d.Index(sys.NumCategories))
+	f.Sys = uint16(d.Uint())
 }
 
-// QrefSnap is one issue-queue occupant.
-type QrefSnap struct {
-	Ctx int
-	Seq uint64
-	ID  uint64
+// Flag bits of an in-flight instruction in the engine section.
+const (
+	uopWrongPath = 1 << iota
+	uopMispred
+	uopFaulted
+	uopUsesInt
+	uopUsesFP
+	uopInQueue
+)
+
+func saveUop(e *checkpoint.Enc, u *uop) {
+	u.in.Save(e)
+	e.Uint(u.idx)
+	e.Uint(u.seq)
+	e.Uint(u.id)
+	e.Uint(uint64(u.state))
+	e.Uint(u.fetchedAt)
+	e.Uint(u.doneAt)
+	e.Uint(checkpoint.Flags(u.wrongPath, u.mispred, u.faulted, u.usesInt, u.usesFP, u.inQueue))
+	e.Uint(u.paddr)
 }
 
-// CtxSnap is the serialized form of one hardware context. The ROB ring is
-// copied whole (fixed geometry) together with its head/size cursor.
-type CtxSnap struct {
-	ROB           []UopSnap
-	Head, Sz      int
-	HeadSeq       uint64
-	NextSeq       uint64
-	FetchIdx      uint64
-	Dispatch      int
-	ICacheReadyAt uint64
-	RedirectAt    uint64
-	HasWrong      bool
-	WrongPC       uint64
-	WrongState    uint64
-	WrongTmpl     FedInst
-	LastILine     uint64
-	HadWork       bool
-	PendingILine  uint64
-	LastCat       sys.Category
-	LastMode      isa.Mode
-	LastSys       uint16
-	LastTID       uint32
+func loadUop(d *checkpoint.Dec, u *uop) {
+	u.in.Load(d)
+	u.idx = d.Uint()
+	u.seq = d.Uint()
+	u.id = d.Uint()
+	u.state = uopState(d.Uint())
+	u.fetchedAt = d.Uint()
+	u.doneAt = d.Uint()
+	flags := d.Uint()
+	u.wrongPath = flags&uopWrongPath != 0
+	u.mispred = flags&uopMispred != 0
+	u.faulted = flags&uopFaulted != 0
+	u.usesInt = flags&uopUsesInt != 0
+	u.usesFP = flags&uopUsesFP != 0
+	u.inQueue = flags&uopInQueue != 0
+	u.paddr = d.Uint()
 }
 
-// Snapshot is the engine's complete mutable state, hardware included.
-type Snapshot struct {
-	Hier    cache.HierSnap
-	ITLB    tlb.Snapshot
-	DTLB    tlb.Snapshot
-	Pred    bpred.Snapshot
-	SB      cache.SBSnap
-	Metrics Metrics
-	Cycles  stats.Cycles
-	Mix     stats.Mix
-
-	Now       uint64
-	Ctxs      []CtxSnap
-	Events    []EventSnap
-	NextID    uint64
-	PerThread []ThreadStat
-
-	IntQ, FPQ   []QrefSnap
-	IntRegsUsed int
-	FPRegsUsed  int
-	RRRetire    int
-	RRFetch     int
-	RRDispatch  int
-
-	// Sampler carries the sampling FSM; the zero value (absent in images
-	// written before sampling existed) restores as "sampling off".
-	Sampler SamplerSnap
-}
-
-func snapUop(u *uop) UopSnap {
-	return UopSnap{
-		In: u.in, Idx: u.idx, Seq: u.seq, ID: u.id, State: uint8(u.state),
-		FetchedAt: u.fetchedAt, DoneAt: u.doneAt,
-		WrongPath: u.wrongPath, Mispred: u.mispred, Faulted: u.faulted,
-		Paddr: u.paddr, UsesInt: u.usesInt, UsesFP: u.usesFP, InQueue: u.inQueue,
+func saveQrefs(e *checkpoint.Enc, qs []qref) {
+	e.Uint(uint64(len(qs)))
+	for _, q := range qs {
+		e.Uint(uint64(q.ctx))
+		e.Uint(q.seq)
+		e.Uint(q.id)
 	}
 }
 
-func restoreUop(s UopSnap) uop {
-	return uop{
-		in: s.In, idx: s.Idx, seq: s.Seq, id: s.ID, state: uopState(s.State),
-		fetchedAt: s.FetchedAt, doneAt: s.DoneAt,
-		wrongPath: s.WrongPath, mispred: s.Mispred, faulted: s.Faulted,
-		paddr: s.Paddr, usesInt: s.UsesInt, usesFP: s.UsesFP, inQueue: s.InQueue,
+// loadQrefs reads an issue queue into dst, which must not grow past its
+// configured capacity.
+func (e *Engine) loadQrefs(d *checkpoint.Dec, dst []qref) []qref {
+	n := d.Len()
+	if n > cap(dst) {
+		d.Fail("issue queue of %d entries, capacity %d", n, cap(dst))
+		n = 0
 	}
-}
-
-func snapQrefs(qs []qref) []QrefSnap {
-	out := make([]QrefSnap, len(qs))
-	for i, q := range qs {
-		out[i] = QrefSnap{Ctx: q.ctx, Seq: q.seq, ID: q.id}
-	}
-	return out
-}
-
-func restoreQrefs(dst []qref, ss []QrefSnap) []qref {
-	dst = dst[:0]
-	for _, s := range ss {
-		dst = append(dst, qref{ctx: s.Ctx, seq: s.Seq, id: s.ID})
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = qref{ctx: d.Index(len(e.ctxs)), seq: d.Uint(), id: d.Uint()}
 	}
 	return dst
 }
 
-// Snapshot captures the engine's mutable state.
-func (e *Engine) Snapshot() Snapshot {
-	s := Snapshot{
-		Hier:        e.Hier.Snapshot(),
-		ITLB:        e.ITLB.Snapshot(),
-		DTLB:        e.DTLB.Snapshot(),
-		Pred:        e.Pred.Snapshot(),
-		SB:          e.SB.Snapshot(),
-		Metrics:     e.Metrics,
-		Cycles:      e.Cycles,
-		Mix:         e.Mix,
-		Now:         e.now,
-		NextID:      e.nextID,
-		PerThread:   append([]ThreadStat(nil), e.perThread...),
-		IntQ:        snapQrefs(e.intQ),
-		FPQ:         snapQrefs(e.fpQ),
-		IntRegsUsed: e.intRegsUsed,
-		FPRegsUsed:  e.fpRegsUsed,
-		RRRetire:    e.rrRetire,
-		RRFetch:     e.rrFetch,
-		RRDispatch:  e.rrDispatch,
-		Sampler:     e.smp.Snapshot(),
+// Save writes the engine's mutable state, hardware included. Each
+// context's ROB ring is written whole (fixed geometry) with its cursors;
+// the completion-event heap is written as its raw array, so pop order is
+// preserved exactly.
+func (e *Engine) Save(enc *checkpoint.Enc) {
+	e.Hier.Save(enc)
+	e.ITLB.Save(enc)
+	e.DTLB.Save(enc)
+	e.Pred.Save(enc)
+	e.SB.Save(enc)
+	e.Metrics.Save(enc)
+	e.Cycles.Save(enc)
+	e.Mix.Save(enc)
+	enc.Uint(e.now)
+	enc.Uint(e.nextID)
+	enc.Uint(uint64(len(e.perThread)))
+	for _, t := range e.perThread {
+		enc.Uint(t.Retired)
+		enc.Uint(t.CtxCycles)
 	}
-	s.Ctxs = make([]CtxSnap, len(e.ctxs))
+	saveQrefs(enc, e.intQ)
+	saveQrefs(enc, e.fpQ)
+	enc.Int(int64(e.intRegsUsed))
+	enc.Int(int64(e.fpRegsUsed))
+	enc.Int(int64(e.rrRetire))
+	enc.Int(int64(e.rrFetch))
+	enc.Int(int64(e.rrDispatch))
+	e.smp.Save(enc)
+	enc.Uint(uint64(len(e.ctxs)))
 	for i := range e.ctxs {
 		c := &e.ctxs[i]
-		cs := &s.Ctxs[i]
-		cs.ROB = make([]UopSnap, len(c.rob))
+		enc.Uint(uint64(len(c.rob)))
 		for j := range c.rob {
-			cs.ROB[j] = snapUop(&c.rob[j])
+			saveUop(enc, &c.rob[j])
 		}
-		cs.Head, cs.Sz = c.head, c.sz
-		cs.HeadSeq, cs.NextSeq = c.headSeq, c.nextSeq
-		cs.FetchIdx, cs.Dispatch = c.fetchIdx, c.dispatch
-		cs.ICacheReadyAt, cs.RedirectAt = c.icacheReadyAt, c.redirectAt
+		enc.Int(int64(c.head))
+		enc.Int(int64(c.sz))
+		enc.Uint(c.headSeq)
+		enc.Uint(c.nextSeq)
+		enc.Uint(c.fetchIdx)
+		enc.Int(int64(c.dispatch))
+		enc.Uint(c.icacheReadyAt)
+		enc.Uint(c.redirectAt)
+		enc.Bool(c.wrong != nil)
 		if c.wrong != nil {
-			cs.HasWrong = true
-			cs.WrongPC = c.wrong.pc
-			cs.WrongState = c.wrong.state
-			cs.WrongTmpl = c.wrong.tmpl
+			enc.Uint(c.wrong.pc)
+			enc.Uint(c.wrong.state)
+			c.wrong.tmpl.Save(enc)
 		}
-		cs.LastILine = c.lastILine
-		cs.HadWork = c.hadWork
-		cs.PendingILine = c.pendingILine
-		cs.LastCat, cs.LastMode = c.lastCat, c.lastMode
-		cs.LastSys, cs.LastTID = c.lastSys, c.lastTID
+		enc.Uint(c.lastILine)
+		enc.Bool(c.hadWork)
+		enc.Uint(c.pendingILine)
+		enc.Uint(uint64(c.lastCat))
+		enc.Uint(uint64(c.lastMode))
+		enc.Uint(uint64(c.lastSys))
+		enc.Uint(uint64(c.lastTID))
 	}
-	s.Events = make([]EventSnap, len(e.events))
-	for i, ev := range e.events {
-		s.Events[i] = EventSnap{At: ev.at, Ctx: ev.ctx, Seq: ev.seq, ID: ev.id}
+	enc.Uint(uint64(len(e.events)))
+	for _, ev := range e.events {
+		enc.Uint(ev.at)
+		enc.Uint(uint64(ev.ctx))
+		enc.Uint(ev.seq)
+		enc.Uint(ev.id)
 	}
-	return s
 }
 
-// Restore overwrites the engine's state from a snapshot taken on an engine
-// with the same configuration.
-func (e *Engine) Restore(s Snapshot) error {
-	if len(s.Ctxs) != len(e.ctxs) {
-		return fmt.Errorf("pipeline: snapshot has %d contexts, engine has %d", len(s.Ctxs), len(e.ctxs))
+// Load overwrites the engine's state from a section written by Save on an
+// engine with the same configuration. Context and ROB geometry must match,
+// ring cursors must lie inside their ROB, and queue and event references
+// must name a context.
+func (e *Engine) Load(d *checkpoint.Dec) {
+	e.Hier.Load(d)
+	e.ITLB.Load(d)
+	e.DTLB.Load(d)
+	e.Pred.Load(d)
+	e.SB.Load(d)
+	e.Metrics.Load(d)
+	e.Cycles.Load(d)
+	e.Mix.Load(d)
+	e.now = d.Uint()
+	e.nextID = d.Uint()
+	e.perThread = checkpoint.Resize(e.perThread, d.Len())
+	for i := range e.perThread {
+		e.perThread[i] = ThreadStat{Retired: d.Uint(), CtxCycles: d.Uint()}
 	}
-	for i := range s.Ctxs {
-		if len(s.Ctxs[i].ROB) != len(e.ctxs[i].rob) {
-			return fmt.Errorf("pipeline: snapshot ROB size %d, engine %d", len(s.Ctxs[i].ROB), len(e.ctxs[i].rob))
-		}
+	e.intQ = e.loadQrefs(d, e.intQ)
+	e.fpQ = e.loadQrefs(d, e.fpQ)
+	e.intRegsUsed = int(d.Int())
+	e.fpRegsUsed = int(d.Int())
+	e.rrRetire = int(d.Int())
+	e.rrFetch = int(d.Int())
+	e.rrDispatch = int(d.Int())
+	e.smp.Load(d)
+	if !d.Expect(len(e.ctxs), "contexts") {
+		return
 	}
-	e.Hier.Restore(s.Hier)
-	e.ITLB.Restore(s.ITLB)
-	e.DTLB.Restore(s.DTLB)
-	e.Pred.Restore(s.Pred)
-	e.SB.Restore(s.SB)
-	e.Metrics = s.Metrics
-	e.Cycles = s.Cycles
-	e.Mix = s.Mix
-	e.now = s.Now
-	e.nextID = s.NextID
-	e.perThread = append(e.perThread[:0], s.PerThread...)
-	e.intQ = restoreQrefs(e.intQ, s.IntQ)
-	e.fpQ = restoreQrefs(e.fpQ, s.FPQ)
-	e.intRegsUsed = s.IntRegsUsed
-	e.fpRegsUsed = s.FPRegsUsed
-	e.rrRetire = s.RRRetire
-	e.rrFetch = s.RRFetch
-	e.rrDispatch = s.RRDispatch
-	e.smp.Restore(s.Sampler)
 	for i := range e.ctxs {
 		c := &e.ctxs[i]
-		cs := &s.Ctxs[i]
-		for j := range c.rob {
-			c.rob[j] = restoreUop(cs.ROB[j])
+		if !d.Expect(len(c.rob), "ROB entries") {
+			return
 		}
-		c.head, c.sz = cs.Head, cs.Sz
-		c.headSeq, c.nextSeq = cs.HeadSeq, cs.NextSeq
-		c.fetchIdx, c.dispatch = cs.FetchIdx, cs.Dispatch
-		c.icacheReadyAt, c.redirectAt = cs.ICacheReadyAt, cs.RedirectAt
+		for j := range c.rob {
+			loadUop(d, &c.rob[j])
+		}
+		c.head = int(d.Int())
+		c.sz = int(d.Int())
+		c.headSeq = d.Uint()
+		c.nextSeq = d.Uint()
+		c.fetchIdx = d.Uint()
+		c.dispatch = int(d.Int())
+		if c.head < 0 || c.head >= len(c.rob) || c.sz < 0 || c.sz > len(c.rob) || c.dispatch < 0 || c.dispatch > c.sz {
+			d.Fail("context %d ROB cursors head %d size %d dispatch %d outside %d entries", i, c.head, c.sz, c.dispatch, len(c.rob))
+			c.head, c.sz, c.dispatch = 0, 0, 0
+		}
+		c.icacheReadyAt = d.Uint()
+		c.redirectAt = d.Uint()
 		c.wrong = nil
-		if cs.HasWrong {
-			c.wrongBuf = wrongGen{pc: cs.WrongPC, state: cs.WrongState, tmpl: cs.WrongTmpl}
+		if d.Bool() {
+			c.wrongBuf.pc = d.Uint()
+			c.wrongBuf.state = d.Uint()
+			c.wrongBuf.tmpl.Load(d)
 			c.wrong = &c.wrongBuf
 		}
-		c.lastILine = cs.LastILine
-		c.hadWork = cs.HadWork
-		c.pendingILine = cs.PendingILine
-		c.lastCat, c.lastMode = cs.LastCat, cs.LastMode
-		c.lastSys, c.lastTID = cs.LastSys, cs.LastTID
+		c.lastILine = d.Uint()
+		c.hadWork = d.Bool()
+		c.pendingILine = d.Uint()
+		c.lastCat = sys.Category(d.Index(sys.NumCategories))
+		c.lastMode = isa.Mode(d.Index(isa.NumModes))
+		c.lastSys = uint16(d.Uint())
+		c.lastTID = uint32(d.Uint())
 	}
-	e.events = e.events[:0]
-	for _, ev := range s.Events {
-		e.events = append(e.events, event{at: ev.At, ctx: ev.Ctx, seq: ev.Seq, id: ev.ID})
+	n := d.Len()
+	if n > cap(e.events) {
+		d.Fail("%d completion events, heap holds %d", n, cap(e.events))
+		n = 0
 	}
-	return nil
+	e.events = e.events[:n]
+	for i := range e.events {
+		e.events[i] = event{at: d.Uint(), ctx: d.Index(len(e.ctxs)), seq: d.Uint(), id: d.Uint()}
+	}
+}
+
+// Save writes the engine-level counters.
+func (m *Metrics) Save(e *checkpoint.Enc) {
+	for _, v := range [...]uint64{m.Cycles, m.Retired, m.Fetched, m.Squashed, m.ZeroFetch,
+		m.ZeroIssue, m.MaxIssue, m.FetchableSum, m.IntIssued, m.FPIssued, m.Interrupts,
+		m.DTLBTraps, m.ITLBTraps, m.SyscallsSeen, m.RetireStallSB, m.StallRedirect,
+		m.StallIMiss, m.StallROBFull, m.StallFeed} {
+		e.Uint(v)
+	}
+}
+
+// Load reads counters written by Save.
+func (m *Metrics) Load(d *checkpoint.Dec) {
+	for _, p := range [...]*uint64{&m.Cycles, &m.Retired, &m.Fetched, &m.Squashed, &m.ZeroFetch,
+		&m.ZeroIssue, &m.MaxIssue, &m.FetchableSum, &m.IntIssued, &m.FPIssued, &m.Interrupts,
+		&m.DTLBTraps, &m.ITLBTraps, &m.SyscallsSeen, &m.RetireStallSB, &m.StallRedirect,
+		&m.StallIMiss, &m.StallROBFull, &m.StallFeed} {
+		*p = d.Uint()
+	}
 }
 
 // CheckQueueConsistency cross-checks the shared issue-queue lists against

@@ -14,8 +14,9 @@
 package rng
 
 import (
-	"fmt"
 	"math"
+
+	"repro/internal/checkpoint"
 )
 
 // Rand is a deterministic random number generator (xoshiro256**).
@@ -24,10 +25,10 @@ type Rand struct {
 	s [4]uint64
 	// geo memoizes log(1-1/m) for Geometric, which is called in hot loops
 	// with a handful of distinct means over and over. The memo is a pure
-	// function of the arguments — not stream state — so State/SetState
-	// ignore it and results are bit-identical with or without it.
-	geo    [6]geoMemo
-	geoPos uint8
+	// function of the arguments — not stream state — so State/SetState and
+	// Save/Load ignore it and results are bit-identical with or without it.
+	geo    [6]geoMemo //detlint:ignore snapshotcomplete derived memo of Geometric's arguments, not stream state
+	geoPos uint8      //detlint:ignore snapshotcomplete derived memo cursor, not stream state
 }
 
 // geoMemo is one cached Geometric parameter (see Rand.geo).
@@ -214,29 +215,8 @@ func (r *Rand) State() [4]uint64 { return r.s }
 // SetState overwrites the generator's internal state (checkpoint restore).
 func (r *Rand) SetState(s [4]uint64) { r.s = s }
 
-// GobEncode serializes the generator state so *Rand fields embedded in
-// snapshot structs round-trip through encoding/gob transparently.
-func (r *Rand) GobEncode() ([]byte, error) {
-	buf := make([]byte, 32)
-	for i, w := range r.s {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(w >> (8 * b))
-		}
-	}
-	return buf, nil
-}
+// Save writes the generator state to a checkpoint section.
+func (r *Rand) Save(e *checkpoint.Enc) { checkpoint.PutUints(e, r.s[:]) }
 
-// GobDecode restores a generator serialized by GobEncode.
-func (r *Rand) GobDecode(buf []byte) error {
-	if len(buf) != 32 {
-		return fmt.Errorf("rng: bad state length %d", len(buf))
-	}
-	for i := range r.s {
-		var w uint64
-		for b := 0; b < 8; b++ {
-			w |= uint64(buf[i*8+b]) << (8 * b)
-		}
-		r.s[i] = w
-	}
-	return nil
-}
+// Load restores a generator state written by Save.
+func (r *Rand) Load(d *checkpoint.Dec) { checkpoint.LoadUints(d, r.s[:], "generator state") }

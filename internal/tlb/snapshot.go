@@ -2,82 +2,69 @@
 package tlb
 
 import (
-	"repro/internal/conflict"
+	"repro/internal/checkpoint"
 	"repro/internal/mem"
 )
 
-// EntrySnap is the serialized form of one TLB entry.
-type EntrySnap struct {
-	Valid   bool
-	ASN     uint16
-	VPN     uint64
-	PFN     uint64
-	LastUse uint64
-	Filler  conflict.Agent
-	Touched uint64
+// Per-entry flag bits in the TLB section.
+const (
+	entryValid = 1 << iota
+	entryFillerPrv
+)
+
+// Save writes the TLB's complete mutable state.
+func (t *TLB) Save(e *checkpoint.Enc) {
+	e.Uint(uint64(len(t.entries)))
+	for i := range t.entries {
+		en := &t.entries[i]
+		e.Uint(checkpoint.Flags(en.valid, en.filler.Priv))
+		e.Uint(uint64(en.asn))
+		e.Uint(en.vpn)
+		e.Uint(en.pfn)
+		e.Uint(en.lastUse)
+		e.Uint(uint64(en.filler.TID))
+		e.Uint(en.touched)
+	}
+	e.Uint(t.tick)
+	t.tracker.Save(e)
+	checkpoint.PutUints(e, t.Accesses[:])
+	checkpoint.PutUints(e, t.Misses[:])
+	t.Causes.Save(e)
+	t.Shared.Save(e)
+	e.Uint(t.Invalidations)
 }
 
-// Snapshot captures all mutable TLB state for checkpointing.
-type Snapshot struct {
-	Entries       []EntrySnap
-	Tick          uint64
-	Tracker       conflict.TrackerSnap
-	Accesses      [2]uint64
-	Misses        [2]uint64
-	Causes        conflict.Matrix
-	Shared        conflict.Sharing
-	Invalidations uint64
-}
-
-// Snapshot returns the TLB's complete mutable state.
-func (t *TLB) Snapshot() Snapshot {
-	s := Snapshot{
-		Entries:       make([]EntrySnap, len(t.entries)),
-		Tick:          t.tick,
-		Tracker:       t.tracker.Snapshot(),
-		Accesses:      t.Accesses,
-		Misses:        t.Misses,
-		Causes:        t.Causes,
-		Shared:        t.Shared,
-		Invalidations: t.Invalidations,
+// Load overwrites the TLB's state from a section written by Save on a TLB
+// of the same size (geometry is configuration, not state), and rebuilds
+// the lookup index from the valid entries.
+func (t *TLB) Load(d *checkpoint.Dec) {
+	if !d.Expect(len(t.entries), "TLB entries") {
+		return
 	}
-	for i, e := range t.entries {
-		s.Entries[i] = EntrySnap{
-			Valid: e.valid, ASN: e.asn, VPN: e.vpn, PFN: e.pfn,
-			LastUse: e.lastUse, Filler: e.filler, Touched: e.touched,
+	clear(t.dmHead)
+	clear(t.dmNext)
+	for i := range t.entries {
+		en := &t.entries[i]
+		flags := d.Uint()
+		en.valid = flags&entryValid != 0
+		en.filler.Priv = flags&entryFillerPrv != 0
+		en.asn = uint16(d.Uint())
+		en.vpn = d.Uint()
+		en.pfn = d.Uint()
+		en.lastUse = d.Uint()
+		en.filler.TID = uint32(d.Uint())
+		en.touched = d.Uint()
+		if en.valid {
+			t.dmLink(key(en.asn, en.vpn), int32(i))
 		}
 	}
-	return s
-}
-
-// Restore overwrites the TLB's state from a snapshot. The snapshot must come
-// from a TLB of the same size (geometry is configuration, not state).
-func (t *TLB) Restore(s Snapshot) {
-	if len(s.Entries) != len(t.entries) {
-		panic("tlb: snapshot geometry mismatch")
-	}
-	for i := range t.dmHead {
-		t.dmHead[i] = 0
-	}
-	for i := range t.dmNext {
-		t.dmNext[i] = 0
-	}
-	for i, e := range s.Entries {
-		t.entries[i] = Entry{
-			valid: e.Valid, asn: e.ASN, vpn: e.VPN, pfn: e.PFN,
-			lastUse: e.LastUse, filler: e.Filler, touched: e.Touched,
-		}
-		if e.Valid {
-			t.dmLink(key(e.ASN, e.VPN), int32(i))
-		}
-	}
-	t.tick = s.Tick
-	t.tracker.Restore(s.Tracker)
-	t.Accesses = s.Accesses
-	t.Misses = s.Misses
-	t.Causes = s.Causes
-	t.Shared = s.Shared
-	t.Invalidations = s.Invalidations
+	t.tick = d.Uint()
+	t.tracker.Load(d)
+	checkpoint.LoadUints(d, t.Accesses[:], "TLB accesses")
+	checkpoint.LoadUints(d, t.Misses[:], "TLB misses")
+	t.Causes.Load(d)
+	t.Shared.Load(d)
+	t.Invalidations = d.Uint()
 }
 
 // LiveEntry describes one valid entry for the invariant auditor.

@@ -1,10 +1,11 @@
 package tlb
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checkpoint"
 	"repro/internal/conflict"
 	"repro/internal/mem"
 )
@@ -328,10 +329,15 @@ func TestLookupIndexDifferential(t *testing.T) {
 				if (r>>24)%50 == 0 {
 					a.Flush()
 				} else {
-					before := a.Snapshot()
-					a.Restore(before)
-					if after := a.Snapshot(); !reflect.DeepEqual(before, after) {
-						t.Fatalf("op %d: Snapshot/Restore round-trip diverged", op)
+					var before, after checkpoint.Enc
+					a.Save(&before)
+					d := checkpoint.NewDec("tlb", before.Bytes())
+					a.Load(&d)
+					if err := d.Finish(); err != nil {
+						t.Fatalf("op %d: Load: %v", op, err)
+					}
+					if a.Save(&after); !bytes.Equal(before.Bytes(), after.Bytes()) {
+						t.Fatalf("op %d: Save/Load round-trip diverged", op)
 					}
 				}
 			}

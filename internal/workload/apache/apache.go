@@ -16,19 +16,13 @@
 package apache
 
 import (
-	"encoding/gob"
-
+	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/rng"
 	"repro/internal/sys"
 	"repro/internal/workload"
 )
-
-func init() {
-	// The checkpoint layer serializes ScriptProgram.State as an interface.
-	gob.Register(&ProcState{})
-}
 
 // Config parameterizes the server model.
 type Config struct {
@@ -175,10 +169,9 @@ func (s *Server) Respawn() *workload.ScriptProgram {
 	return s.process(s.nextSlot)
 }
 
-// ProcState is one server process's mutable script state. It is exported
-// (and gob-registered) so the checkpoint layer can serialize it; the process
+// ProcState is one server process's mutable script state. The process
 // closures read and write it through a pointer, which is also published as
-// ScriptProgram.State.
+// ScriptProgram.State for the checkpoint layer.
 type ProcState struct {
 	St        reqState
 	FD        int
@@ -188,6 +181,30 @@ type ProcState struct {
 	Served    bool
 	MmapAddr  uint64
 	Prng      *rng.Rand
+}
+
+// Save writes the script state to a checkpoint section.
+func (ps *ProcState) Save(e *checkpoint.Enc) {
+	e.Uint(uint64(ps.St))
+	e.Int(int64(ps.FD))
+	e.Int(int64(ps.FileBytes))
+	e.Int(int64(ps.Sent))
+	e.Bool(ps.Mapped)
+	e.Bool(ps.Served)
+	e.Uint(ps.MmapAddr)
+	ps.Prng.Save(e)
+}
+
+// Load reads script state written by Save, in place.
+func (ps *ProcState) Load(d *checkpoint.Dec) {
+	ps.St = reqState(d.Uint())
+	ps.FD = int(d.Int())
+	ps.FileBytes = int(d.Int())
+	ps.Sent = int(d.Int())
+	ps.Mapped = d.Bool()
+	ps.Served = d.Bool()
+	ps.MmapAddr = d.Uint()
+	ps.Prng.Load(d)
 }
 
 // ProcessFor rebuilds the process model for an existing slot (checkpoint
@@ -366,22 +383,22 @@ func (s *Server) process(slot int) *workload.ScriptProgram {
 	}
 }
 
-// ServerSnap captures the pool-level mutable state for checkpointing.
-type ServerSnap struct {
-	NextSlot        int
-	RequestsHandled uint64
+// Save writes the server's pool-level state to a checkpoint section.
+func (s *Server) Save(e *checkpoint.Enc) {
+	e.Int(int64(s.nextSlot))
+	e.Uint(s.RequestsHandled)
 }
 
-// Snapshot returns the server's pool-level state.
-func (s *Server) Snapshot() ServerSnap {
-	return ServerSnap{NextSlot: s.nextSlot, RequestsHandled: s.RequestsHandled}
+// Load overwrites the server's pool-level state from a section written by
+// Save.
+func (s *Server) Load(d *checkpoint.Dec) {
+	s.nextSlot = int(d.Int())
+	s.RequestsHandled = d.Uint()
 }
 
-// Restore overwrites the server's pool-level state.
-func (s *Server) Restore(snap ServerSnap) {
-	s.nextSlot = snap.NextSlot
-	s.RequestsHandled = snap.RequestsHandled
-}
+// NextSlot returns the highest process slot the pool has handed out; a
+// restored thread naming a later slot belongs to another run.
+func (s *Server) NextSlot() int { return s.nextSlot }
 
 // kernelListenFD mirrors kernel.ListenFD without importing the kernel
 // package (workload models must not depend on the OS implementation).

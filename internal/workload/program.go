@@ -1,6 +1,9 @@
 package workload
 
-import "repro/internal/sys"
+import (
+	"repro/internal/checkpoint"
+	"repro/internal/sys"
+)
 
 // StepKind says what a program does next.
 type StepKind uint8
@@ -55,10 +58,17 @@ type ScriptProgram struct {
 	// restore.
 	Slot int
 	// State points at the program's script state (a workload-package-specific
-	// exported struct that NextFn/ResultFn close over). The checkpoint layer
-	// serializes it with gob and copies the decoded value back on restore;
-	// programs with no mutable script state leave it nil.
-	State any
+	// struct that NextFn/ResultFn close over). The checkpoint layer saves it
+	// and loads it back in place on restore; programs with no mutable script
+	// state leave it nil.
+	State ScriptState
+}
+
+// ScriptState is a program's mutable script state as the checkpoint layer
+// sees it: it writes itself to a section and reads itself back in place.
+type ScriptState interface {
+	Save(e *checkpoint.Enc)
+	Load(d *checkpoint.Dec)
 }
 
 // Name implements Program.

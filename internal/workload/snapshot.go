@@ -4,87 +4,50 @@
 //
 // The per-slot arrays (loop trip counters, indirect-jump visit counters) are
 // almost entirely zero at any instant — well under 0.1% of slots hold a live
-// counter — so they are serialized as sparse index/value pairs. A dense
-// encoding costs megabytes per checkpoint and dominates library restore
-// time; the sparse form is a few hundred bytes.
+// counter — so they are written as columns, which store a mostly-zero array
+// sparsely. A dense encoding costs megabytes per checkpoint and dominates
+// library restore time; the sparse form is a few hundred bytes.
 package workload
 
-// WalkerSnap captures one walker's mutable state. The owning Region is not
-// serialized: the restorer rebuilds it deterministically and matches walkers
+import "repro/internal/checkpoint"
+
+// Save writes the walker's complete mutable state. The owning Region is not
+// written: the restorer rebuilds it deterministically and matches walkers
 // to regions by name.
-type WalkerSnap struct {
-	Idx int
-	// NumSlots is the region's slot count, recorded so Restore can reject a
-	// snapshot taken over a differently shaped region.
-	NumSlots int
-	// LoopIdx/LoopVal are the nonzero entries of the per-slot loop trip
-	// counters, in ascending slot order.
-	LoopIdx []int32
-	LoopVal []int32
-	// SwitchIdx/SwitchVal are the nonzero entries of the per-slot
-	// indirect-jump visit counters, in ascending slot order.
-	SwitchIdx  []int32
-	SwitchVal  []int32
-	CallStack  []int32
-	Cursors    []uint64
-	ColdPage   []uint64
-	ColdLeft   []int32
-	Count      uint64
-	ResetEvery uint64
-	RNG        [4]uint64
+func (w *Walker) Save(e *checkpoint.Enc) {
+	e.Int(int64(w.idx))
+	e.Uint(uint64(len(w.loops)))
+	checkpoint.PutIntColumn(e, w.loops)
+	checkpoint.PutIntColumn(e, w.switchPos)
+	checkpoint.PutInts(e, w.callStack)
+	checkpoint.PutUints(e, w.cursors)
+	checkpoint.PutUints(e, w.coldPage)
+	checkpoint.PutInts(e, w.coldLeft)
+	e.Uint(w.Count)
+	e.Uint(w.ResetEvery)
+	w.rng.Save(e)
 }
 
-// sparseInt32 collects the nonzero entries of v as index/value pairs.
-func sparseInt32(v []int32) (idx, val []int32) {
-	for i, x := range v {
-		if x != 0 {
-			idx = append(idx, int32(i))
-			val = append(val, x)
-		}
+// Load overwrites the walker's state from a section written by Save on a
+// walker over a region of identical shape.
+func (w *Walker) Load(d *checkpoint.Dec) {
+	w.idx = int(d.Int())
+	if w.idx < 0 || w.idx > len(w.loops) {
+		d.Fail("walker position %d outside %d slots", w.idx, len(w.loops))
+		w.idx = 0
 	}
-	return idx, val
-}
-
-// Snapshot returns the walker's complete mutable state.
-func (w *Walker) Snapshot() WalkerSnap {
-	s := WalkerSnap{
-		Idx:        w.idx,
-		NumSlots:   len(w.loops),
-		CallStack:  append([]int32(nil), w.callStack...),
-		Cursors:    append([]uint64(nil), w.cursors...),
-		ColdPage:   append([]uint64(nil), w.coldPage...),
-		ColdLeft:   append([]int32(nil), w.coldLeft...),
-		Count:      w.Count,
-		ResetEvery: w.ResetEvery,
-		RNG:        w.rng.State(),
+	if !d.Expect(len(w.loops), "walker slots") {
+		return
 	}
-	s.LoopIdx, s.LoopVal = sparseInt32(w.loops)
-	s.SwitchIdx, s.SwitchVal = sparseInt32(w.switchPos)
-	return s
-}
-
-// Restore overwrites the walker's state from a snapshot taken on a walker
-// over a region of identical shape.
-func (w *Walker) Restore(s WalkerSnap) {
-	if s.NumSlots != len(w.loops) || len(s.Cursors) != len(w.cursors) {
-		panic("workload: walker snapshot shape mismatch")
-	}
-	w.idx = s.Idx
-	clear(w.loops)
-	for i, slot := range s.LoopIdx {
-		w.loops[slot] = s.LoopVal[i]
-	}
-	clear(w.switchPos)
-	for i, slot := range s.SwitchIdx {
-		w.switchPos[slot] = s.SwitchVal[i]
-	}
-	w.callStack = append(w.callStack[:0], s.CallStack...)
-	copy(w.cursors, s.Cursors)
-	copy(w.coldPage, s.ColdPage)
-	copy(w.coldLeft, s.ColdLeft)
-	w.Count = s.Count
-	w.ResetEvery = s.ResetEvery
-	w.rng.SetState(s.RNG)
+	checkpoint.LoadIntColumn(d, w.loops)
+	checkpoint.LoadIntColumn(d, w.switchPos)
+	w.callStack = checkpoint.GetInts(d, w.callStack)
+	checkpoint.LoadUints(d, w.cursors, "walker cursors")
+	checkpoint.LoadUints(d, w.coldPage, "walker cold pages")
+	checkpoint.LoadInts(d, w.coldLeft, "walker cold counts")
+	w.Count = d.Uint()
+	w.ResetEvery = d.Uint()
+	w.rng.Load(d)
 }
 
 // RNGState exposes the walker's generator state (used by tests).

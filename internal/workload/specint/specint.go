@@ -19,19 +19,13 @@
 package specint
 
 import (
-	"encoding/gob"
-
+	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/rng"
 	"repro/internal/sys"
 	"repro/internal/workload"
 )
-
-func init() {
-	// The checkpoint layer serializes ScriptProgram.State as an interface.
-	gob.Register(&ProcState{})
-}
 
 // AppSpec parameterizes one benchmark model.
 type AppSpec struct {
@@ -226,9 +220,9 @@ func New(spec AppSpec, slot int, seed uint64) *workload.ScriptProgram {
 	}
 }
 
-// ProcState is one benchmark's mutable script state, exported (and
-// gob-registered) so the checkpoint layer can serialize it; the program
-// closures access it through a pointer published as ScriptProgram.State.
+// ProcState is one benchmark's mutable script state; the program closures
+// access it through a pointer published as ScriptProgram.State for the
+// checkpoint layer.
 type ProcState struct {
 	Ph        phase
 	Ran       uint64
@@ -237,6 +231,28 @@ type ProcState struct {
 	Bursts    int
 	Spawn     int
 	Prng      *rng.Rand
+}
+
+// Save writes the script state to a checkpoint section.
+func (ps *ProcState) Save(e *checkpoint.Enc) {
+	e.Uint(uint64(ps.Ph))
+	e.Uint(ps.Ran)
+	e.Int(int64(ps.ReadsLeft))
+	e.Bool(ps.Opened)
+	e.Int(int64(ps.Bursts))
+	e.Int(int64(ps.Spawn))
+	ps.Prng.Save(e)
+}
+
+// Load reads script state written by Save, in place.
+func (ps *ProcState) Load(d *checkpoint.Dec) {
+	ps.Ph = phase(d.Uint())
+	ps.Ran = d.Uint()
+	ps.ReadsLeft = int(d.Int())
+	ps.Opened = d.Bool()
+	ps.Bursts = int(d.Int())
+	ps.Spawn = int(d.Int())
+	ps.Prng.Load(d)
 }
 
 // Programs builds the full multiprogrammed suite.
