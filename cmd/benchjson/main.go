@@ -3,35 +3,28 @@
 // BENCH_<date>.json trajectory artifact that future performance work can
 // diff against.
 //
-//	go test -run '^$' -bench . -benchtime 1x ./... | benchjson > BENCH_2026-08-06.json
+//	go test -run '^$' -bench . -benchtime 1x -count 5 ./... | benchjson > BENCH_2026-08-06.json
 //
-// Every benchmark line becomes one record carrying all reported metrics
-// (ns/op, allocs/op, and custom ones like simcycles/s). The converter is a
-// pure function of its input: identical bench output yields identical
-// bytes, so artifact diffs show performance changes only.
+// Every benchmark becomes one record carrying all reported metrics
+// (ns/op, allocs/op, and custom ones like simcycles/s); a benchmark
+// repeated by -count gets the median of its lines for every metric. The
+// converter is a pure function of its input: identical bench output yields
+// identical bytes, so artifact diffs show performance changes only.
 //
 // With -diff it instead compares two artifacts:
 //
 //	benchjson -diff BENCH_old.json BENCH_new.json
 //
-// printing the per-benchmark ns/op delta (plus any custom metrics) and
-// exiting 1 if any benchmark regressed by more than -threshold percent
-// (default 10). Benchmarks present on only one side are reported but never
-// fail the diff, and benchmarks faster than -floor nanoseconds on both
-// sides are reported but not gated: at -benchtime 1x a sub-millisecond
-// measurement is dominated by scheduler and cache noise, not code changes.
-// The figureRegenSec metric (BenchmarkFigureRegen's checkpoint-library
-// figure-regeneration wall clock) is gated like ns/op, with its own
-// -regen-floor (default 0.05 s). The netTickNs metric (BenchmarkNetTick's
-// per-tick cost of the event-driven client driver at 10^3..10^6 clients) is
-// gated the same way, with its own -nettick-floor (default 200 µs): letting
-// it creep with fleet size would silently lose the O(active + arrivals)
-// tick.
+// printing the per-benchmark delta of every metric and exiting 1 if a
+// metric gated by the rules table regressed by more than -threshold
+// percent (default 10). Benchmarks present on only one side are reported
+// but never fail the diff.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,8 +40,11 @@ type record struct {
 	Name string `json:"name"`
 	// Pkg is the package the benchmark ran in.
 	Pkg string `json:"pkg"`
-	// Iterations is b.N.
+	// Iterations is b.N, summed over the runs.
 	Iterations int64 `json:"iterations"`
+	// Runs is the number of lines (-count) the metrics are the median of;
+	// artifacts recorded before medians leave it out.
+	Runs int `json:"runs,omitempty"`
 	// Metrics maps unit -> value for every "value unit" pair on the line.
 	Metrics map[string]float64 `json:"metrics"`
 }
@@ -65,10 +61,7 @@ type document struct {
 func main() {
 	date := flag.String("date", "", "date stamp recorded in the artifact (the caller supplies it so the converter itself stays deterministic)")
 	diff := flag.Bool("diff", false, "compare two artifacts: benchjson -diff old.json new.json")
-	threshold := flag.Float64("threshold", 10, "with -diff, exit 1 if ns/op regresses by more than this percent")
-	floor := flag.Float64("floor", 1e6, "with -diff, ignore regressions when both sides run faster than this many ns/op (timing noise)")
-	regenFloor := flag.Float64("regen-floor", 0.05, "with -diff, ignore figureRegenSec regressions when both sides run faster than this many seconds (timing noise)")
-	netTickFloor := flag.Float64("nettick-floor", 200_000, "with -diff, ignore netTickNs regressions when both sides run faster than this many nanoseconds per tick (timing noise)")
+	threshold := flag.Float64("threshold", 10, "with -diff, exit 1 if a gated metric regresses by more than this percent")
 	flag.Parse()
 
 	if *diff {
@@ -76,7 +69,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: benchjson -diff old.json new.json")
 			os.Exit(2)
 		}
-		os.Exit(diffArtifacts(flag.Arg(0), flag.Arg(1), *threshold, *floor, *regenFloor, *netTickFloor))
+		oldDoc, oldErr := loadArtifact(flag.Arg(0))
+		newDoc, newErr := loadArtifact(flag.Arg(1))
+		if err := errors.Join(oldErr, newErr); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		os.Exit(diffArtifacts(oldDoc, newDoc, *threshold))
 	}
 
 	doc := document{Date: *date}
@@ -104,6 +103,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	doc.Benchmarks = medians(doc.Benchmarks)
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -113,24 +113,57 @@ func main() {
 	}
 }
 
+// medians folds the repeated lines (-count) of each benchmark into one
+// record holding the median of every metric, in first-appearance order.
+func medians(lines []record) []record {
+	var out []record
+	runs := map[string][]record{}
+	for _, r := range lines {
+		k := r.Pkg + "." + r.Name
+		if runs[k] == nil {
+			out = append(out, r)
+		}
+		runs[k] = append(runs[k], r)
+	}
+	for i, first := range out {
+		rs := runs[first.Pkg+"."+first.Name]
+		m := record{Name: first.Name, Pkg: first.Pkg, Runs: len(rs), Metrics: map[string]float64{}}
+		vals := map[string][]float64{}
+		for _, r := range rs {
+			m.Iterations += r.Iterations
+			for u, v := range r.Metrics {
+				vals[u] = append(vals[u], v)
+			}
+		}
+		for u, vs := range vals {
+			sort.Float64s(vs)
+			m.Metrics[u] = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// rules are the metrics -diff gates, each with a noise floor: a
+// regression past the threshold fails the diff unless both sides are under
+// the floor. At -benchtime 1x a sub-millisecond op is scheduler and cache
+// noise. figureRegenSec (the checkpoint library's warm figure
+// regeneration) and netTickNs (the event-driven netsim's per-tick cost)
+// are each the whole point of their subsystem, so letting either creep
+// would silently lose the optimization.
+var rules = []struct {
+	unit  string
+	floor float64
+}{
+	{"ns/op", 1e6},
+	{"figureRegenSec", 0.05},
+	{"netTickNs", 200_000},
+}
+
 // diffArtifacts prints per-benchmark deltas between two artifacts and
 // returns the process exit code: 1 if any gated metric regresses by more
-// than threshold percent, 0 otherwise. Three metrics are gated: ns/op on
-// benchmarks at or above floor nanoseconds, figureRegenSec — the
-// checkpoint-library figure-regeneration wall clock — at or above
-// regenFloor seconds, and netTickNs — the event-driven client driver's
-// per-tick cost — at or above netTickFloor nanoseconds.
-func diffArtifacts(oldPath, newPath string, threshold, floor, regenFloor, netTickFloor float64) int {
-	oldDoc, err := loadArtifact(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	newDoc, err := loadArtifact(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
+// than threshold percent, 0 otherwise.
+func diffArtifacts(oldDoc, newDoc document, threshold float64) int {
 	keyOf := func(r record) string { return r.Pkg + "." + r.Name }
 	old := make(map[string]record, len(oldDoc.Benchmarks))
 	for _, r := range oldDoc.Benchmarks {
@@ -143,49 +176,29 @@ func diffArtifacts(oldPath, newPath string, threshold, floor, regenFloor, netTic
 		seen[k] = true
 		or, ok := old[k]
 		if !ok {
-			fmt.Printf("%-60s new benchmark (%.0f ns/op)\n", k, nr.Metrics["ns/op"])
+			fmt.Printf("%-60s new benchmark\n", k)
 			continue
 		}
-		oldNs, newNs := or.Metrics["ns/op"], nr.Metrics["ns/op"]
-		if oldNs <= 0 || newNs <= 0 {
-			fmt.Printf("%-60s no ns/op on one side, skipped\n", k)
-			continue
-		}
-		pct := 100 * (newNs - oldNs) / oldNs
-		verdict := "ok"
-		switch {
-		case oldNs < floor && newNs < floor:
-			verdict = "below floor, not gated"
-		case pct > threshold:
-			verdict = fmt.Sprintf("REGRESSION (> %.0f%%)", threshold)
-			regressed = true
-		}
-		fmt.Printf("%-60s %12.0f -> %12.0f ns/op  %+7.1f%%  %s\n", k, oldNs, newNs, pct, verdict)
 		for _, unit := range sortedUnits(nr.Metrics) {
-			ov, ook := or.Metrics[unit]
-			if unit == "ns/op" || !ook || ov == 0 {
+			ov, nv := or.Metrics[unit], nr.Metrics[unit]
+			if ov == 0 {
 				continue
 			}
-			upct := 100 * (nr.Metrics[unit] - ov) / ov
+			pct := 100 * (nv - ov) / ov
 			note := ""
-			// figureRegenSec and netTickNs are gated metrics like ns/op:
-			// each is the whole point of its subsystem (the checkpoint
-			// library's regen speedup; the event-driven netsim's
-			// O(active + arrivals) tick), so letting either creep would
-			// silently lose the optimization.
-			gatedFloor, gated := 0.0, false
-			switch unit {
-			case "figureRegenSec":
-				gatedFloor, gated = regenFloor, true
-			case "netTickNs":
-				gatedFloor, gated = netTickFloor, true
+			for _, r := range rules {
+				switch {
+				case r.unit != unit:
+				case ov < r.floor && nv < r.floor:
+					note = "  below floor, not gated"
+				case pct > threshold:
+					note = fmt.Sprintf("  REGRESSION (> %.0f%%)", threshold)
+					regressed = true
+				default:
+					note = "  ok"
+				}
 			}
-			if gated && !(ov < gatedFloor && nr.Metrics[unit] < gatedFloor) && upct > threshold {
-				note = fmt.Sprintf("  REGRESSION (> %.0f%%)", threshold)
-				regressed = true
-			}
-			fmt.Printf("    %-56s %12.4g -> %12.4g %s  %+7.1f%%%s\n",
-				"", ov, nr.Metrics[unit], unit, upct, note)
+			fmt.Printf("%-60s %12.4g -> %12.4g %-16s %+7.1f%%%s\n", k, ov, nv, unit, pct, note)
 		}
 	}
 	for _, or := range oldDoc.Benchmarks {
@@ -194,7 +207,7 @@ func diffArtifacts(oldPath, newPath string, threshold, floor, regenFloor, netTic
 		}
 	}
 	if regressed {
-		fmt.Printf("FAIL: at least one gated metric (ns/op, figureRegenSec, or netTickNs) regressed by more than %.0f%%\n", threshold)
+		fmt.Printf("FAIL: at least one gated metric regressed by more than %.0f%%\n", threshold)
 		return 1
 	}
 	return 0

@@ -12,6 +12,10 @@
 //	experiments -windows-parallel 4           # checkpoint-library regeneration
 //	experiments -quick -cpuprofile cpu.pprof  # profile the whole sweep
 //
+// A full-detail run of every experiment (no -run, -sample, -windows-parallel
+// or -json) ends with the paper-fidelity table, one per seed: each headline
+// claim of the paper, its measured value and whether it holds.
+//
 // Every mode runs through one experiments.Plan. Supervision (-json,
 // -timeout, -audit) does not combine with -windows-parallel; an invalid
 // combination or count exits 2, an unknown -run id exits 1.
@@ -40,12 +44,6 @@ func main() {
 // run is the whole command; every path returns through it so the profile
 // stop runs before the process exits.
 func run(args []string, stdout, stderr io.Writer) int {
-	// The -window-job child protocol bypasses flag parsing entirely: the
-	// parent (this same binary, or a test harness) appends positional
-	// arguments the flag package would reject.
-	if len(args) > 0 && args[0] == "-window-job" {
-		return experiments.WindowJobMain(args[1:], stdout, stderr)
-	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -57,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runID       = fs.String("run", "", "experiment id to run (empty = all)")
 		quick       = fs.Bool("quick", false, "reduced cycle budget")
 		list        = fs.Bool("list", false, "list experiment ids")
-		winParallel = fs.Int("windows-parallel", 0, "regenerate from a checkpoint library with this many window jobs in parallel, each in its own OS process (0 = off; builds the library on first use)")
+		winParallel = fs.Int("windows-parallel", 0, "regenerate from a checkpoint library with this many in-process window workers (0 = off; builds the library on first use)")
 		libraryDir  = fs.String("library", "", "checkpoint-library root for -windows-parallel (default: <tmpdir>/ossmt-library)")
 	)
 	fs.Uint64Var(&p.Seed, "seed", 1, "simulation seed")
@@ -97,9 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p.IDs = []string{*runID}
 	}
 	if *winParallel > 0 {
-		// Checkpoint-library regeneration: windows restore and run in
-		// parallel OS processes; experiment output is assembled serially in
-		// id order, so the bytes are identical for any worker count.
+		// Checkpoint-library regeneration: windows restore and run on a
+		// worker pool; experiment output is assembled serially in id order,
+		// so the bytes are identical for any worker count.
 		if !p.Scale.Sampling.Enabled() {
 			p.Scale.Sampling = experiments.WindowedSampling(p.Scale)
 		}
@@ -107,16 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if dir == "" {
 			dir = filepath.Join(os.TempDir(), "ossmt-library")
 		}
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		p.Library = experiments.NewWindowRunner(experiments.WindowedConfig{
-			Dir:     dir,
-			Workers: *winParallel,
-			Exec:    []string{exe, "-window-job"},
-		})
+		p.Library = experiments.NewWindowRunner(experiments.WindowedConfig{Dir: dir, Workers: *winParallel})
 	}
 
 	out, err := experiments.Execute(p)
@@ -139,6 +128,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, experiments.Render(out))
 	default:
 		fmt.Fprintf(stdout, "%s — %s\n\n%s\n", out[0].ID, out[0].Res.Title, out[0].Res.Text)
+	}
+	if *runID == "" && !p.Scale.Sampling.Enabled() {
+		// A full-detail run of everything checks the paper's claims: one
+		// fidelity table per seed. (Sampled counters are not comparable.)
+		if p.Seeds > 1 {
+			fmt.Fprintln(stdout)
+		}
+		fmt.Fprint(stdout, experiments.RenderFidelity(out))
 	}
 	return 0
 }

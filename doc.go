@@ -7,7 +7,9 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go regenerate one paper artifact each:
+// benchmarks in bench_test.go measure host performance only (simulator
+// throughput, warm figure regeneration, the netsim tick); agreement with
+// the paper is internal/experiments' TestFidelity:
 //
-//	go test -bench=BenchmarkTable6 -benchtime=1x
+//	go test -run '^$' -bench . -benchtime 1x -count 5
 package repro

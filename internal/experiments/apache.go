@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/report"
@@ -60,6 +61,9 @@ func fig6(ev *env, sc Scale, seed uint64) Result {
 		"apacheSyscallPct": apW.CycleAt.PctCat(sys.CatSyscall),
 		"apacheNetPct":     netShare,
 		"apacheDTLBPct":    apW.CycleAt.PctCat(sys.CatDTLB),
+		"apacheKernelPct":  apW.CycleAt.KernelPct(),
+		"apacheSpinPct":    apW.CycleAt.PctCat(sys.CatSpin),
+		"specSpinPct":      max(spStart.CycleAt.PctCat(sys.CatSpin), spSteady.CycleAt.PctCat(sys.CatSpin)),
 	}}
 }
 
@@ -170,10 +174,12 @@ func tab6(ev *env, sc Scale, seed uint64) Result {
 			"SPECInt steady state: 5.6 IPC on SMT",
 			"the superscalar could not fetch or issue in over 60% of cycles on Apache")
 	return Result{Text: text, Values: map[string]float64{
-		"apacheSMTIPC": apW.IPC(),
-		"specSMTIPC":   spW.IPC(),
-		"apacheSSIPC":  ssW.IPC(),
-		"smtSSRatio":   ratio,
+		"apacheSMTIPC":   apW.IPC(),
+		"specSMTIPC":     spW.IPC(),
+		"apacheSSIPC":    ssW.IPC(),
+		"smtSSRatio":     ratio,
+		"ssZeroFetchPct": ssW.Metrics.PctCycles(ssW.Metrics.ZeroFetch),
+		"ssZeroIssuePct": ssW.Metrics.PctCycles(ssW.Metrics.ZeroIssue),
 	}}
 }
 
@@ -196,9 +202,12 @@ func tab7(ev *env, sc Scale, seed uint64) Result {
 		"user-kernel conflicts are significant: 25% of L1I, 10% of L1D, 22% of L2",
 		"user code causes the majority of TLB misses despite being only 22% of cycles")
 	return Result{Text: text, Values: map[string]float64{
-		"kernelShareL1I": kkShare(w.L1I),
-		"kernelShareL1D": kkShare(w.L1D),
-		"kernelShareL2":  kkShare(w.L2),
+		"kernelShareL1I":  kkShare(w.L1I),
+		"kernelShareL1D":  kkShare(w.L1D),
+		"kernelShareL2":   kkShare(w.L2),
+		"kernelAboveUser": kernelAboveUser(w.BTB, w.L1I, w.L1D, w.L2, w.DTLB, w.ITLB),
+		"itlbCompulsoryPct": w.ITLB.Causes.Percent(false, conflict.Compulsory) +
+			w.ITLB.Causes.Percent(true, conflict.Compulsory),
 	}}
 }
 
@@ -231,9 +240,10 @@ func tab8(ev *env, sc Scale, seed uint64) Result {
 		"kernel-kernel L2 sharing avoided an additional 71% of misses",
 		"12% of kernel TLB misses were avoided by interthread prefetching")
 	return Result{Text: text, Values: map[string]float64{
-		"smtKernelKernelL1I": smtW.L1I.AvoidedPct(true, true),
-		"ssKernelKernelL1I":  ssW.L1I.AvoidedPct(true, true),
-		"smtKernelKernelL2":  smtW.L2.AvoidedPct(true, true),
+		"smtKernelKernelL1I":  smtW.L1I.AvoidedPct(true, true),
+		"ssKernelKernelL1I":   ssW.L1I.AvoidedPct(true, true),
+		"smtKernelKernelL2":   smtW.L2.AvoidedPct(true, true),
+		"smtKernelKernelDTLB": smtW.DTLB.AvoidedPct(true, true),
 	}}
 }
 
@@ -281,5 +291,9 @@ func tab9(ev *env, sc Scale, seed uint64) Result {
 		"smtL1IFull": ws["smt+os"].L1I.MissRateOverall(),
 		"smtL2Only":  ws["smt-only"].L2.MissRateOverall(),
 		"smtL2Full":  ws["smt+os"].L2.MissRateOverall(),
+		"smtL1DOnly": ws["smt-only"].L1D.MissRateOverall(),
+		"smtL1DFull": ws["smt+os"].L1D.MissRateOverall(),
+		"smtBpOnly":  ws["smt-only"].BpMispredictRate(),
+		"smtBpFull":  ws["smt+os"].BpMispredictRate(),
 	}}
 }

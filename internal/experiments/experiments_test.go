@@ -1,12 +1,39 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // tiny is a minimal scale for smoke tests; shape assertions use Quick.
 var tiny = Scale{Warmup: 250_000, Measure: 350_000, Interval: 80_000}
+
+// runAll runs the ids as the jobs of one Execute on every available core,
+// failing the test if any cannot run.
+func runAll(t *testing.T, sc Scale, seed uint64, ids ...string) []Result {
+	t.Helper()
+	out := execute(t, Plan{IDs: ids, Scale: sc, Seed: seed, Seeds: 1, Workers: runtime.GOMAXPROCS(0)})
+	res := make([]Result, len(out))
+	for i, o := range out {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		res[i] = o.Res
+	}
+	return res
+}
+
+// runTwice runs two identical jobs of one experiment side by side and fails
+// the test unless they render byte-identical text.
+func runTwice(t *testing.T, id string, sc Scale, seed uint64) Result {
+	t.Helper()
+	res := runAll(t, sc, seed, id, id)
+	if res[0].Text != res[1].Text {
+		t.Fatalf("%s nondeterministic across identical runs", id)
+	}
+	return res[0]
+}
 
 // runOne regenerates one experiment through Execute, serially and
 // unsupervised; a non-nil wr regenerates it from checkpoint-library windows.
@@ -50,112 +77,33 @@ func TestUnknownID(t *testing.T) {
 // TestEverySPECIntExperimentRenders smoke-runs the cheap (SPECInt-only)
 // experiments at tiny scale and checks they produce text and values.
 func TestEverySPECIntExperimentRenders(t *testing.T) {
-	for _, id := range []string{"fig1", "fig3", "fig4", "tab2", "tab3"} {
-		res, err := runOne(id, tiny, 1, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(res.Text) < 50 || !strings.Contains(res.Text, "Paper reference") {
-			t.Fatalf("%s produced thin output:\n%s", id, res.Text)
-		}
-		if len(res.Values) == 0 {
-			t.Fatalf("%s produced no key values", id)
+	for _, res := range runAll(t, tiny, 1, "fig1", "fig3", "fig4", "tab2", "tab3") {
+		if len(res.Text) < 50 || !strings.Contains(res.Text, "Paper reference") || len(res.Values) == 0 {
+			t.Fatalf("%s produced thin output (values %v):\n%s", res.ID, res.Values, res.Text)
 		}
 	}
 }
 
 func TestApacheExperimentsRender(t *testing.T) {
-	for _, id := range []string{"fig5", "fig7", "tab5"} {
-		res, err := runOne(id, tiny, 1, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	for _, res := range runAll(t, tiny, 1, "fig5", "fig7", "tab5") {
 		if len(res.Text) < 50 {
-			t.Fatalf("%s produced thin output", id)
+			t.Fatalf("%s produced thin output", res.ID)
 		}
-	}
-}
-
-// TestHeadlineShape asserts the paper's central result at Quick scale:
-// SMT beats the superscalar on Apache by a large factor, and Apache is
-// kernel-dominated.
-func TestHeadlineShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("headline shape needs Quick scale")
-	}
-	res, err := runOne("tab6", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := res.Values
-	if v["apacheSMTIPC"] <= v["apacheSSIPC"]*2 {
-		t.Fatalf("SMT/SS Apache ratio too small: %.2f vs %.2f", v["apacheSMTIPC"], v["apacheSSIPC"])
-	}
-	if v["specSMTIPC"] <= v["apacheSMTIPC"] {
-		t.Fatalf("SPECInt should out-IPC Apache on SMT: %.2f vs %.2f", v["specSMTIPC"], v["apacheSMTIPC"])
-	}
-
-	res5, err := runOne("fig5", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res5.Values["kernelPct"] < 50 {
-		t.Fatalf("Apache kernel share %.1f%%, expected dominant", res5.Values["kernelPct"])
-	}
-}
-
-// TestOSImpactShape asserts Table 4's shape: adding the OS reduces IPC on
-// both processors.
-func TestOSImpactShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs Quick scale")
-	}
-	res, err := runOne("tab4", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := res.Values
-	if !(v["ipcSMTApp"] > v["ipcSMTFull"]) {
-		t.Fatalf("OS did not cost SMT anything: %.2f vs %.2f", v["ipcSMTApp"], v["ipcSMTFull"])
-	}
-	if !(v["ipcSSApp"] > v["ipcSSFull"]) {
-		t.Fatalf("OS did not cost the superscalar: %.2f vs %.2f", v["ipcSSApp"], v["ipcSSFull"])
-	}
-	if !(v["ipcSMTFull"] > v["ipcSSFull"]*1.5) {
-		t.Fatalf("SMT not clearly ahead on SPECInt: %.2f vs %.2f", v["ipcSMTFull"], v["ipcSSFull"])
 	}
 }
 
 func TestDeterministicExperiments(t *testing.T) {
-	a, err := runOne("fig3", tiny, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runOne("fig3", tiny, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Text != b.Text {
-		t.Fatal("experiment output nondeterministic")
-	}
+	runTwice(t, "fig3", tiny, 5)
 }
 
-// TestExperimentsProduceStableKeys pins the key-value names benches and
-// docs rely on.
+// TestExperimentsProduceStableKeys pins key-value names that -json and
+// -seeds output and the docs rely on.
 func TestExperimentsProduceStableKeys(t *testing.T) {
-	wantKeys := map[string][]string{
-		"fig1": {"startupKernelPct", "steadyKernelPct"},
-		"fig3": {"startupAllocPct"},
-		"tab2": {"steadyKernelPhysLoadPct", "steadyUserLoadPct"},
-	}
-	for id, keys := range wantKeys {
-		res, err := runOne(id, tiny, 2, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		for _, k := range keys {
+	wantKeys := [][]string{{"startupKernelPct", "steadyKernelPct"}, {"startupAllocPct"}, {"steadyKernelPhysLoadPct", "steadyUserLoadPct"}}
+	for i, res := range runAll(t, tiny, 2, "fig1", "fig3", "tab2") {
+		for _, k := range wantKeys[i] {
 			if _, ok := res.Values[k]; !ok {
-				t.Fatalf("%s missing key %q (has %v)", id, k, res.Values)
+				t.Fatalf("%s missing key %q (has %v)", res.ID, k, res.Values)
 			}
 		}
 	}
@@ -188,13 +136,9 @@ func TestFaultAblationsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several multi-hundred-kilocycle simulations")
 	}
-	for _, id := range []string{"ablation-loss", "ablation-crash"} {
-		res, err := runOne(id, tiny, 1, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	for _, res := range runAll(t, tiny, 1, "ablation-loss", "ablation-crash") {
 		if len(res.Text) < 50 || len(res.Values) == 0 {
-			t.Fatalf("%s produced thin output:\n%s", id, res.Text)
+			t.Fatalf("%s produced thin output:\n%s", res.ID, res.Text)
 		}
 	}
 }
@@ -209,10 +153,7 @@ func TestOverloadAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten supervised simulations at Quick scale")
 	}
-	res, err := runOne("ablation-overload", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runTwice(t, "ablation-overload", Quick, 1)
 	v := res.Values
 	if v["watchdogTrips"] != 0 {
 		t.Fatalf("watchdog tripped %v time(s) during the sweep:\n%s", v["watchdogTrips"], res.Text)
@@ -227,13 +168,6 @@ func TestOverloadAblationShape(t *testing.T) {
 				tag, last, peak, res.Text)
 		}
 	}
-	rerun, err := runOne("ablation-overload", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Text != rerun.Text {
-		t.Fatal("overload ablation nondeterministic across identical runs")
-	}
 }
 
 // TestExhaustionAblationShape asserts graceful degradation under resource
@@ -246,10 +180,7 @@ func TestExhaustionAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a dozen supervised simulations at Quick scale")
 	}
-	res, err := runOne("ablation-exhaustion", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runTwice(t, "ablation-exhaustion", Quick, 1)
 	v := res.Values
 	if v["watchdogTrips"] != 0 {
 		t.Fatalf("watchdog tripped %v time(s) during the sweep:\n%s", v["watchdogTrips"], res.Text)
@@ -267,13 +198,6 @@ func TestExhaustionAblationShape(t *testing.T) {
 			t.Fatalf("%s: 0.5x-demand row never exercised reclaim or admission control:\n%s", tag, res.Text)
 		}
 	}
-	rerun, err := runOne("ablation-exhaustion", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Text != rerun.Text {
-		t.Fatal("exhaustion ablation nondeterministic across identical runs")
-	}
 }
 
 // TestScaleAblationShape is the million-client acceptance test: the
@@ -286,10 +210,7 @@ func TestScaleAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a million-client fleet at Quick scale")
 	}
-	res, err := runOne("ablation-scale", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runTwice(t, "ablation-scale", Quick, 1)
 	v := res.Values
 	if v["watchdogTrips"] != 0 {
 		t.Fatalf("watchdog tripped %v time(s) during the sweep:\n%s", v["watchdogTrips"], res.Text)
@@ -301,12 +222,5 @@ func TestScaleAblationShape(t *testing.T) {
 	}
 	if r := v["done1mOver1k"]; r < 0.5 {
 		t.Fatalf("throughput degraded with dormant population: 1m/1k ratio %.2f\n%s", r, res.Text)
-	}
-	rerun, err := runOne("ablation-scale", Quick, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Text != rerun.Text {
-		t.Fatal("scale ablation nondeterministic across identical runs")
 	}
 }

@@ -86,6 +86,7 @@ func fig2(ev *env, sc Scale, seed uint64) Result {
 		"startupTLBPct":     tlbStart,
 		"steadyTLBPct":      tlbSteady,
 		"startupSyscallPct": startup.CycleAt.PctCat(sys.CatSyscall),
+		"steadyKernelPct":   steady.CycleAt.KernelPct(),
 	}}
 }
 
@@ -135,7 +136,11 @@ func fig4(ev *env, sc Scale, seed uint64) Result {
 	text := t.String() + paperNote(
 		"reading input files contributes ~3.5% of execution cycles during start-up",
 		"file-read calls shrink once programs leave initialization")
-	return Result{Text: text, Values: map[string]float64{"startupReadPct": readStart}}
+	return Result{Text: text, Values: map[string]float64{
+		"startupReadPct":     readStart,
+		"startupForkExecPct": startup.CycleAt.PctSyscall(sys.SysFork) + startup.CycleAt.PctSyscall(sys.SysExec),
+		"startupSyscallPct":  startup.CycleAt.PctCat(sys.CatSyscall),
+	}}
 }
 
 // mixRows renders one Table 2/5-style column set.
@@ -194,6 +199,18 @@ func structRows(b *strings.Builder, name string, s report.StructStats) {
 	b.WriteString(t.String())
 }
 
+// kernelAboveUser counts the structures whose kernel miss rate exceeds the
+// user miss rate.
+func kernelAboveUser(structs ...report.StructStats) float64 {
+	n := 0
+	for _, s := range structs {
+		if s.MissRate(true) > s.MissRate(false) {
+			n++
+		}
+	}
+	return float64(n)
+}
+
 func tab3(ev *env, sc Scale, seed uint64) Result {
 	sim := specSim(sc, seed, core.Options{})
 	w := ev.window(sim, sc)
@@ -211,6 +228,7 @@ func tab3(ev *env, sc Scale, seed uint64) Result {
 		"kernelL1IMissRate": w.L1I.MissRate(true),
 		"userL1DMissRate":   w.L1D.MissRate(false),
 		"kernelBTBMissRate": w.BTB.MissRate(true),
+		"kernelAboveUser":   kernelAboveUser(w.BTB, w.L1I, w.L1D, w.L2, w.DTLB),
 	}}
 }
 

@@ -1,10 +1,9 @@
 // Checkpoint-library regeneration: build a library of per-window checkpoint
 // images once per simulation configuration, then regenerate figures by
-// restoring the windows independently — in-process on a worker pool or
-// fanned out across OS processes — and folding the per-window report deltas
-// back together in window order. The fold is the same left-to-right
-// accumulation a serial run performs, so rendered output is byte-identical
-// for any worker and process count.
+// restoring the windows independently on an in-process worker pool and
+// folding the per-window report deltas back together in window order. The
+// fold is the same left-to-right accumulation a serial run performs, so
+// rendered output is byte-identical for any worker count.
 //
 // Library layout on disk (one directory per configuration fingerprint):
 //
@@ -20,14 +19,9 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -42,12 +36,6 @@ type WindowedConfig struct {
 	Dir string
 	// Workers bounds concurrent window jobs (<= 1 is serial).
 	Workers int
-	// Exec, when non-empty, is the argv prefix used to run each worker's
-	// batch of window jobs in its own OS process (the batch's
-	// dir/fingerprint/window arguments are appended; the child replies with
-	// a gob-encoded []WindowResult on stdout). Empty runs jobs in-process
-	// on the worker pool.
-	Exec []string
 }
 
 // WindowResult is the outcome of one restored window: its position and the
@@ -124,12 +112,8 @@ func (wr *WindowRunner) run(fp, workloadName string, o core.Options, span uint64
 	out := make([]WindowResult, len(idx.Windows))
 	errs := make([]error, len(batches))
 	forEach(len(batches), wr.cfg.Workers, func(i int) {
-		var res []WindowResult
-		if len(wr.cfg.Exec) > 0 {
-			res, errs[i] = wr.execJob(dir, fp, batches[i])
-		} else {
-			res, errs[i] = RunWindowJobs(dir, batches[i], fp)
-		}
+		res, err := RunWindowJobs(dir, batches[i], fp)
+		errs[i] = err
 		// Scatter by window index: batch order is a scheduling detail,
 		// the merged fold below always walks windows in library order.
 		for _, r := range res {
@@ -157,27 +141,6 @@ func roundRobin(n, workers int) [][]int {
 		batches[i%workers] = append(batches[i%workers], i)
 	}
 	return batches
-}
-
-// execJob runs a batch of window jobs in a child OS process and decodes its
-// results.
-func (wr *WindowRunner) execJob(dir, fp string, wins []int) ([]WindowResult, error) {
-	args := append(append([]string(nil), wr.cfg.Exec[1:]...), dir, fp)
-	for _, w := range wins {
-		args = append(args, strconv.Itoa(w))
-	}
-	cmd := exec.Command(wr.cfg.Exec[0], args...)
-	var stdout bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("experiments: window jobs %v (%s): %w", wins, dir, err)
-	}
-	var res []WindowResult
-	if err := gob.NewDecoder(&stdout).Decode(&res); err != nil {
-		return nil, fmt.Errorf("experiments: decoding window job results %v: %w", wins, err)
-	}
-	return res, nil
 }
 
 // BuildLibrary generates the checkpoint library for one configuration: the
@@ -251,7 +214,7 @@ func BuildLibrary(dir, workloadName string, o core.Options, span uint64) (checkp
 // library (same configuration): the static machine is built once, from the
 // first image, and every later image only overwrites its mutable state —
 // restores are independent, so the per-window deltas are identical to
-// running each window in its own process.
+// restoring each window into a fresh simulator.
 func RunWindowJobs(dir string, wins []int, wantFP string) ([]WindowResult, error) {
 	out := make([]WindowResult, 0, len(wins))
 	var sim *core.Simulator
@@ -287,35 +250,6 @@ func RunWindowJobs(dir string, wins []int, wantFP string) ([]WindowResult, error
 		out = append(out, WindowResult{Window: win, Cycle: m.Cycle, Retired: m.Retired, W: report.Delta(a, b)})
 	}
 	return out, nil
-}
-
-// WindowJobMain is the child-process entry point behind cmd/experiments
-// -window-job: args are <dir> <fingerprint> <window>...; the results are
-// gob-encoded to stdout as a []WindowResult. Returns the process exit code.
-func WindowJobMain(args []string, stdout, stderr io.Writer) int {
-	if len(args) < 3 {
-		fmt.Fprintln(stderr, "usage: experiments -window-job <dir> <fingerprint> <window>...")
-		return 2
-	}
-	wins := make([]int, 0, len(args)-2)
-	for _, a := range args[2:] {
-		win, err := strconv.Atoi(a)
-		if err != nil {
-			fmt.Fprintf(stderr, "experiments: bad window index %q: %v\n", a, err)
-			return 2
-		}
-		wins = append(wins, win)
-	}
-	res, err := RunWindowJobs(args[0], wins, args[1])
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if err := gob.NewEncoder(stdout).Encode(res); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	return 0
 }
 
 // merged folds the report deltas of every window whose opening boundary lies
@@ -357,7 +291,7 @@ func WindowedSampling(sc Scale) core.Sampling {
 // Plan.Library). The experiments run serially; parallelism lives inside the
 // window jobs, and the memoized libraries are shared across ids, so every
 // configuration's windows run once. Output is byte-identical for any
-// worker/process count.
+// worker count.
 func RenderWindowed(ids []string, sc Scale, seed uint64, wr *WindowRunner) string {
 	out, err := Execute(Plan{IDs: ids, Scale: sc, Seed: seed, Seeds: 1, Workers: 1, Library: wr})
 	if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -51,50 +50,6 @@ func TestWindowedByteIdentity(t *testing.T) {
 		if fig5 != fig5Cold {
 			t.Errorf("fig5 with %d workers (warm library) differs from cold single-worker output", workers)
 		}
-	}
-}
-
-// TestWindowJobHelper is not a test: it is the child half of
-// TestWindowedProcessMode, running the real -window-job entry point inside
-// the test binary.
-func TestWindowJobHelper(t *testing.T) {
-	if os.Getenv("WINDOW_JOB_HELPER") != "1" {
-		t.Skip("helper process for TestWindowedProcessMode")
-	}
-	var args []string
-	for i, a := range os.Args {
-		if a == "--" {
-			args = os.Args[i+1:]
-			break
-		}
-	}
-	os.Exit(WindowJobMain(args, os.Stdout, os.Stderr))
-}
-
-// TestWindowedProcessMode runs the window jobs in child OS processes (the
-// -windows-parallel path) and checks the output is byte-identical to the
-// in-process run.
-func TestWindowedProcessMode(t *testing.T) {
-	dir := t.TempDir()
-	inproc := NewWindowRunner(WindowedConfig{Dir: dir, Workers: 2})
-	fig1In, fig5In := renderBoth(t, inproc)
-
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatalf("os.Executable: %v", err)
-	}
-	t.Setenv("WINDOW_JOB_HELPER", "1")
-	procs := NewWindowRunner(WindowedConfig{
-		Dir:     dir,
-		Workers: 2,
-		Exec:    []string{exe, "-test.run=^TestWindowJobHelper$", "--"},
-	})
-	fig1Proc, fig5Proc := renderBoth(t, procs)
-	if fig1Proc != fig1In {
-		t.Errorf("fig1 from OS-process window jobs differs from in-process output")
-	}
-	if fig5Proc != fig5In {
-		t.Errorf("fig5 from OS-process window jobs differs from in-process output")
 	}
 }
 

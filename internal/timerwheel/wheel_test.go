@@ -148,14 +148,35 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleAdvance(b *testing.B) {
-	w := New(0)
-	tick := uint64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tick++
-		w.Schedule(tick+uint64(i%300)+1, int32(i&1023))
+// scheduleAdvance drives the wheel n ticks: each tick schedules one timer
+// due 1–300 ticks out and advances the clock. The pattern is a function of
+// the tick alone, so a run continues its warm-up seamlessly.
+func scheduleAdvance(w *Wheel, n int) {
+	for i := 0; i < n; i++ {
+		tick := w.Now() + 1
+		w.Schedule(tick+tick%300+1, int32(tick&1023))
 		w.Advance(tick)
 	}
+}
+
+// warmTicks is enough ticks for every level-0 and level-1 slot the pattern
+// reaches to have grown to its steady capacity.
+const warmTicks = 1 << 17
+
+// TestScheduleAdvanceZeroAlloc pins the steady state as allocation-free:
+// once slot growth is behind it, schedule+advance must not allocate.
+func TestScheduleAdvanceZeroAlloc(t *testing.T) {
+	w := New(0)
+	scheduleAdvance(w, warmTicks)
+	if avg := testing.AllocsPerRun(10000, func() { scheduleAdvance(w, 1) }); avg != 0 {
+		t.Fatalf("steady-state schedule+advance allocates %.3f allocs/op, want 0", avg)
+	}
+}
+
+func BenchmarkScheduleAdvance(b *testing.B) {
+	w := New(0)
+	scheduleAdvance(w, warmTicks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	scheduleAdvance(w, b.N)
 }
