@@ -18,10 +18,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint enforces the determinism, reporting, and hot-path contracts with the
+# lint requires gofmt-clean sources (testdata fixtures included), then
+# enforces the determinism, reporting, and hot-path contracts with the
 # detlint analyzers (maporder, walltime, snapshotcomplete, nogoroutine,
 # hotalloc, counterflow, seedflow; see ANALYSIS.md).
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: needs formatting:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/detlint ./internal/... ./cmd/...
 
@@ -56,26 +58,28 @@ fuzz-smoke:
 	done
 
 # bench records the performance trajectory: the benchmark suite at its
-# fixed scale, five runs of each, converted to BENCH_<date>.json (the median
-# simcycles/s, ns/op, allocs/op, figureRegenSec and netTickNs per benchmark;
-# see EXPERIMENTS.md "Performance work"). Paper fidelity is not a benchmark:
-# TestFidelity checks it.
+# fixed scale and GOMAXPROCS 2 (-cpu 2, so every name carries the same -2
+# suffix on any host), five runs of each, converted to BENCH_<date>.json
+# (the median simcycles/s, ns/op, allocs/op, figureRegenSec and netTickNs
+# per benchmark; see EXPERIMENTS.md "Performance work"). Paper fidelity is
+# not a benchmark: TestFidelity checks it.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 5 ./... > /tmp/bench.out
+	$(GO) test -run '^$$' -bench . -benchtime 1x -count 5 -cpu 2 ./... > /tmp/bench.out
 	cat /tmp/bench.out
 	$(GO) run ./cmd/benchjson -date $$(date +%F) < /tmp/bench.out > BENCH_$$(date +%F).json
 	@echo wrote BENCH_$$(date +%F).json
 
-# bench-diff reruns the benchmark suite and compares its medians against
-# the newest committed BENCH_<date>.json baseline, failing when a gated
-# metric regresses (cmd/benchjson's rules table: ns/op, figureRegenSec,
-# netTickNs, each with a noise floor). The tool's default gate is 10%, tuned
+# bench-diff reruns the benchmark suite (at -cpu 2, like bench) and compares
+# its medians against the newest committed BENCH_<date>.json baseline,
+# failing when the two share no benchmark or when a gated metric regresses
+# (cmd/benchjson's rules table: ns/op, figureRegenSec, netTickNs, each with
+# a noise floor). The tool's default gate is 10%, tuned
 # for quiet dedicated hardware; timing on shared/virtualized runners swings
 # by double digits run to run, so this target defaults to a wider
 # threshold. Override with BENCHDIFF_THRESHOLD=10 on a quiet box.
 BENCHDIFF_THRESHOLD ?= 30
 bench-diff:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 5 ./... > /tmp/bench-diff.out
+	$(GO) test -run '^$$' -bench . -benchtime 1x -count 5 -cpu 2 ./... > /tmp/bench-diff.out
 	$(GO) run ./cmd/benchjson -date $$(date +%F) < /tmp/bench-diff.out > /tmp/bench-diff.json
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCHDIFF_THRESHOLD) \
 		$$(ls BENCH_*.json | sort | tail -1) /tmp/bench-diff.json

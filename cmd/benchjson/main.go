@@ -18,7 +18,9 @@
 // printing the per-benchmark delta of every metric and exiting 1 if a
 // metric gated by the rules table regressed by more than -threshold
 // percent (default 10). Benchmarks present on only one side are reported
-// but never fail the diff.
+// but never fail the diff; two artifacts that share no benchmark at all
+// (say, recorded at different -cpu settings, which suffix every name) fail
+// it, because nothing was compared.
 package main
 
 import (
@@ -162,7 +164,7 @@ var rules = []struct {
 
 // diffArtifacts prints per-benchmark deltas between two artifacts and
 // returns the process exit code: 1 if any gated metric regresses by more
-// than threshold percent, 0 otherwise.
+// than threshold percent or the artifacts share no benchmark, 0 otherwise.
 func diffArtifacts(oldDoc, newDoc document, threshold float64) int {
 	keyOf := func(r record) string { return r.Pkg + "." + r.Name }
 	old := make(map[string]record, len(oldDoc.Benchmarks))
@@ -170,7 +172,7 @@ func diffArtifacts(oldDoc, newDoc document, threshold float64) int {
 		old[keyOf(r)] = r
 	}
 	seen := make(map[string]bool, len(newDoc.Benchmarks))
-	regressed := false
+	regressed, shared := false, 0
 	for _, nr := range newDoc.Benchmarks {
 		k := keyOf(nr)
 		seen[k] = true
@@ -179,6 +181,7 @@ func diffArtifacts(oldDoc, newDoc document, threshold float64) int {
 			fmt.Printf("%-60s new benchmark\n", k)
 			continue
 		}
+		shared++
 		for _, unit := range sortedUnits(nr.Metrics) {
 			ov, nv := or.Metrics[unit], nr.Metrics[unit]
 			if ov == 0 {
@@ -205,6 +208,10 @@ func diffArtifacts(oldDoc, newDoc document, threshold float64) int {
 		if k := keyOf(or); !seen[k] {
 			fmt.Printf("%-60s removed\n", k)
 		}
+	}
+	if shared == 0 {
+		fmt.Println("FAIL: the artifacts share no benchmark, so nothing was compared (recorded at different -cpu settings?)")
+		return 1
 	}
 	if regressed {
 		fmt.Printf("FAIL: at least one gated metric regressed by more than %.0f%%\n", threshold)

@@ -54,7 +54,8 @@ func TestDiffRules(t *testing.T) {
 		{"netTickNs below floor", m{"B": {"netTickNs": 1e5}}, m{"B": {"netTickNs": 1.9e5}}, 0},
 		{"ungated metric", m{"B": {"allocs/op": 1}}, m{"B": {"allocs/op": 100}}, 0},
 		{"improvement", m{"B": {"ns/op": 3e6}}, m{"B": {"ns/op": 1e6}}, 0},
-		{"new and removed", m{"Old": {"ns/op": 2e6}}, m{"New": {"ns/op": 9e9}}, 0},
+		{"new and removed", m{"Old": {"ns/op": 2e6}, "B": {"ns/op": 2e6}}, m{"New": {"ns/op": 9e9}, "B": {"ns/op": 2e6}}, 0},
+		{"no shared benchmark", m{"B-2": {"ns/op": 2e6}}, m{"B-4": {"ns/op": 2e6}}, 1},
 	} {
 		if code := diffArtifacts(doc(tc.old), doc(tc.new), 30); code != tc.code {
 			t.Errorf("%s: exit %d, want %d", tc.name, code, tc.code)

@@ -152,12 +152,10 @@ var flagTable = map[string]struct{ value, field string }{
 // noFlag lists the exported core.Options fields (faults.Config and Sampling
 // included) that no flag sets: the experiments configure them in code.
 var noFlag = map[string]bool{
-	"FetchContexts":            true,
 	"ModelNetworkDMA":          true,
 	"AffinityScheduler":        true,
 	"KeepAliveRequests":        true,
 	"BufferCacheHitRate":       true,
-	"SeedPartitions":           true,
 	"Faults.RetryTimeoutTicks": true,
 	"Faults.BackoffCapTicks":   true,
 	"Faults.MaxRetries":        true,

@@ -10,10 +10,11 @@ import (
 
 // SeedFlow enforces the seed-partition discipline from PR 3: every random
 // stream the simulation draws from must derive from the experiment seed
-// through SeedPartitions, with a subsystem-unique derivation, and must never
-// be re-seeded after construction. Two subsystems silently sharing a stream
-// correlate "independent" randomness; a literal seed decouples a subsystem
-// from the -seed flag; both corrupt experiments without failing any test.
+// through a partition stream, with a subsystem-unique derivation, and must
+// never be re-seeded after construction. Two subsystems silently sharing a
+// stream correlate "independent" randomness; a literal seed decouples a
+// subsystem from the -seed flag; both corrupt experiments without failing
+// any test.
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
 	Doc: `require every rng generator to derive uniquely from the seed partitions
@@ -23,10 +24,10 @@ must not be a compile-time constant (a literal seed ignores -seed), must
 mention a seed-derived identifier (cfg.Seed, subseed, ...), and must not
 repeat another call site's derivation fingerprint — the multiset of constants
 mixed into the seed — which is how two subsystems end up on one stream.
-Generators must not be re-seeded after construction: SetState calls and
-assignments to stored *rng.Rand variables are allowed only inside New*/
-Restore* functions (construction and checkpoint restore). internal/rng itself
-is exempt. Suppress with //detlint:ignore seedflow <reason>.`,
+Generators must not be re-seeded after construction: assignments to stored
+*rng.Rand variables are allowed only inside New*/Restore* functions
+(construction and checkpoint restore). internal/rng itself is exempt.
+Suppress with //detlint:ignore seedflow <reason>.`,
 	RunSuite: runSeedFlow,
 }
 
@@ -51,16 +52,9 @@ func runSeedFlow(pass *SuitePass) error {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					if fn := calleeFunc(pkg, n); fn != nil {
-						switch {
-						case fn.Name() == "New" && rngPackage(fn.Pkg()):
-							if site, ok := checkSeedArg(pass, pkg, n); ok {
-								sites = append(sites, site)
-							}
-						case fn.Name() == "SetState" && rngPackage(fn.Pkg()):
-							if name := funcName(n.Pos()); !seedExemptFunc(name) {
-								pass.Reportf(pkg.Fset, n.Pos(), "SetState re-seeds a generator outside a New*/Restore* function (%s); streams are fixed at construction", name)
-							}
+					if fn := calleeFunc(pkg, n); fn != nil && fn.Name() == "New" && rngPackage(fn.Pkg()) {
+						if site, ok := checkSeedArg(pass, pkg, n); ok {
+							sites = append(sites, site)
 						}
 					}
 				case *ast.AssignStmt:
@@ -117,11 +111,11 @@ func checkSeedArg(pass *SuitePass, pkg *Package, call *ast.CallExpr) (seedSite, 
 	}
 	arg := call.Args[0]
 	if tv, ok := pkg.Info.Types[arg]; ok && tv.Value != nil {
-		pass.Reportf(pkg.Fset, arg.Pos(), "generator is seeded with the constant %s; derive the seed from a SeedPartitions stream so -seed reaches this subsystem", tv.Value.String())
+		pass.Reportf(pkg.Fset, arg.Pos(), "generator is seeded with the constant %s; derive the seed from a partition stream so -seed reaches this subsystem", tv.Value.String())
 		return seedSite{}, false
 	}
 	if !mentionsSeedIdent(arg) {
-		pass.Reportf(pkg.Fset, arg.Pos(), "seed expression %s does not derive from a SeedPartitions stream (no seed-carrying identifier)", exprText(arg))
+		pass.Reportf(pkg.Fset, arg.Pos(), "seed expression %s does not derive from a partition stream (no seed-carrying identifier)", exprText(arg))
 		return seedSite{}, false
 	}
 	return seedSite{pkg: pkg, pos: call.Pos(), fingerprint: constFingerprint(pkg, arg)}, true

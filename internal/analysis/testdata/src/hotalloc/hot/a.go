@@ -8,10 +8,10 @@ import "fmt"
 type event struct{ n int }
 
 type engine struct {
-	fpQ   []uint64
-	buf   []event
-	log   string
-	cbs   []func()
+	fpQ []uint64
+	buf []event
+	log string
+	cbs []func()
 }
 
 //detlint:hot fixture root: the per-cycle step

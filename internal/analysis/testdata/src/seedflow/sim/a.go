@@ -26,7 +26,7 @@ func badLiteral() *rng.Rand {
 }
 
 func badDerivation(cfg config) *rng.Rand {
-	return rng.New(uint64(cfg.Width) * 2654435761) // want `seed expression .* does not derive from a SeedPartitions stream`
+	return rng.New(uint64(cfg.Width) * 2654435761) // want `seed expression .* does not derive from a partition stream`
 }
 
 // aliased repeats NewSystem's derivation fingerprint: same stream.
@@ -39,13 +39,12 @@ func distinct(cfg config) *rng.Rand {
 	return rng.New(cfg.Seed ^ 0x2002)
 }
 
-// reseed replaces generator state outside construction: both forms flagged.
+// reseed replaces a generator outside construction: flagged.
 func (s *system) reseed(cfg config) {
-	s.r.SetState([4]uint64{1, 2, 3, 4}) // want `SetState re-seeds a generator outside a New\*/Restore\* function \(reseed\)`
-	s.r = rng.New(cfg.Seed ^ 0x3003)    // want `stored generator s\.r is replaced outside a New\*/Restore\* function \(reseed\)`
+	s.r = rng.New(cfg.Seed ^ 0x3003) // want `stored generator s\.r is replaced outside a New\*/Restore\* function \(reseed\)`
 }
 
-// RestoreSystem rebuilds generator state from a checkpoint; exempt.
-func RestoreSystem(s *system, st [4]uint64) {
-	s.r.SetState(st)
+// RestoreSystem rebuilds a generator from a checkpoint; exempt.
+func RestoreSystem(s *system, cfg config) {
+	s.r = rng.New(cfg.Seed ^ 0x4004)
 }

@@ -35,7 +35,7 @@ func timers() {
 // Shuffle and Perm draw from the process-global source like Intn.
 func reorder(xs []int) []int {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want `math/rand\.Shuffle uses the process-global random source`
-	return rand.Perm(len(xs))                                            // want `math/rand\.Perm uses the process-global random source`
+	return rand.Perm(len(xs))                                             // want `math/rand\.Perm uses the process-global random source`
 }
 
 // Durations and time constants do not read the clock.

@@ -137,6 +137,7 @@ func (p *Predictor) globalIndex(ctx int, pc uint64) int {
 
 // Predict produces the fetch-time prediction for instruction in running on
 // hardware context ctx by agent ag.
+//
 //detlint:hot per-branch prediction probe inside Engine.fetchCtx
 func (p *Predictor) Predict(ctx int, in *isa.Inst, ag conflict.Agent) Prediction {
 	if p.OmitPrivileged && ag.Priv {
@@ -185,6 +186,7 @@ func (p *Predictor) Predict(ctx int, in *isa.Inst, ag conflict.Agent) Prediction
 // whether the prediction was wrong (direction or target). fallthrough
 // semantics: a taken control transfer with a wrong or unknown target is a
 // misprediction.
+//
 //detlint:hot per-branch resolution inside Engine.fetchCtx
 func (p *Predictor) Resolve(ctx int, in *isa.Inst, pred Prediction, ag conflict.Agent) bool {
 	if p.OmitPrivileged && ag.Priv {

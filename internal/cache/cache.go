@@ -88,9 +88,6 @@ func New(cfg Config) *Cache {
 // Name returns the cache's name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // LineAddr returns the line-aligned address of paddr.
 func (c *Cache) LineAddr(paddr uint64) uint64 { return paddr >> c.lineShift }
 
@@ -160,6 +157,7 @@ func (c *Cache) Access(paddr uint64, ag conflict.Agent, write bool) bool {
 }
 
 // Probe reports residency without side effects.
+//
 //detlint:hot read-only residency check, safe from any audit or model loop
 func (c *Cache) Probe(paddr uint64) bool {
 	la, set := c.locate(paddr)

@@ -166,12 +166,14 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 }
 
 // AccessI performs an instruction fetch of the line containing paddr.
+//
 //detlint:hot per-fetch I-cache probe, called every cycle from Engine.fetch
 func (h *Hierarchy) AccessI(paddr uint64, ag conflict.Agent, now uint64) AccessResult {
 	return h.access(h.L1I, h.mshrI, paddr, ag, false, now, false)
 }
 
 // AccessD performs a data access.
+//
 //detlint:hot per-issue D-cache probe, called from Engine.memIssue
 func (h *Hierarchy) AccessD(paddr uint64, ag conflict.Agent, write bool, now uint64) AccessResult {
 	return h.access(h.L1D, h.mshrD, paddr, ag, write, now, false)
@@ -209,6 +211,7 @@ func (h *Hierarchy) WarmD(paddr uint64, ag conflict.Agent, write bool) {
 // L1D; either is backed by the shared L2). No LRU, tracker, or counter
 // state changes: Probe is safe to call from audits and invariant checks at
 // any frequency.
+//
 //detlint:hot read-only residency check, usable from per-cycle audit loops
 func (h *Hierarchy) Probe(paddr uint64) (l1i, l1d, l2 bool) {
 	return h.L1I.Probe(paddr), h.L1D.Probe(paddr), h.L2.Probe(paddr)
@@ -218,6 +221,7 @@ func (h *Hierarchy) Probe(paddr uint64) (l1i, l1d, l2 bool) {
 // Unlike AccessD it never stalls: the store buffer is the structure that
 // holds the data, so the write proceeds even when the MSHRs are saturated
 // (the fill is still timed through them).
+//
 //detlint:hot per-retired-store cache write, called from Engine.retire
 func (h *Hierarchy) DrainStore(paddr uint64, ag conflict.Agent, now uint64) AccessResult {
 	return h.access(h.L1D, h.mshrD, paddr, ag, true, now, true)
@@ -362,6 +366,7 @@ func NewStoreBuffer(capacity int) *StoreBuffer {
 // Push inserts a retired store at cycle now; ok is false when the buffer is
 // full (the store must retry next cycle). drainAt is when the cache write
 // will be performed by the caller.
+//
 //detlint:hot per-retired-store buffer insert, called from Engine.retire
 func (s *StoreBuffer) Push(now uint64) (drainAt uint64, ok bool) {
 	// Lazily drain completed entries (one per cycle drain rate is modeled

@@ -34,8 +34,10 @@ import (
 const Magic = "OSSMTCKP"
 
 // Version is the current format version. Readers reject other versions:
-// version 1 held gob-encoded sections, and version 2 holds Enc-encoded ones.
-const Version = 2
+// version 1 held gob-encoded sections, version 2 Enc-encoded ones whose meta
+// section still carried the SeedPartitions and FetchContexts options, and
+// version 3 holds Enc-encoded sections without them.
+const Version = 3
 
 // Sanity bounds on decoded lengths, so a corrupt header cannot drive a
 // multi-gigabyte allocation before the CRC check is reached.
@@ -98,12 +100,6 @@ func (img *Image) Get(name string, load func(d *Dec)) error {
 	d := NewDec(name, b)
 	load(&d)
 	return d.Finish()
-}
-
-// Has reports whether the named section exists.
-func (img *Image) Has(name string) bool {
-	_, ok := img.sections[name]
-	return ok
 }
 
 // SectionLen returns the encoded byte length of the named section (0 if

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -162,12 +163,19 @@ func TestDecodeSectionsAreCapped(t *testing.T) {
 // TestReadFileRejectsVersion1 hands ReadFile a version-1 header (the gob
 // format) behind a valid checksum: the one reader must refuse it with a
 // *FormatError that names the version, never try to decode it.
-func TestReadFileRejectsVersion1(t *testing.T) {
+func TestReadFileRejectsVersion1(t *testing.T) { rejectsVersion(t, 1) }
+
+// TestReadFileRejectsVersion2 does the same for version 2, whose meta
+// section carried two options that no longer exist.
+func TestReadFileRejectsVersion2(t *testing.T) { rejectsVersion(t, 2) }
+
+func rejectsVersion(t *testing.T, version uint32) {
+	t.Helper()
 	raw := []byte(Magic)
-	raw = binary.LittleEndian.AppendUint32(raw, 1) // format version
-	raw = binary.LittleEndian.AppendUint32(raw, 0) // section count
+	raw = binary.LittleEndian.AppendUint32(raw, version) // format version
+	raw = binary.LittleEndian.AppendUint32(raw, 0)       // section count
 	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	path := filepath.Join(t.TempDir(), "old.ckpt")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestReadFileRejectsVersion1(t *testing.T) {
 	if !errors.As(err, &ferr) {
 		t.Fatalf("ReadFile = %v, want a *FormatError", err)
 	}
-	if !strings.Contains(ferr.Reason, "version 1") {
-		t.Fatalf("error %q does not name version 1", ferr.Reason)
+	if want := fmt.Sprintf("version %d", version); !strings.Contains(ferr.Reason, want) {
+		t.Fatalf("error %q does not name %s", ferr.Reason, want)
 	}
 }

@@ -426,12 +426,6 @@ func TestOptionsValidateLimits(t *testing.T) {
 		{"tick-reasonable", core.Options{CyclesPer10ms: 100_000}, true},
 		{"negative-clients", core.Options{Clients: -2}, false},
 		{"bad-hit-rate", core.Options{BufferCacheHitRate: 1.5}, false},
-		{"seed-partitions-default", core.Options{SeedPartitions: 0}, true},
-		{"seed-partitions-explicit", core.Options{SeedPartitions: 6}, true},
-		{"seed-partitions-extra", core.Options{SeedPartitions: 8}, true},
-		{"seed-partitions-negative", core.Options{SeedPartitions: -1}, false},
-		{"seed-partitions-aliasing", core.Options{SeedPartitions: 5}, false},
-		{"seed-partitions-one", core.Options{SeedPartitions: 1}, false},
 		{"sampling-defaults", core.Options{Sampling: core.Sampling{Period: 100_000}}, true},
 		{"sampling-explicit", core.Options{Sampling: core.Sampling{Period: 50_000, DetailWindow: 5_000, Warmup: 2_000}}, true},
 		{"sampling-period-too-small", core.Options{Sampling: core.Sampling{Period: 5}}, false},

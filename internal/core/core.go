@@ -66,8 +66,6 @@ type Options struct {
 	Clients int
 	// ServerProcesses overrides the Apache pool size (0 = 64).
 	ServerProcesses int
-	// FetchContexts overrides the ICOUNT fetch-context count (0 = 2).
-	FetchContexts int
 	// RoundRobinFetch replaces ICOUNT with round-robin fetch (ablation).
 	RoundRobinFetch bool
 	// ModelNetworkDMA adds NIC DMA traffic to the memory bus (the paper
@@ -116,13 +114,6 @@ type Options struct {
 	// network's histogram even when no overload faults are configured
 	// (overload runs always measure).
 	MeasureLatency bool
-	// SeedPartitions is the number of derived RNG seed partitions carved
-	// out of Seed, one per subsystem stream (kernel, SPECInt, network,
-	// Apache, faults, sampling), spaced seedStride apart so the streams
-	// never collide. 0 selects the default (seedPartitionCount); Validate
-	// rejects negative counts and any explicit count smaller than the
-	// number of subsystems, which would alias two streams.
-	SeedPartitions int
 	// Sampling enables sampled simulation (zero value = full detail); see
 	// the Sampling type.
 	Sampling Sampling
@@ -196,9 +187,6 @@ func (o Options) Validate() error {
 	if d := uint64(pipelineConfig(o).Depth); o.CyclesPer10ms > 0 && o.CyclesPer10ms < d {
 		return fmt.Errorf("core: CyclesPer10ms %d shorter than the %d-stage pipeline (an interrupt would fire before one instruction can retire)", o.CyclesPer10ms, d)
 	}
-	if o.FetchContexts < 0 {
-		return fmt.Errorf("core: negative FetchContexts %d", o.FetchContexts)
-	}
 	if o.Clients < 0 {
 		return fmt.Errorf("core: negative Clients %d", o.Clients)
 	}
@@ -229,12 +217,6 @@ func (o Options) Validate() error {
 	}
 	if o.BufferCacheHitRate < 0 || o.BufferCacheHitRate > 1 {
 		return fmt.Errorf("core: BufferCacheHitRate %v outside [0,1]", o.BufferCacheHitRate)
-	}
-	if o.SeedPartitions < 0 {
-		return fmt.Errorf("core: negative SeedPartitions %d", o.SeedPartitions)
-	}
-	if o.SeedPartitions > 0 && o.SeedPartitions < seedPartitionCount {
-		return fmt.Errorf("core: SeedPartitions %d is fewer than the %d subsystem streams (kernel, specint, network, apache, faults, sampling)", o.SeedPartitions, seedPartitionCount)
 	}
 	if err := o.Faults.Validate(); err != nil {
 		return err
@@ -292,9 +274,6 @@ func pipelineConfig(o Options) pipeline.Config {
 		pcfg = pipeline.SMTConfig()
 		if o.Contexts > 0 {
 			pcfg.Contexts = o.Contexts
-		}
-		if o.FetchContexts > 0 {
-			pcfg.FetchContexts = o.FetchContexts
 		}
 	}
 	pcfg.AppOnly = o.AppOnly

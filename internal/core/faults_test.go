@@ -16,7 +16,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	bad := []Options{
 		{Contexts: -1},
-		{FetchContexts: -2},
 		{Clients: -5},
 		{ServerProcesses: -1},
 		{KeepAliveRequests: -3},

@@ -13,7 +13,7 @@ import (
 // change, ...) or the checkpoint section layout: libraries built under a
 // different CodeVersion are rejected at restore time instead of silently
 // replaying stale state.
-const CodeVersion = "ossmt-sim-2"
+const CodeVersion = "ossmt-sim-3"
 
 // Fingerprint condenses everything that determines a simulation's trajectory
 // — workload, the full option set (as the meta section's Options bytes), the

@@ -14,9 +14,9 @@ func (o *Options) Save(e *checkpoint.Enc) {
 		o.ModelNetworkDMA, o.AffinityScheduler, o.MeasureLatency} {
 		e.Bool(b)
 	}
-	for _, v := range [...]int{o.Contexts, o.Clients, o.ServerProcesses, o.FetchContexts,
+	for _, v := range [...]int{o.Contexts, o.Clients, o.ServerProcesses,
 		o.KeepAliveRequests, o.AcceptBacklog, o.IdleTimeoutTicks, o.SocketTable, o.MbufPool,
-		o.ProcTable, o.FDLimit, o.ThinkTicks, o.StaggerTicks, o.SeedPartitions} {
+		o.ProcTable, o.FDLimit, o.ThinkTicks, o.StaggerTicks} {
 		e.Int(int64(v))
 	}
 	e.Float(o.BufferCacheHitRate)
@@ -34,9 +34,9 @@ func (o *Options) Load(d *checkpoint.Dec) {
 		&o.ModelNetworkDMA, &o.AffinityScheduler, &o.MeasureLatency} {
 		*p = d.Bool()
 	}
-	for _, p := range [...]*int{&o.Contexts, &o.Clients, &o.ServerProcesses, &o.FetchContexts,
+	for _, p := range [...]*int{&o.Contexts, &o.Clients, &o.ServerProcesses,
 		&o.KeepAliveRequests, &o.AcceptBacklog, &o.IdleTimeoutTicks, &o.SocketTable, &o.MbufPool,
-		&o.ProcTable, &o.FDLimit, &o.ThinkTicks, &o.StaggerTicks, &o.SeedPartitions} {
+		&o.ProcTable, &o.FDLimit, &o.ThinkTicks, &o.StaggerTicks} {
 		*p = int(d.Int())
 	}
 	o.BufferCacheHitRate = d.Float()

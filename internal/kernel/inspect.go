@@ -91,21 +91,9 @@ func (k *Kernel) ProcTable() (slots []uint32, free int) {
 // LiveUserProcs returns the number of process-table slots in use.
 func (k *Kernel) LiveUserProcs() int { return k.liveUsers }
 
-// PoolCaps reports the effective (possibly squeezed) resource capacities:
-// socket table, mbuf pool, per-process FD limit, process table.
-func (k *Kernel) PoolCaps() (sock, mbuf, fd, proc int) {
-	return k.sockCapEff, k.mbufCapEff, k.fdLimEff, k.procCapEff
-}
-
 // PoolSizes reports the configured (static) pool capacities, the hard upper
 // bounds that hold regardless of squeezes: socket table, mbuf pool,
 // per-process FD limit, process table.
 func (k *Kernel) PoolSizes() (sock, mbuf, fd, proc int) {
 	return k.cfg.SocketTableSize, k.cfg.MbufPoolSize, k.cfg.FDLimit, k.cfg.ProcTableSize
 }
-
-// SockInUse returns the number of live (non-free) socket-table entries.
-func (k *Kernel) SockInUse() int { return k.net.sockInUse() }
-
-// MbufPending returns the current mbuf-pool occupancy.
-func (k *Kernel) MbufPending() int { return len(k.net.pending) }

@@ -61,8 +61,6 @@ const KernelPID = 0
 // for PALcode, mirroring how Alpha PAL and kseg data sit outside the paged
 // pool.
 const (
-	// PhysMemBytes is the machine's physical memory size.
-	PhysMemBytes = 128 << 20
 	// AllocatorBytes is the portion managed by the page allocator.
 	AllocatorBytes = 96 << 20
 	// KernelPhysBase..KernelPhysBase+KernelPhysSize is the kernel's

@@ -15,6 +15,3 @@ package netsim
 // exists for equivalence tests and bisection. Safe to flip mid-run: wake
 // stamps are maintained in both modes.
 func (n *Network) SetReferenceScan(on bool) { n.refScan = on }
-
-// ReferenceScan reports which driver is active.
-func (n *Network) ReferenceScan() bool { return n.refScan }

@@ -24,6 +24,7 @@ func (e *Engine) Run(n uint64) {
 
 // step simulates one cycle: interrupt delivery, completion/branch
 // resolution, retire, dispatch, issue, fetch, and cycle attribution.
+//
 //detlint:hot per-cycle pipeline step: TestEngineStepZeroAlloc pins 0 allocs/op
 func (e *Engine) step() {
 	for _, ctx := range e.Feed.Cycle(e.now) {

@@ -184,38 +184,6 @@ func (e *Engine) SampleStats() SampleStats {
 	}
 }
 
-// Sub returns the difference s - prev (windowed reporting, like the other
-// counter deltas in report.Delta).
-func (s SampleStats) Sub(prev SampleStats) SampleStats {
-	return SampleStats{
-		Enabled:      s.Enabled,
-		Windows:      s.Windows - prev.Windows,
-		FFCycles:     s.FFCycles - prev.FFCycles,
-		DetailCycles: s.DetailCycles - prev.DetailCycles,
-		IPC:          s.IPC.Sub(prev.IPC),
-		KernelPct:    s.KernelPct.Sub(prev.KernelPct),
-		UserPct:      s.UserPct.Sub(prev.UserPct),
-		IdlePct:      s.IdlePct.Sub(prev.IdlePct),
-	}
-}
-
-// Merge combines two windowed SampleStats deltas (the additive inverse of
-// Sub). Folding per-window deltas left-to-right in window order is exactly
-// the accumulation a serial run performs, so the result is bit-identical
-// regardless of how the windows were partitioned across workers.
-func (s SampleStats) Merge(o SampleStats) SampleStats {
-	return SampleStats{
-		Enabled:      s.Enabled || o.Enabled,
-		Windows:      s.Windows + o.Windows,
-		FFCycles:     s.FFCycles + o.FFCycles,
-		DetailCycles: s.DetailCycles + o.DetailCycles,
-		IPC:          s.IPC.Merge(o.IPC),
-		KernelPct:    s.KernelPct.Merge(o.KernelPct),
-		UserPct:      s.UserPct.Merge(o.UserPct),
-		IdlePct:      s.IdlePct.Merge(o.IdlePct),
-	}
-}
-
 // EnableSampling switches the engine into sampling mode. It panics on an
 // invalid configuration (core.Options.Validate rejects these earlier with a
 // friendlier message). Safe on a freshly built engine; enabling drains any

@@ -3,6 +3,8 @@ package report
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // fillSnapshot sets every numeric leaf of a Snapshot to a distinct
@@ -78,5 +80,34 @@ func TestMergeZeroIdentity(t *testing.T) {
 	got := Merge(d, zero)
 	if !reflect.DeepEqual(got, d) {
 		t.Errorf("Merge(d, Delta(b,b)) != d")
+	}
+}
+
+// TestDeltaCarriesStallCounters pins the per-context-cycle unfetchability
+// counters of pipeline.Metrics through a real window. They are nested in
+// Snapshot.Metrics, where a hand-written field list once dropped them and
+// every window reported zero.
+func TestDeltaCarriesStallCounters(t *testing.T) {
+	sim := core.NewApache(core.Options{Seed: 1, CyclesPer10ms: 80_000})
+	sim.Run(150_000)
+	a := Take(sim)
+	sim.Run(150_000)
+	b := Take(sim)
+	d := Delta(a, b)
+	for _, c := range []struct {
+		name          string
+		got, from, to uint64
+	}{
+		{"StallRedirect", d.Metrics.StallRedirect, a.Metrics.StallRedirect, b.Metrics.StallRedirect},
+		{"StallIMiss", d.Metrics.StallIMiss, a.Metrics.StallIMiss, b.Metrics.StallIMiss},
+		{"StallROBFull", d.Metrics.StallROBFull, a.Metrics.StallROBFull, b.Metrics.StallROBFull},
+		{"StallFeed", d.Metrics.StallFeed, a.Metrics.StallFeed, b.Metrics.StallFeed},
+	} {
+		if c.got != c.to-c.from {
+			t.Errorf("Delta(a, b).Metrics.%s = %d, want %d - %d", c.name, c.got, c.to, c.from)
+		}
+		if c.got == 0 {
+			t.Errorf("Delta(a, b).Metrics.%s = 0 over a 150k-cycle Apache window", c.name)
+		}
 	}
 }

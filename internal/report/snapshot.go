@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/sys"
@@ -25,22 +24,6 @@ type StructStats struct {
 	Causes   conflict.Matrix
 	Shared   conflict.Sharing
 	Invalid  uint64
-}
-
-func (s StructStats) sub(o StructStats) StructStats {
-	var d StructStats
-	for i := 0; i < 2; i++ {
-		d.Accesses[i] = s.Accesses[i] - o.Accesses[i]
-		d.Misses[i] = s.Misses[i] - o.Misses[i]
-		for c := 0; c < conflict.NumCauses; c++ {
-			d.Causes.Counts[i][c] = s.Causes.Counts[i][c] - o.Causes.Counts[i][c]
-		}
-		for j := 0; j < 2; j++ {
-			d.Shared.Avoided[i][j] = s.Shared.Avoided[i][j] - o.Shared.Avoided[i][j]
-		}
-	}
-	d.Invalid = s.Invalid - o.Invalid
-	return d
 }
 
 // MissRate returns the miss percentage for one privilege class.
@@ -156,11 +139,11 @@ type Snapshot struct {
 	FDRejects        uint64
 	ForkRejects      uint64
 	Squeezes         uint64
-	MemFrameLimit    uint64 // gauge
-	MemRSSHighwater  uint64 // gauge
-	FramesHighwater  uint64 // gauge
-	SockHighwater    int    // gauge
-	MbufHighwater    int    // gauge
+	MemFrameLimit    uint64 `report:"gauge"` // gauge
+	MemRSSHighwater  uint64 `report:"gauge"` // gauge
+	FramesHighwater  uint64 `report:"gauge"` // gauge
+	SockHighwater    int    `report:"gauge"` // gauge
+	MbufHighwater    int    `report:"gauge"` // gauge
 
 	// Sampling holds the sampled-run estimators (Enabled=false on full-detail
 	// runs; everything else zero then).
@@ -253,116 +236,6 @@ func Take(sim *core.Simulator) Snapshot {
 		s.FaultCrashInjections = sim.Faults.Crashes
 	}
 	return s
-}
-
-// Delta returns the window b - a.
-func Delta(a, b Snapshot) Snapshot {
-	d := Snapshot{
-		Cycles:  b.Cycles - a.Cycles,
-		CycleAt: b.CycleAt.Sub(&a.CycleAt),
-		L1I:     b.L1I.sub(a.L1I),
-		L1D:     b.L1D.sub(a.L1D),
-		L2:      b.L2.sub(a.L2),
-		ITLB:    b.ITLB.sub(a.ITLB),
-		DTLB:    b.DTLB.sub(a.DTLB),
-		BTB:     b.BTB.sub(a.BTB),
-	}
-	d.Metrics = pipeline.Metrics{
-		Cycles:        b.Metrics.Cycles - a.Metrics.Cycles,
-		Retired:       b.Metrics.Retired - a.Metrics.Retired,
-		Fetched:       b.Metrics.Fetched - a.Metrics.Fetched,
-		Squashed:      b.Metrics.Squashed - a.Metrics.Squashed,
-		ZeroFetch:     b.Metrics.ZeroFetch - a.Metrics.ZeroFetch,
-		ZeroIssue:     b.Metrics.ZeroIssue - a.Metrics.ZeroIssue,
-		MaxIssue:      b.Metrics.MaxIssue - a.Metrics.MaxIssue,
-		FetchableSum:  b.Metrics.FetchableSum - a.Metrics.FetchableSum,
-		IntIssued:     b.Metrics.IntIssued - a.Metrics.IntIssued,
-		FPIssued:      b.Metrics.FPIssued - a.Metrics.FPIssued,
-		Interrupts:    b.Metrics.Interrupts - a.Metrics.Interrupts,
-		DTLBTraps:     b.Metrics.DTLBTraps - a.Metrics.DTLBTraps,
-		ITLBTraps:     b.Metrics.ITLBTraps - a.Metrics.ITLBTraps,
-		SyscallsSeen:  b.Metrics.SyscallsSeen - a.Metrics.SyscallsSeen,
-		RetireStallSB: b.Metrics.RetireStallSB - a.Metrics.RetireStallSB,
-	}
-	for p := 0; p < 2; p++ {
-		for c := 0; c < isa.NumClasses; c++ {
-			d.Mix.Count[p][c] = b.Mix.Count[p][c] - a.Mix.Count[p][c]
-		}
-		d.Mix.PhysLoad[p] = b.Mix.PhysLoad[p] - a.Mix.PhysLoad[p]
-		d.Mix.PhysStore[p] = b.Mix.PhysStore[p] - a.Mix.PhysStore[p]
-		d.Mix.CondTaken[p] = b.Mix.CondTaken[p] - a.Mix.CondTaken[p]
-		d.BpLookups[p] = b.BpLookups[p] - a.BpLookups[p]
-		d.BpMispredicts[p] = b.BpMispredicts[p] - a.BpMispredicts[p]
-	}
-	for i := range d.SyscallCount {
-		d.SyscallCount[i] = b.SyscallCount[i] - a.SyscallCount[i]
-	}
-	for i := range d.VMFaults {
-		d.VMFaults[i] = b.VMFaults[i] - a.VMFaults[i]
-	}
-	for i := range d.OutstandingArea {
-		d.OutstandingArea[i] = b.OutstandingArea[i] - a.OutstandingArea[i]
-	}
-	for i := range d.Writebacks {
-		d.Writebacks[i] = b.Writebacks[i] - a.Writebacks[i]
-	}
-	for i := range d.SvcInstByRes {
-		d.SvcInstByRes[i] = b.SvcInstByRes[i] - a.SvcInstByRes[i]
-	}
-	for i := range d.NetPerClass {
-		d.NetPerClass[i] = b.NetPerClass[i] - a.NetPerClass[i]
-	}
-	d.BusTransactions = b.BusTransactions - a.BusTransactions
-	d.SBPushed = b.SBPushed - a.SBPushed
-	d.SBDrained = b.SBDrained - a.SBDrained
-	d.SBFullStalls = b.SBFullStalls - a.SBFullStalls
-	d.IdleScheduled = b.IdleScheduled - a.IdleScheduled
-	d.LockContentions = b.LockContentions - a.LockContentions
-	d.SpinInsts = b.SpinInsts - a.SpinInsts
-	d.DiskReads = b.DiskReads - a.DiskReads
-	d.NICDelivered = b.NICDelivered - a.NICDelivered
-	d.NICDropped = b.NICDropped - a.NICDropped
-	d.FaultCrashInjections = b.FaultCrashInjections - a.FaultCrashInjections
-	d.ContextSwitches = b.ContextSwitches - a.ContextSwitches
-	d.Preemptions = b.Preemptions - a.Preemptions
-	d.MemAllocs = b.MemAllocs - a.MemAllocs
-	d.MemRefills = b.MemRefills - a.MemRefills
-	d.MemReclaims = b.MemReclaims - a.MemReclaims
-	d.MemUnmaps = b.MemUnmaps - a.MemUnmaps
-	d.ASNRecycles = b.ASNRecycles - a.ASNRecycles
-	d.ClockInterrupts = b.ClockInterrupts - a.ClockInterrupts
-	d.NetInterrupts = b.NetInterrupts - a.NetInterrupts
-	d.NetRequests = b.NetRequests - a.NetRequests
-	d.NetCompleted = b.NetCompleted - a.NetCompleted
-	d.NetBytes = b.NetBytes - a.NetBytes
-	d.NetRetransmits = b.NetRetransmits - a.NetRetransmits
-	d.NetAborted = b.NetAborted - a.NetAborted
-	d.NetResets = b.NetResets - a.NetResets
-	d.FramesDropped = b.FramesDropped - a.FramesDropped
-	d.FramesCorrupted = b.FramesCorrupted - a.FramesCorrupted
-	d.FramesDelayed = b.FramesDelayed - a.FramesDelayed
-	d.WorkerCrashes = b.WorkerCrashes - a.WorkerCrashes
-	d.WorkerRespawns = b.WorkerRespawns - a.WorkerRespawns
-	d.ConnsRefused = b.ConnsRefused - a.ConnsRefused
-	d.ReapedIdle = b.ReapedIdle - a.ReapedIdle
-	d.ReapedSlowloris = b.ReapedSlowloris - a.ReapedSlowloris
-	d.MemReclaimScans = b.MemReclaimScans - a.MemReclaimScans
-	d.MemSecondChances = b.MemSecondChances - a.MemSecondChances
-	d.MemLimitOverruns = b.MemLimitOverruns - a.MemLimitOverruns
-	d.SockPoolRejects = b.SockPoolRejects - a.SockPoolRejects
-	d.MbufDrops = b.MbufDrops - a.MbufDrops
-	d.FDRejects = b.FDRejects - a.FDRejects
-	d.ForkRejects = b.ForkRejects - a.ForkRejects
-	d.Squeezes = b.Squeezes - a.Squeezes
-	// Gauges: a window inherits the end snapshot's instantaneous values.
-	d.MemFrameLimit = b.MemFrameLimit
-	d.MemRSSHighwater = b.MemRSSHighwater
-	d.FramesHighwater = b.FramesHighwater
-	d.SockHighwater = b.SockHighwater
-	d.MbufHighwater = b.MbufHighwater
-	d.Latency = b.Latency.Sub(a.Latency)
-	d.Sampling = b.Sampling.Sub(a.Sampling)
-	return d
 }
 
 // IPC returns instructions per cycle in the window.

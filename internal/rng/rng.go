@@ -25,8 +25,8 @@ type Rand struct {
 	s [4]uint64
 	// geo memoizes log(1-1/m) for Geometric, which is called in hot loops
 	// with a handful of distinct means over and over. The memo is a pure
-	// function of the arguments — not stream state — so State/SetState and
-	// Save/Load ignore it and results are bit-identical with or without it.
+	// function of the arguments — not stream state — so Save/Load ignore it
+	// and results are bit-identical with or without it.
 	geo    [6]geoMemo //detlint:ignore snapshotcomplete derived memo of Geometric's arguments, not stream state
 	geoPos uint8      //detlint:ignore snapshotcomplete derived memo cursor, not stream state
 }
@@ -207,13 +207,6 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
-
-// State returns the generator's internal state, for checkpointing. Restoring
-// the same state with SetState resumes the stream bit-identically.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator's internal state (checkpoint restore).
-func (r *Rand) SetState(s [4]uint64) { r.s = s }
 
 // Save writes the generator state to a checkpoint section.
 func (r *Rand) Save(e *checkpoint.Enc) { checkpoint.PutUints(e, r.s[:]) }

@@ -70,23 +70,3 @@ func (h *Hist) Mean() float64 {
 	}
 	return float64(h.Sum) / float64(h.Count)
 }
-
-// Sub returns the difference h - prev, the histogram of observations
-// recorded between two snapshots.
-func (h Hist) Sub(prev Hist) Hist {
-	d := Hist{Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum, Over: h.Over - prev.Over}
-	for i := range h.Buckets {
-		d.Buckets[i] = h.Buckets[i] - prev.Buckets[i]
-	}
-	return d
-}
-
-// Merge returns the sum h + o (the inverse of Sub, for combining windowed
-// deltas).
-func (h Hist) Merge(o Hist) Hist {
-	m := Hist{Count: h.Count + o.Count, Sum: h.Sum + o.Sum, Over: h.Over + o.Over}
-	for i := range h.Buckets {
-		m.Buckets[i] = h.Buckets[i] + o.Buckets[i]
-	}
-	return m
-}

@@ -37,16 +37,3 @@ func TestHistEmptyAndOverflow(t *testing.T) {
 		t.Fatalf("overflow quantile = %d, want saturated %d", got, HistBuckets)
 	}
 }
-
-func TestHistSub(t *testing.T) {
-	var a Hist
-	a.Observe(3)
-	a.Observe(7)
-	before := a
-	a.Observe(7)
-	a.Observe(HistBuckets * 2)
-	d := a.Sub(before)
-	if d.Count != 2 || d.Buckets[7] != 1 || d.Buckets[3] != 0 || d.Over != 1 {
-		t.Fatalf("window delta wrong: %+v", d)
-	}
-}

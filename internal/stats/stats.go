@@ -196,8 +196,9 @@ func (c *Cycles) KernelPct() float64 {
 	return 100 * float64(c.ByMode[isa.Kernel]+c.ByMode[isa.PAL]) / float64(c.Total)
 }
 
-// Sub returns the difference c - prev (for windowed reporting: start-up vs
-// steady-state phases, Figure 1's time series).
+// Sub returns the difference c - prev: the sampler's attribution of one
+// detail window, computed inside the engine's allocation-free step
+// (report.Delta windows Cycles through its reflective field walk instead).
 func (c *Cycles) Sub(prev *Cycles) Cycles {
 	var d Cycles
 	for i := range c.ByCat {
@@ -211,23 +212,6 @@ func (c *Cycles) Sub(prev *Cycles) Cycles {
 	}
 	d.Total = c.Total - prev.Total
 	return d
-}
-
-// Merge returns the sum c + o (the inverse of Sub, for combining windowed
-// deltas).
-func (c *Cycles) Merge(o *Cycles) Cycles {
-	var m Cycles
-	for i := range c.ByCat {
-		m.ByCat[i] = c.ByCat[i] + o.ByCat[i]
-	}
-	for i := range c.BySyscall {
-		m.BySyscall[i] = c.BySyscall[i] + o.BySyscall[i]
-	}
-	for i := range c.ByMode {
-		m.ByMode[i] = c.ByMode[i] + o.ByMode[i]
-	}
-	m.Total = c.Total + o.Total
-	return m
 }
 
 // Series accumulates scalar observations as moment sums (count, sum, sum of
@@ -279,19 +263,6 @@ func (s *Series) StdErr() float64 {
 		return 0
 	}
 	return math.Sqrt(s.Var() / float64(s.N))
-}
-
-// Sub returns the difference s - prev, the series of observations recorded
-// between two snapshots.
-func (s Series) Sub(prev Series) Series {
-	return Series{N: s.N - prev.N, Sum: s.Sum - prev.Sum, SumSq: s.SumSq - prev.SumSq}
-}
-
-// Merge returns the combined series s + o (the inverse of Sub). Because the
-// state is plain moment sums, a left-to-right fold of per-window deltas in
-// window order reproduces the serial accumulation bit for bit.
-func (s Series) Merge(o Series) Series {
-	return Series{N: s.N + o.N, Sum: s.Sum + o.Sum, SumSq: s.SumSq + o.SumSq}
 }
 
 func privIndex(priv bool) int {

@@ -60,9 +60,6 @@ const (
 	// ErrAgain: a process-table slot (fork) was not available (EAGAIN,
 	// errno 35 on OSF/1).
 	ErrAgain = -35
-	// ErrNobufs: an mbuf or socket-table allocation failed in the network
-	// stack (ENOBUFS, errno 55 on OSF/1).
-	ErrNobufs = -55
 )
 
 // Resource classifies a syscall instance by the resource it operates on,

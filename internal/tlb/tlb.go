@@ -149,6 +149,7 @@ func (t *TLB) find(asn uint16, vpn uint64) (int32, bool) {
 // Lookup translates vaddr in address space asn. On a hit it returns the
 // physical address and true; on a miss it classifies the miss and returns
 // false (the caller then runs the PAL miss handler, which will Insert).
+//
 //detlint:hot per-access translation probe on the fetch and issue paths
 func (t *TLB) Lookup(asn uint16, vaddr uint64, ag conflict.Agent) (paddr uint64, hit bool) {
 	t.tick++
@@ -194,6 +195,7 @@ func (t *TLB) Probe(asn uint16, vaddr uint64) bool {
 // Insert installs a translation, evicting the LRU entry if necessary. It is
 // what the PAL TLB-miss handler does after the kernel VM code produced the
 // mapping.
+//
 //detlint:hot fill on the AppOnly translate path inside Engine.step
 func (t *TLB) Insert(asn uint16, vaddr, paddr uint64, ag conflict.Agent) {
 	t.tick++

@@ -49,6 +49,3 @@ func (w *Walker) Load(d *checkpoint.Dec) {
 	w.ResetEvery = d.Uint()
 	w.rng.Load(d)
 }
-
-// RNGState exposes the walker's generator state (used by tests).
-func (w *Walker) RNGState() [4]uint64 { return w.rng.State() }
