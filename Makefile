@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race netsimref bench-smoke fuzz-smoke bench bench-diff run experiments
+.PHONY: check build vet lint test race netsimref bench-smoke fuzz-smoke bench bench-diff bench-ab run experiments
 
 # check is the full verification gate: compile, vet, the determinism linter,
 # the whole test suite (including cmd/ossmt's in-process smoke legs: an
@@ -83,6 +83,46 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -date $$(date +%F) < /tmp/bench-diff.out > /tmp/bench-diff.json
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCHDIFF_THRESHOLD) \
 		$$(ls BENCH_*.json | sort | tail -1) /tmp/bench-diff.json
+
+# bench-ab compares the working tree against the revision BASE on this host,
+# in pairs: it exports BASE with git archive, builds the root and
+# internal/pipeline test binaries of both sides with go test -c, then runs
+# BenchmarkSimulatorThroughput (one full-detail run) and BenchmarkEngineStep
+# (a fixed number of cycles) for BENCHAB_PAIRS pairs, alternating which side
+# runs first, each binary from its own package directory. It prints every
+# pair's ns/op and head/base ratio and the median ratio per benchmark
+# (below 1 means the working tree is faster). Pairing cancels the host's
+# slow and fast phases that a stored baseline cannot; it reports, it does
+# not gate. Usage: make bench-ab BASE=<rev> [BENCHAB_PAIRS=5]
+BENCHAB_PAIRS ?= 5
+BENCHAB_DIR ?= /tmp/bench-ab
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [BENCHAB_PAIRS=5]"; exit 2; }
+	rm -rf $(BENCHAB_DIR) && mkdir -p $(BENCHAB_DIR)/base
+	git archive --format=tar $(BASE) | tar -x -C $(BENCHAB_DIR)/base
+	cd $(BENCHAB_DIR)/base && $(GO) test -c -o $(BENCHAB_DIR)/base-root.test . && \
+		$(GO) test -c -o $(BENCHAB_DIR)/base-pipeline.test ./internal/pipeline
+	$(GO) test -c -o $(BENCHAB_DIR)/head-root.test . && \
+		$(GO) test -c -o $(BENCHAB_DIR)/head-pipeline.test ./internal/pipeline
+	@set -e; d=$(BENCHAB_DIR); here=$$(pwd); \
+	run() { side=$$1; pkg=$$2; bench=$$3; bt=$$4; \
+		if [ $$side = base ]; then dir=$$d/base; else dir=$$here; fi; \
+		if [ $$pkg = pipeline ]; then dir=$$dir/internal/pipeline; fi; \
+		(cd $$dir && $$d/$$side-$$pkg.test -test.run '^$$' -test.bench "^$$bench\$$" \
+			-test.benchtime $$bt -test.cpu 2 -test.timeout 30m) | \
+			awk -v b=$$bench '$$1 ~ "^"b"(-[0-9]+)?$$" {print $$3}'; }; \
+	for spec in root:BenchmarkSimulatorThroughput:1x pipeline:BenchmarkEngineStep:200000x; do \
+		pkg=$${spec%%:*}; rest=$${spec#*:}; bench=$${rest%%:*}; bt=$${rest#*:}; \
+		: > $$d/ratios; \
+		for i in $$(seq 1 $(BENCHAB_PAIRS)); do \
+			if [ $$((i % 2)) = 1 ]; then b=$$(run base $$pkg $$bench $$bt); h=$$(run head $$pkg $$bench $$bt); \
+			else h=$$(run head $$pkg $$bench $$bt); b=$$(run base $$pkg $$bench $$bt); fi; \
+			r=$$(awk -v h=$$h -v b=$$b 'BEGIN {printf "%.3f", h / b}'); echo $$r >> $$d/ratios; \
+			echo "bench-ab: $$bench pair $$i: base $$b ns/op, head $$h ns/op, head/base $$r"; \
+		done; \
+		sort -g $$d/ratios | awk -v b=$$bench '{v[NR] = $$1} END {m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2; \
+			printf "bench-ab: %s median head/base %.3f over %d pairs\n", b, m, NR}'; \
+	done
 
 # run is a small demo simulation.
 run:

@@ -93,19 +93,20 @@ func tmplFor(t *Thread, cat sys.Category, sysno uint16) pipeline.FedInst {
 
 // ------------------------------------------------------------ pipeline.Feed
 
-// InstAt implements pipeline.Feed.
-func (k *Kernel) InstAt(ctx int, idx uint64) (pipeline.FedInst, bool) {
+// Span implements pipeline.Feed: the buffered instructions from idx on,
+// generating only while idx itself is not yet buffered.
+func (k *Kernel) Span(ctx int, idx uint64) []pipeline.FedInst {
 	f := &k.feeds[ctx]
 	if idx < f.base {
-		return pipeline.FedInst{}, false
+		return nil
 	}
 	off := idx - f.base
 	for uint64(len(f.buf)-f.head) <= off {
 		if !k.fill(ctx) {
-			return pipeline.FedInst{}, false
+			return nil
 		}
 	}
-	return f.buf[f.head+int(off)], true
+	return f.buf[f.head+int(off):]
 }
 
 // Retired implements pipeline.Feed.

@@ -40,6 +40,17 @@ func (e *Engine) step() {
 	e.now++
 }
 
+// rotate returns (i + k) mod n for 0 <= i+k < 2n. The rotation cursors
+// stay in [0, n) (Load rejects any other value), so the per-cycle stages
+// step them with one conditional subtraction instead of an integer
+// division.
+func rotate(i, k, n int) int {
+	if i += k; i >= n {
+		i -= n
+	}
+	return i
+}
+
 func agentOf(in *FedInst) conflict.Agent {
 	return conflict.Agent{TID: in.TID, Priv: in.Mode.Privileged()}
 }
@@ -74,6 +85,9 @@ func (e *Engine) completions() {
 			continue // squashed
 		}
 		u.state = stDone
+		if u.waiters != 0 {
+			e.wake(c, ev.ctx, u)
+		}
 		if u.mispred && !u.wrongPath {
 			// Branch resolved wrong: squash everything younger in this
 			// context and redirect fetch to the correct path (the feed
@@ -110,21 +124,34 @@ func (e *Engine) freeRes(u *uop) {
 	if u.usesFP {
 		e.fpRegsUsed--
 	}
-	u.inQueue = false // queue refs are invalidated by id checks
+	if u.inQueue {
+		// A ready-list entry is dropped by its id check at the next issue
+		// stage; until then the slot keeps its capacity.
+		q := e.queueOf(u)
+		q.live--
+		q.dead++
+		u.inQueue = false
+	}
 }
 
 // squashFrom removes all uops with seq >= seqStart from context c.
 func (e *Engine) squashFrom(c *ctxState, seqStart uint64) {
+	freed := uint64(0)
 	for c.sz > 0 {
 		tailSeq := c.headSeq + uint64(c.sz) - 1
 		if tailSeq < seqStart {
 			break
 		}
-		u := c.robAt(c.sz - 1)
+		pos := (c.head + c.sz - 1) & (len(c.rob) - 1)
+		u := &c.rob[pos]
 		e.freeRes(u)
 		u.id = 0
 		c.sz--
+		freed |= 1 << uint(pos)
 		e.Metrics.Squashed++
+	}
+	if freed != 0 && c.sz > 0 {
+		unlinkSlots(c, freed)
 	}
 	if c.dispatch > c.sz {
 		c.dispatch = c.sz
@@ -143,7 +170,7 @@ func (e *Engine) retire() {
 	budget := e.Cfg.RetireWidth
 	n := e.Cfg.Contexts
 	for k := 0; k < n && budget > 0; k++ {
-		ctx := (e.rrRetire + k) % n
+		ctx := rotate(e.rrRetire, k, n)
 		c := &e.ctxs[ctx]
 		for budget > 0 && c.sz > 0 {
 			u := c.robAt(0)
@@ -193,7 +220,7 @@ func (e *Engine) retire() {
 			e.Feed.Retired(ctx, idx, in)
 		}
 	}
-	e.rrRetire = (e.rrRetire + 1) % n
+	e.rrRetire = rotate(e.rrRetire, 1, n)
 }
 
 // storeAccess performs the cache write for a retiring store, using the
@@ -221,24 +248,24 @@ func (e *Engine) dispatch() {
 	fl := e.Cfg.frontLatency()
 	n := e.Cfg.Contexts
 	for k := 0; k < n; k++ {
-		ctx := (e.rrDispatch + k) % n
+		ctx := rotate(e.rrDispatch, k, n)
 		c := &e.ctxs[ctx]
 		for c.dispatch < c.sz {
-			u := c.robAt(c.dispatch)
+			slot := (c.head + c.dispatch) & (len(c.rob) - 1)
+			u := &c.rob[slot]
 			if u.state != stFetched || u.fetchedAt+fl > e.now {
 				break
 			}
 			if u.in.Class.UsesFP() {
-				if len(e.fpQ) >= e.Cfg.FPQueueSize || e.fpRegsUsed >= e.Cfg.FPRegs {
+				if e.fpQ.occupancy() >= e.Cfg.FPQueueSize || e.fpRegsUsed >= e.Cfg.FPRegs {
 					break
 				}
 				e.fpRegsUsed++
 				u.usesFP = true
 				u.state = stQueued
-				u.inQueue = true
-				e.fpQ = append(e.fpQ, qref{ctx: ctx, seq: u.seq, id: u.id})
+				e.enqueue(&e.fpQ, c, ctx, slot, u)
 			} else {
-				if len(e.intQ) >= e.Cfg.IntQueueSize {
+				if e.intQ.occupancy() >= e.Cfg.IntQueueSize {
 					break
 				}
 				needsReg := u.in.Class == isa.IntALU || u.in.Class == isa.Load ||
@@ -251,39 +278,19 @@ func (e *Engine) dispatch() {
 					u.usesInt = true
 				}
 				u.state = stQueued
-				u.inQueue = true
-				e.intQ = append(e.intQ, qref{ctx: ctx, seq: u.seq, id: u.id})
+				e.enqueue(&e.intQ, c, ctx, slot, u)
 			}
 			c.dispatch++
 		}
 	}
-	e.rrDispatch = (e.rrDispatch + 1) % n
+	e.rrDispatch = rotate(e.rrDispatch, 1, n)
 }
 
 // ---------------------------------------------------------------- issue
 
-// operandsReady checks register dependences against the same context's
-// in-flight window.
-func (e *Engine) operandsReady(c *ctxState, u *uop) bool {
-	for _, d := range [2]uint16{u.in.Dep1, u.in.Dep2} {
-		if d == 0 {
-			continue
-		}
-		if uint64(d) > u.seq {
-			continue
-		}
-		target := u.seq - uint64(d)
-		if target < c.headSeq {
-			continue // already retired (in-order retirement ⇒ done)
-		}
-		dep := c.robAt(int(target - c.headSeq))
-		if dep.state != stDone || dep.doneAt > e.now {
-			return false
-		}
-	}
-	return true
-}
-
+// issue selects from the two queues' ready lists, integer first, oldest
+// first within each; try consumes the functional units and data-cache ports
+// an issuing uop needs and sets its doneAt.
 func (e *Engine) issue() {
 	intUnits := e.Cfg.IntUnits
 	lsUnits := e.Cfg.LSUnits
@@ -292,7 +299,7 @@ func (e *Engine) issue() {
 	dports := e.Cfg.DCachePorts
 	issuedInt, issuedFP := 0, 0
 
-	e.intQ = e.issueQueue(e.intQ, func(u *uop, c *ctxState, ctx int) bool {
+	e.issueStage(&e.intQ, func(u *uop) bool {
 		if intUnits == 0 {
 			return false
 		}
@@ -335,7 +342,7 @@ func (e *Engine) issue() {
 		return true
 	})
 
-	e.fpQ = e.issueQueue(e.fpQ, func(u *uop, c *ctxState, ctx int) bool {
+	e.issueStage(&e.fpQ, func(u *uop) bool {
 		if fpUnits == 0 {
 			return false
 		}
@@ -353,31 +360,6 @@ func (e *Engine) issue() {
 	if issuedInt == e.Cfg.IntUnits {
 		e.Metrics.MaxIssue++
 	}
-}
-
-// issueQueue walks a queue oldest-first, issuing entries accepted by try and
-// compacting out dead or issued entries. try sets u.doneAt on success.
-func (e *Engine) issueQueue(q []qref, try func(u *uop, c *ctxState, ctx int) bool) []qref {
-	out := q[:0]
-	for _, ref := range q {
-		c := &e.ctxs[ref.ctx]
-		u := e.lookup(c, ref.seq, ref.id)
-		if u == nil || u.state != stQueued {
-			continue // squashed or already handled
-		}
-		if !e.operandsReady(c, u) {
-			out = append(out, ref)
-			continue
-		}
-		if !try(u, c, ref.ctx) {
-			out = append(out, ref)
-			continue
-		}
-		u.state = stIssued
-		u.inQueue = false
-		e.events.push(event{at: u.doneAt, ctx: ref.ctx, seq: ref.seq, id: ref.id})
-	}
-	return out
 }
 
 // memIssue translates and (for loads/syncs) accesses the data cache.
@@ -441,7 +423,7 @@ func (e *Engine) fetchable(ctx int) bool {
 	if c.wrong != nil {
 		return true
 	}
-	if _, ok := e.Feed.InstAt(ctx, c.fetchIdx); !ok {
+	if len(e.Feed.Span(ctx, c.fetchIdx)) == 0 {
 		e.Metrics.StallFeed++
 		return false
 	}
@@ -474,7 +456,7 @@ func (e *Engine) fetch() {
 			f[j], f[j-1] = f[j-1], f[j]
 		}
 	}
-	e.rrFetch = (e.rrFetch + 1) % e.Cfg.Contexts
+	e.rrFetch = rotate(e.rrFetch, 1, e.Cfg.Contexts)
 
 	width := e.Cfg.FetchWidth
 	fetched := 0
@@ -497,7 +479,7 @@ func (e *Engine) fetchLess(a, b, rr int) bool {
 		}
 	}
 	n := e.Cfg.Contexts
-	return (a-rr+n)%n < (b-rr+n)%n
+	return rotate(a, n-rr, n) < rotate(b, n-rr, n)
 }
 
 // fetchCtx fetches up to width instructions from one context, returning the
@@ -506,20 +488,25 @@ func (e *Engine) fetchCtx(ctx, width int) int {
 	c := &e.ctxs[ctx]
 	n := 0
 	firstLine := true
-	// fin aliases engine-owned scratch: its address flows into Feed interface
-	// calls (Trap/Translate), so a per-iteration local would be forced to the
-	// heap on every fetchCtx call.
-	fin := &e.fetchScratch
+	// A correct-path fin points into the feed's span, which stays valid for
+	// the whole call: nothing here retires, and a trap ends the call. A
+	// wrong-path fin points at engine-owned scratch, since its address flows
+	// into Feed calls and a per-iteration local would be forced to the heap.
+	var span []FedInst
 	for n < width && !c.full() {
 		fromWrong := c.wrong != nil
+		var fin *FedInst
 		if fromWrong {
-			*fin = c.wrong.next()
+			e.fetchScratch = c.wrong.next()
+			fin = &e.fetchScratch
 		} else {
-			var ok bool
-			*fin, ok = e.Feed.InstAt(ctx, c.fetchIdx)
-			if !ok {
-				break
+			if len(span) == 0 {
+				if span = e.Feed.Span(ctx, c.fetchIdx); len(span) == 0 {
+					break
+				}
 			}
+			fin = &span[0]
+			span = span[1:]
 		}
 
 		line := fin.PC >> 6
@@ -552,7 +539,7 @@ func (e *Engine) fetchCtx(ctx, width int) int {
 		if !fromWrong {
 			c.fetchIdx++
 		}
-		u := e.push(c, *fin, fromWrong)
+		u := e.push(c, fin, fromWrong)
 		e.Metrics.Fetched++
 		n++
 
@@ -580,28 +567,31 @@ func (e *Engine) fetchCtx(ctx, width int) int {
 	return n
 }
 
-// push appends a fetched instruction to the context's ROB.
-func (e *Engine) push(c *ctxState, fin FedInst, wrongPath bool) *uop {
-	pos := (c.head + c.sz) & (len(c.rob) - 1)
+// push appends a fetched instruction to the context's ROB. It writes the
+// slot field by field: building a uop value first would copy all 136 bytes
+// a second time per fetched instruction.
+func (e *Engine) push(c *ctxState, fin *FedInst, wrongPath bool) *uop {
+	u := &c.rob[(c.head+c.sz)&(len(c.rob)-1)]
 	e.nextID++
-	idx := uint64(0)
+	u.in = *fin
 	if wrongPath {
-		idx = ^uint64(0)
+		u.idx = ^uint64(0)
 	} else {
-		idx = c.fetchIdx - 1
+		u.idx = c.fetchIdx - 1
 	}
-	c.rob[pos] = uop{
-		in:        fin,
-		idx:       idx,
-		seq:       c.nextSeq,
-		id:        e.nextID,
-		state:     stFetched,
-		fetchedAt: e.now,
-		wrongPath: wrongPath,
-	}
+	u.seq = c.nextSeq
+	u.id = e.nextID
+	u.state = stFetched
+	u.fetchedAt = e.now
+	u.doneAt = 0
+	u.wrongPath = wrongPath
+	u.mispred, u.faulted = false, false
+	u.paddr = 0
+	u.usesInt, u.usesFP, u.inQueue = false, false, false
+	u.ticket, u.waiters, u.pending = 0, 0, 0
 	c.nextSeq++
 	c.sz++
-	return &c.rob[pos]
+	return u
 }
 
 // ifetchTranslate translates an instruction fetch address. PAL-mode fetches
@@ -627,7 +617,8 @@ func (e *Engine) ifetchTranslate(ctx int, fin *FedInst, fromWrong bool) (uint64,
 	}
 	e.Metrics.ITLBTraps++
 	c := &e.ctxs[ctx]
-	e.Feed.Trap(ctx, c.fetchIdx, fin, TrapITLB, fin.PC)
+	e.trapScratch = *fin // fin may alias the span the splice moves
+	e.Feed.Trap(ctx, c.fetchIdx, &e.trapScratch, TrapITLB, fin.PC)
 	return 0, false
 }
 

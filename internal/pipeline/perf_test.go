@@ -131,10 +131,19 @@ func sizesOf(e *Engine) []int {
 // predictable and mispredicting branches, FP ops) over a short PC loop, so
 // the steady-state engine exercises fetch, wrong-path generation, dispatch,
 // issue, the event heap, the store buffer, and retire without any kernel
-// machinery.
-type benchFeed struct{}
+// machinery. Each instruction is a pure function of (ctx, idx); a span is a
+// window of benchSpan of them, regenerated when fetch leaves it.
+type benchFeed struct {
+	base [benchCtxs]uint64
+	win  [benchCtxs][benchSpan]FedInst
+}
 
-func (benchFeed) InstAt(ctx int, idx uint64) (FedInst, bool) {
+const (
+	benchCtxs = 8
+	benchSpan = 16
+)
+
+func benchInst(ctx int, idx uint64) FedInst {
 	s := (uint64(ctx) + 1) * 0x9e3779b97f4a7c15
 	s ^= idx * 6364136223846793005
 	s = s*6364136223846793005 + 1442695040888963407
@@ -160,19 +169,30 @@ func (benchFeed) InstAt(ctx int, idx uint64) (FedInst, bool) {
 	default:
 		in.Class = isa.IntALU
 	}
-	return in, true
+	return in
 }
 
-func (benchFeed) Retired(ctx int, idx uint64, in *FedInst)                           {}
-func (benchFeed) Trap(ctx int, idx uint64, in *FedInst, kind TrapKind, vaddr uint64) {}
-func (benchFeed) Cycle(now uint64) []int                                             { return nil }
-func (benchFeed) Translate(in *FedInst, vaddr uint64) uint64                         { return vaddr }
-func (benchFeed) Halted(ctx int) bool                                                { return false }
+func (f *benchFeed) Span(ctx int, idx uint64) []FedInst {
+	w := &f.win[ctx]
+	if idx < f.base[ctx] || idx >= f.base[ctx]+benchSpan || w[0].PC == 0 {
+		f.base[ctx] = idx
+		for i := range w {
+			w[i] = benchInst(ctx, idx+uint64(i))
+		}
+	}
+	return w[idx-f.base[ctx]:]
+}
+
+func (*benchFeed) Retired(ctx int, idx uint64, in *FedInst)                           {}
+func (*benchFeed) Trap(ctx int, idx uint64, in *FedInst, kind TrapKind, vaddr uint64) {}
+func (*benchFeed) Cycle(now uint64) []int                                             { return nil }
+func (*benchFeed) Translate(in *FedInst, vaddr uint64) uint64                         { return vaddr }
+func (*benchFeed) Halted(ctx int) bool                                                { return false }
 
 func newBenchEngine() *Engine {
 	cfg := SMTConfig()
 	cfg.AppOnly = true
-	return New(cfg, benchFeed{}, cache.NewHierarchy(cache.DefaultHierConfig()))
+	return New(cfg, &benchFeed{}, cache.NewHierarchy(cache.DefaultHierConfig()))
 }
 
 // TestEngineStepZeroAlloc is the allocation regression gate for the cycle

@@ -5,11 +5,18 @@
 // behavioral kernel (package kernel): each hardware context fetches from a
 // per-context stream of decoded instructions, with branch prediction,
 // wrong-path fetch after mispredictions, ICOUNT-2.8 fetch chooser, register
-// renaming limits, 32-entry issue queues, the paper's functional-unit
-// complement (6 integer — 4 load/store + 2 synchronization — and 4 floating
-// point), a 12-wide in-order-per-thread retire stage, TLB-miss and
-// interrupt traps, and the shared cache hierarchy/branch hardware from
-// internal/cache and internal/bpred.
+// renaming limits, 32-entry issue queues with oldest-first select, the
+// paper's functional-unit complement (6 integer — 4 load/store + 2
+// synchronization — and 4 floating point), a 12-wide in-order-per-thread
+// retire stage, TLB-miss and interrupt traps, and the shared cache
+// hierarchy/branch hardware from internal/cache and internal/bpred.
+//
+// Fetch reads each context's instructions a span at a time (Feed.Span). The
+// issue stage is wakeup-driven (wakeup.go): a queued uop counts its
+// incomplete producers once at dispatch, producer completion wakes it, and
+// select walks only the age-ordered ready lists. This is the same schedule
+// a per-cycle rescan of the queues produces, at a fraction of the host cost
+// (DESIGN.md §6f).
 //
 // The superscalar baseline is the same engine configured with one hardware
 // context and a 2-stage-shorter front end (§2.1: the superscalar lacks the
@@ -82,12 +89,17 @@ type FedInst struct {
 // Feed is the interface the behavioral kernel implements to supply each
 // hardware context's instruction stream and react to pipeline events.
 type Feed interface {
-	// InstAt returns the instruction at stream index idx of context ctx.
-	// ok=false means the context has nothing to fetch (trap serialization,
-	// blocked generation); the pipeline will retry later. Indices are
-	// stable: re-reading an index returns the same instruction unless a
-	// Trap spliced new code at or before it.
-	InstAt(ctx int, idx uint64) (FedInst, bool)
+	// Span returns the instructions of context ctx already buffered from
+	// stream index idx on; span[i] is the instruction at idx+i. When none
+	// is buffered the feed generates until idx is (at least one
+	// instruction, never further ahead than an index-by-index reader would
+	// make it); an empty span means the context has nothing to fetch (trap
+	// serialization, blocked generation) and the pipeline retries later.
+	// Indices are stable: re-reading an index returns the same instruction
+	// unless a Trap spliced new code at or before it. A span aliases the
+	// feed's buffer and is invalid after the next Span, Trap or Retired
+	// call on any context.
+	Span(ctx int, idx uint64) []FedInst
 	// Retired notifies, in program order, that the instruction at idx
 	// committed. The kernel uses this to unpause generation after
 	// serializing instructions (syscall entry, PAL return).
@@ -133,7 +145,9 @@ type Config struct {
 	IntUnits, LSUnits, SyncUnits, FPUnits int
 	// DCachePorts is concurrent data-cache accesses per cycle (2).
 	DCachePorts int
-	// ROBSize is the per-context in-flight instruction cap.
+	// ROBSize is the per-context in-flight instruction cap: a power of two
+	// of at most 64, because each ROB slot records the slots of the queued
+	// uops waiting on it in one 64-bit mask (New panics otherwise).
 	ROBSize int
 	// AppOnly selects application-only simulation: system calls and TLB
 	// traps complete instantly with no kernel code (§2.3.1).
@@ -198,22 +212,32 @@ const (
 	stDone
 )
 
-// uop is one in-flight instruction.
+// uop is one in-flight instruction. The one-byte fields sit together at the
+// end so the slot packs into 136 bytes.
 type uop struct {
 	in        FedInst
 	idx       uint64 // feed stream index (wrong-path: ^0)
 	seq       uint64 // per-context sequence number
 	id        uint64 // globally unique, validates completion events
-	state     uopState
 	fetchedAt uint64
 	doneAt    uint64
-	wrongPath bool
-	mispred   bool   // correct-path branch that was mispredicted
-	faulted   bool   // DTLB miss awaiting precise trap at ROB head
 	paddr     uint64 // translated data address (memory classes, set at issue)
-	usesInt   bool   // consumed an integer renaming register
+
+	// Wakeup state (wakeup.go), derived: Load rebuilds it. ticket orders
+	// queued uops by dispatch; waiters has bit s set when the queued uop in
+	// ROB slot s of this context waits on this one; pending counts the
+	// producers whose completion event has not popped.
+	ticket  uint64
+	waiters uint64
+
+	state     uopState
+	wrongPath bool
+	mispred   bool // correct-path branch that was mispredicted
+	faulted   bool // DTLB miss awaiting precise trap at ROB head
+	usesInt   bool // consumed an integer renaming register
 	usesFP    bool
 	inQueue   bool // occupying an issue-queue slot
+	pending   uint8
 }
 
 // event is a completion event.
@@ -351,11 +375,13 @@ func (c *ctxState) robAt(i int) *uop { // i-th from head
 
 func (c *ctxState) full() bool { return c.sz == len(c.rob) }
 
-// qref locates a queued uop for the shared issue-queue lists.
+// qref locates a queued uop: an entry of an issue queue's ready list, and
+// the form a queue takes in the checkpoint.
 type qref struct {
-	ctx int
-	seq uint64
-	id  uint64
+	ctx    int
+	seq    uint64
+	id     uint64
+	ticket uint64
 }
 
 // ThreadStat accumulates per-software-thread execution counters, for
@@ -445,7 +471,11 @@ type Engine struct {
 	nextID    uint64
 	perThread []ThreadStat
 
-	intQ, fpQ        []qref // issue-queue occupants
+	// intQ and fpQ are the shared issue queues (wakeup.go); nextTicket
+	// numbers dispatches. Both are derived from the ROBs and the saved
+	// queue order, and Load rebuilds them.
+	intQ, fpQ        issueQueue //detlint:ignore snapshotcomplete derived wakeup index; Save writes the queue order, Load rebuilds it
+	nextTicket       uint64     //detlint:ignore snapshotcomplete derived dispatch order, renumbered by Load
 	intRegsUsed      int
 	fpRegsUsed       int
 	rrRetire         int
@@ -454,7 +484,7 @@ type Engine struct {
 	fetchableScratch []int   //detlint:ignore snapshotcomplete scratch buffer, carries no state across cycles
 	retireScratch    FedInst //detlint:ignore snapshotcomplete scratch copy handed to Feed.Retired, dead after the call
 	trapScratch      FedInst //detlint:ignore snapshotcomplete scratch copy handed to Feed.Trap, dead after the call
-	fetchScratch     FedInst //detlint:ignore snapshotcomplete scratch for the instruction being fetched, dead after fetchCtx
+	fetchScratch     FedInst //detlint:ignore snapshotcomplete scratch for the wrong-path instruction being fetched, dead after fetchCtx
 	ffScratch        FedInst //detlint:ignore snapshotcomplete scratch for the instruction being fast-forwarded, dead after ffExec
 
 	// smp is the sampling FSM (sample.go); zero value means sampling off.
@@ -466,6 +496,9 @@ func New(cfg Config, feed Feed, hier *cache.Hierarchy) *Engine {
 	if cfg.ROBSize&(cfg.ROBSize-1) != 0 {
 		panic("pipeline: ROBSize must be a power of two")
 	}
+	if cfg.ROBSize > 64 {
+		panic(fmt.Sprintf("pipeline: ROBSize %d exceeds 64, the width of a ROB slot's waiter mask", cfg.ROBSize))
+	}
 	e := &Engine{
 		Cfg:  cfg,
 		Feed: feed,
@@ -476,12 +509,12 @@ func New(cfg Config, feed Feed, hier *cache.Hierarchy) *Engine {
 		SB:   cache.NewStoreBuffer(hier.Cfg.StoreBufferEntries),
 		ctxs: make([]ctxState, cfg.Contexts),
 		// Preallocate every per-cycle scratch structure at its steady-state
-		// bound so the cycle loop never grows a slice: the issue queues are
-		// hard-capped by configuration, the completion heap by the total
+		// bound so the cycle loop never grows a slice: the ready lists are
+		// hard-capped by the queue sizes, the completion heap by the total
 		// in-flight window, and the fetchable set by the context count.
 		events:           make(eventHeap, 0, cfg.Contexts*cfg.ROBSize),
-		intQ:             make([]qref, 0, cfg.IntQueueSize),
-		fpQ:              make([]qref, 0, cfg.FPQueueSize),
+		intQ:             issueQueue{ready: make([]qref, 0, cfg.IntQueueSize)},
+		fpQ:              issueQueue{ready: make([]qref, 0, cfg.FPQueueSize)},
 		fetchableScratch: make([]int, 0, cfg.Contexts),
 	}
 	for i := range e.ctxs {
@@ -501,8 +534,9 @@ func (e *Engine) Now() uint64 { return e.now }
 // is not making progress (halted, awaiting redirect, or an I-miss).
 func (e *Engine) DiagString() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline: cycle=%d retired=%d fetched=%d intQ=%d fpQ=%d\n",
-		e.now, e.Metrics.Retired, e.Metrics.Fetched, len(e.intQ), len(e.fpQ))
+	fmt.Fprintf(&b, "pipeline: cycle=%d retired=%d fetched=%d intQ=%d (ready %d) fpQ=%d (ready %d)\n",
+		e.now, e.Metrics.Retired, e.Metrics.Fetched,
+		e.intQ.occupancy(), len(e.intQ.ready), e.fpQ.occupancy(), len(e.fpQ.ready))
 	for i := range e.ctxs {
 		c := &e.ctxs[i]
 		state := "running"

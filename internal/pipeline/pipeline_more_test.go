@@ -53,8 +53,8 @@ func TestIssueQueueCapacityRespected(t *testing.T) {
 	e := build(t, cfg, f)
 	for i := 0; i < 40; i++ {
 		e.Run(50)
-		if len(e.intQ) > cfg.IntQueueSize {
-			t.Fatalf("int queue holds %d > %d", len(e.intQ), cfg.IntQueueSize)
+		if e.intQ.occupancy() > cfg.IntQueueSize {
+			t.Fatalf("int queue holds %d > %d", e.intQ.occupancy(), cfg.IntQueueSize)
 		}
 	}
 }

@@ -17,7 +17,7 @@ type testFeed struct {
 	retired    [][]uint64
 	traps      []trapRec
 	interrupts map[uint64][]int
-	// pauseAfterSyscall makes InstAt return false past an unretired
+	// pauseAfterSyscall makes Span withhold everything past an unretired
 	// syscall PALCall, and resume (with resumeInsts) when it retires.
 	pauseAfterSyscall bool
 	resumeInsts       []FedInst
@@ -40,20 +40,22 @@ func newTestFeed(nctx int) *testFeed {
 	}
 }
 
-func (f *testFeed) InstAt(ctx int, idx uint64) (FedInst, bool) {
+func (f *testFeed) Span(ctx int, idx uint64) []FedInst {
+	buf := f.bufs[ctx]
+	end := uint64(len(buf))
 	if f.paused[ctx] {
-		// find position of the pending syscall; anything after it is
-		// withheld.
-		for i, in := range f.bufs[ctx] {
-			if in.Class == isa.PALCall && in.Syscall != 0 && uint64(i) < idx {
-				return FedInst{}, false
+		// Anything after the first pending syscall is withheld.
+		for i, in := range buf {
+			if in.Class == isa.PALCall && in.Syscall != 0 {
+				end = uint64(i) + 1
+				break
 			}
 		}
 	}
-	if idx < uint64(len(f.bufs[ctx])) {
-		return f.bufs[ctx][idx], true
+	if idx >= end {
+		return nil
 	}
-	return FedInst{}, false
+	return buf[idx:end]
 }
 
 func (f *testFeed) Retired(ctx int, idx uint64, in *FedInst) {

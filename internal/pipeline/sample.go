@@ -386,8 +386,7 @@ func (e *Engine) drainToFunctional() {
 		c.pendingILine = ^uint64(0)
 	}
 	e.events = e.events[:0]
-	e.intQ = e.intQ[:0]
-	e.fpQ = e.fpQ[:0]
+	e.resetQueues()
 }
 
 // ffTrapGuard caps consecutive non-retiring feed interactions (trap
@@ -448,11 +447,11 @@ func (e *Engine) ffExec(ctx int, c *ctxState) (progressed, retired bool) {
 	// fin aliases engine-owned scratch: its address flows into Feed calls,
 	// so a local would be forced to the heap on every instruction.
 	fin := &e.ffScratch
-	var ok bool
-	*fin, ok = e.Feed.InstAt(ctx, c.fetchIdx)
-	if !ok {
+	span := e.Feed.Span(ctx, c.fetchIdx)
+	if len(span) == 0 {
 		return false, false
 	}
+	*fin = span[0]
 	ag := agentOf(fin)
 
 	// Instruction-side warming, once per line (sequential fetch within a

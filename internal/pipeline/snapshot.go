@@ -7,6 +7,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/checkpoint"
 	"repro/internal/isa"
@@ -74,35 +75,17 @@ func loadUop(d *checkpoint.Dec, u *uop) {
 	u.paddr = d.Uint()
 }
 
-func saveQrefs(e *checkpoint.Enc, qs []qref) {
-	e.Uint(uint64(len(qs)))
-	for _, q := range qs {
-		e.Uint(uint64(q.ctx))
-		e.Uint(q.seq)
-		e.Uint(q.id)
-	}
-}
-
-// loadQrefs reads an issue queue into dst, which must not grow past its
-// configured capacity.
-func (e *Engine) loadQrefs(d *checkpoint.Dec, dst []qref) []qref {
-	n := d.Len()
-	if n > cap(dst) {
-		d.Fail("issue queue of %d entries, capacity %d", n, cap(dst))
-		n = 0
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = qref{ctx: d.Index(len(e.ctxs)), seq: d.Uint(), id: d.Uint()}
-	}
-	return dst
-}
-
 // Save writes the engine's mutable state, hardware included. Each
 // context's ROB ring is written whole (fixed geometry) with its cursors;
-// the completion-event heap is written as its raw array, so pop order is
+// each issue queue is written as its members in dispatch order; the
+// completion-event heap is written as its raw array, so pop order is
 // preserved exactly.
 func (e *Engine) Save(enc *checkpoint.Enc) {
+	e.save(enc, e.queueRefs(&e.intQ), e.queueRefs(&e.fpQ))
+}
+
+// save writes the engine with the given issue-queue contents.
+func (e *Engine) save(enc *checkpoint.Enc, intRefs, fpRefs []qref) {
 	e.Hier.Save(enc)
 	e.ITLB.Save(enc)
 	e.DTLB.Save(enc)
@@ -118,8 +101,8 @@ func (e *Engine) Save(enc *checkpoint.Enc) {
 		enc.Uint(t.Retired)
 		enc.Uint(t.CtxCycles)
 	}
-	saveQrefs(enc, e.intQ)
-	saveQrefs(enc, e.fpQ)
+	saveQrefs(enc, intRefs)
+	saveQrefs(enc, fpRefs)
 	enc.Int(int64(e.intRegsUsed))
 	enc.Int(int64(e.fpRegsUsed))
 	enc.Int(int64(e.rrRetire))
@@ -167,7 +150,8 @@ func (e *Engine) Save(enc *checkpoint.Enc) {
 // Load overwrites the engine's state from a section written by Save on an
 // engine with the same configuration. Context and ROB geometry must match,
 // ring cursors must lie inside their ROB, and queue and event references
-// must name a context.
+// and the rotation cursors must name a context. The wakeup state is
+// rebuilt from the loaded ROBs and queue order (rebuildQueues).
 func (e *Engine) Load(d *checkpoint.Dec) {
 	e.Hier.Load(d)
 	e.ITLB.Load(d)
@@ -183,14 +167,20 @@ func (e *Engine) Load(d *checkpoint.Dec) {
 	for i := range e.perThread {
 		e.perThread[i] = ThreadStat{Retired: d.Uint(), CtxCycles: d.Uint()}
 	}
-	e.intQ = e.loadQrefs(d, e.intQ)
-	e.fpQ = e.loadQrefs(d, e.fpQ)
+	e.loadQrefs(d, &e.intQ)
+	e.loadQrefs(d, &e.fpQ)
 	e.intRegsUsed = int(d.Int())
 	e.fpRegsUsed = int(d.Int())
-	e.rrRetire = int(d.Int())
-	e.rrFetch = int(d.Int())
-	e.rrDispatch = int(d.Int())
+	for _, rr := range [...]*int{&e.rrRetire, &e.rrFetch, &e.rrDispatch} {
+		if *rr = int(d.Int()); *rr < 0 || *rr >= len(e.ctxs) {
+			d.Fail("rotation cursor %d outside %d contexts", *rr, len(e.ctxs))
+			*rr = 0
+		}
+	}
 	e.smp.Load(d)
+	// The wakeup state is derived: rebuild it on every exit, so even a
+	// damaged section leaves it consistent with whatever the ROBs hold.
+	defer e.rebuildQueues()
 	if !d.Expect(len(e.ctxs), "contexts") {
 		return
 	}
@@ -260,45 +250,105 @@ func (m *Metrics) Load(d *checkpoint.Dec) {
 	}
 }
 
-// CheckQueueConsistency cross-checks the shared issue-queue lists against
-// ROB contents: every queue occupant must reference a live, queue-marked
-// in-flight instruction, and the queue-marked population must equal queue
-// occupancy. It returns one description per violation (auditor access).
+// CheckQueueConsistency cross-checks the issue queues' wakeup state against
+// ROB contents (auditor access, between cycles): every ready-list entry must
+// name a live, queue-marked instruction of its queue with no producer left,
+// in ticket order; each queue's occupancy must equal its queue-marked
+// population; each queued instruction's pending count must equal its
+// incomplete producers, each of which lists it as a waiter; and waiter masks
+// must name only queued instructions. It returns one description per
+// violation.
 func (e *Engine) CheckQueueConsistency() []string {
 	var bad []string
-	queued := 0
-	for _, q := range append(append([]qref(nil), e.intQ...), e.fpQ...) {
-		if q.ctx < 0 || q.ctx >= len(e.ctxs) {
-			bad = append(bad, fmt.Sprintf("queue entry references context %d of %d", q.ctx, len(e.ctxs)))
-			continue
-		}
-		c := &e.ctxs[q.ctx]
-		if q.seq < c.headSeq || q.seq >= c.headSeq+uint64(c.sz) {
-			bad = append(bad, fmt.Sprintf("queue entry ctx%d seq%d outside ROB window [%d,%d)",
-				q.ctx, q.seq, c.headSeq, c.headSeq+uint64(c.sz)))
-			continue
-		}
-		u := c.robAt(int(q.seq - c.headSeq))
-		if u.id != q.id {
-			bad = append(bad, fmt.Sprintf("queue entry ctx%d seq%d id mismatch: queue %d, ROB %d",
-				q.ctx, q.seq, q.id, u.id))
-			continue
-		}
-		if !u.inQueue {
-			bad = append(bad, fmt.Sprintf("queue entry ctx%d seq%d not marked in-queue", q.ctx, q.seq))
-		}
-	}
-	for ctx := range e.ctxs {
-		c := &e.ctxs[ctx]
-		for i := 0; i < c.sz; i++ {
-			if c.robAt(i).inQueue {
-				queued++
+	for qi, q := range [2]*issueQueue{&e.intQ, &e.fpQ} {
+		name := [2]string{"int", "fp"}[qi]
+		for i, r := range q.ready {
+			if r.ctx < 0 || r.ctx >= len(e.ctxs) {
+				bad = append(bad, fmt.Sprintf("%s ready entry references context %d of %d", name, r.ctx, len(e.ctxs)))
+				continue
+			}
+			if i > 0 && q.ready[i-1].ticket >= r.ticket {
+				bad = append(bad, fmt.Sprintf("%s ready list out of ticket order at %d: %d then %d",
+					name, i, q.ready[i-1].ticket, r.ticket))
+			}
+			c := &e.ctxs[r.ctx]
+			if r.seq < c.headSeq || r.seq >= c.headSeq+uint64(c.sz) {
+				bad = append(bad, fmt.Sprintf("%s ready entry ctx%d seq%d outside ROB window [%d,%d)",
+					name, r.ctx, r.seq, c.headSeq, c.headSeq+uint64(c.sz)))
+				continue
+			}
+			u := c.robAt(int(r.seq - c.headSeq))
+			switch {
+			case u.id != r.id:
+				bad = append(bad, fmt.Sprintf("%s ready entry ctx%d seq%d id mismatch: queue %d, ROB %d",
+					name, r.ctx, r.seq, r.id, u.id))
+			case !u.inQueue || e.queueOf(u) != q:
+				bad = append(bad, fmt.Sprintf("%s ready entry ctx%d seq%d not marked in this queue", name, r.ctx, r.seq))
+			case u.pending != 0 || u.ticket != r.ticket:
+				bad = append(bad, fmt.Sprintf("%s ready entry ctx%d seq%d has %d pending producers, ticket %d (entry %d)",
+					name, r.ctx, r.seq, u.pending, u.ticket, r.ticket))
 			}
 		}
 	}
-	if queued != len(e.intQ)+len(e.fpQ) {
-		bad = append(bad, fmt.Sprintf("in-flight queue-marked count %d != queue occupancy %d+%d",
-			queued, len(e.intQ), len(e.fpQ)))
+	var marked, ready [2]int
+	for ctx := range e.ctxs {
+		c := &e.ctxs[ctx]
+		for i := 0; i < c.sz; i++ {
+			u := c.robAt(i)
+			for w := u.waiters; w != 0; w &= w - 1 {
+				s := bits.TrailingZeros64(w)
+				off := (s - c.head) & (len(c.rob) - 1)
+				if off >= c.sz || !c.rob[s].inQueue {
+					bad = append(bad, fmt.Sprintf("ctx%d seq%d waiter mask names slot %d, not a queued instruction",
+						ctx, u.seq, s))
+				}
+			}
+			if !u.inQueue {
+				continue
+			}
+			qi := 0
+			if u.in.Class.UsesFP() {
+				qi = 1
+			}
+			marked[qi]++
+			slot := (c.head + i) & (len(c.rob) - 1)
+			want := uint8(0)
+			deps := [2]uint16{u.in.Dep1, u.in.Dep2}
+			if deps[1] == deps[0] {
+				deps[1] = 0 // one producer named twice
+			}
+			for _, d := range deps {
+				if d == 0 || uint64(d) > u.seq {
+					continue
+				}
+				target := u.seq - uint64(d)
+				if target < c.headSeq {
+					continue
+				}
+				p := c.robAt(int(target - c.headSeq))
+				if p.state == stDone {
+					continue
+				}
+				if p.waiters&(1<<uint(slot)) == 0 {
+					bad = append(bad, fmt.Sprintf("ctx%d seq%d waits on seq%d, whose waiter mask omits it", ctx, u.seq, p.seq))
+				}
+				want++
+			}
+			if u.pending != want {
+				bad = append(bad, fmt.Sprintf("ctx%d seq%d pending count %d, %d producers incomplete", ctx, u.seq, u.pending, want))
+			}
+			if want == 0 {
+				ready[qi]++
+			}
+		}
+	}
+	if marked[0] != e.intQ.live || marked[1] != e.fpQ.live {
+		bad = append(bad, fmt.Sprintf("in-flight queue-marked count int %d fp %d != queue occupancy int %d fp %d",
+			marked[0], marked[1], e.intQ.live, e.fpQ.live))
+	}
+	if ready[0] != len(e.intQ.ready) || ready[1] != len(e.fpQ.ready) {
+		bad = append(bad, fmt.Sprintf("operand-ready queued count int %d fp %d != ready lists int %d fp %d",
+			ready[0], ready[1], len(e.intQ.ready), len(e.fpQ.ready)))
 	}
 	return bad
 }
