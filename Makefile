@@ -88,16 +88,15 @@ bench-diff:
 # in pairs: it exports BASE with git archive, builds the root and
 # internal/pipeline test binaries of both sides with go test -c, then runs
 # BenchmarkSimulatorThroughput (one full-detail run) and BenchmarkEngineStep
-# (a fixed number of cycles) for BENCHAB_PAIRS pairs, alternating which side
-# runs first, each binary from its own package directory. It prints every
+# (a fixed number of cycles) for 10 pairs, alternating which side runs
+# first, each binary from its own package directory. It prints every
 # pair's ns/op and head/base ratio and the median ratio per benchmark
 # (below 1 means the working tree is faster). Pairing cancels the host's
 # slow and fast phases that a stored baseline cannot; it reports, it does
-# not gate. Usage: make bench-ab BASE=<rev> [BENCHAB_PAIRS=5]
-BENCHAB_PAIRS ?= 5
+# not gate. Usage: make bench-ab BASE=<rev>
 BENCHAB_DIR ?= /tmp/bench-ab
 bench-ab:
-	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [BENCHAB_PAIRS=5]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>"; exit 2; }
 	rm -rf $(BENCHAB_DIR) && mkdir -p $(BENCHAB_DIR)/base
 	git archive --format=tar $(BASE) | tar -x -C $(BENCHAB_DIR)/base
 	cd $(BENCHAB_DIR)/base && $(GO) test -c -o $(BENCHAB_DIR)/base-root.test . && \
@@ -114,7 +113,7 @@ bench-ab:
 	for spec in root:BenchmarkSimulatorThroughput:1x pipeline:BenchmarkEngineStep:200000x; do \
 		pkg=$${spec%%:*}; rest=$${spec#*:}; bench=$${rest%%:*}; bt=$${rest#*:}; \
 		: > $$d/ratios; \
-		for i in $$(seq 1 $(BENCHAB_PAIRS)); do \
+		for i in $$(seq 1 10); do \
 			if [ $$((i % 2)) = 1 ]; then b=$$(run base $$pkg $$bench $$bt); h=$$(run head $$pkg $$bench $$bt); \
 			else h=$$(run head $$pkg $$bench $$bt); b=$$(run base $$pkg $$bench $$bt); fi; \
 			r=$$(awk -v h=$$h -v b=$$b 'BEGIN {printf "%.3f", h / b}'); echo $$r >> $$d/ratios; \

@@ -40,17 +40,6 @@ func (e *Engine) step() {
 	e.now++
 }
 
-// rotate returns (i + k) mod n for 0 <= i+k < 2n. The rotation cursors
-// stay in [0, n) (Load rejects any other value), so the per-cycle stages
-// step them with one conditional subtraction instead of an integer
-// division.
-func rotate(i, k, n int) int {
-	if i += k; i >= n {
-		i -= n
-	}
-	return i
-}
-
 func agentOf(in *FedInst) conflict.Agent {
 	return conflict.Agent{TID: in.TID, Priv: in.Mode.Privileged()}
 }
@@ -170,7 +159,7 @@ func (e *Engine) retire() {
 	budget := e.Cfg.RetireWidth
 	n := e.Cfg.Contexts
 	for k := 0; k < n && budget > 0; k++ {
-		ctx := rotate(e.rrRetire, k, n)
+		ctx := (e.rrRetire + k) % n
 		c := &e.ctxs[ctx]
 		for budget > 0 && c.sz > 0 {
 			u := c.robAt(0)
@@ -220,7 +209,7 @@ func (e *Engine) retire() {
 			e.Feed.Retired(ctx, idx, in)
 		}
 	}
-	e.rrRetire = rotate(e.rrRetire, 1, n)
+	e.rrRetire = (e.rrRetire + 1) % n
 }
 
 // storeAccess performs the cache write for a retiring store, using the
@@ -248,7 +237,7 @@ func (e *Engine) dispatch() {
 	fl := e.Cfg.frontLatency()
 	n := e.Cfg.Contexts
 	for k := 0; k < n; k++ {
-		ctx := rotate(e.rrDispatch, k, n)
+		ctx := (e.rrDispatch + k) % n
 		c := &e.ctxs[ctx]
 		for c.dispatch < c.sz {
 			slot := (c.head + c.dispatch) & (len(c.rob) - 1)
@@ -283,7 +272,7 @@ func (e *Engine) dispatch() {
 			c.dispatch++
 		}
 	}
-	e.rrDispatch = rotate(e.rrDispatch, 1, n)
+	e.rrDispatch = (e.rrDispatch + 1) % n
 }
 
 // ---------------------------------------------------------------- issue
@@ -456,7 +445,7 @@ func (e *Engine) fetch() {
 			f[j], f[j-1] = f[j-1], f[j]
 		}
 	}
-	e.rrFetch = rotate(e.rrFetch, 1, e.Cfg.Contexts)
+	e.rrFetch = (e.rrFetch + 1) % e.Cfg.Contexts
 
 	width := e.Cfg.FetchWidth
 	fetched := 0
@@ -479,7 +468,7 @@ func (e *Engine) fetchLess(a, b, rr int) bool {
 		}
 	}
 	n := e.Cfg.Contexts
-	return rotate(a, n-rr, n) < rotate(b, n-rr, n)
+	return (a-rr+n)%n < (b-rr+n)%n
 }
 
 // fetchCtx fetches up to width instructions from one context, returning the

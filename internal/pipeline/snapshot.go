@@ -81,11 +81,6 @@ func loadUop(d *checkpoint.Dec, u *uop) {
 // completion-event heap is written as its raw array, so pop order is
 // preserved exactly.
 func (e *Engine) Save(enc *checkpoint.Enc) {
-	e.save(enc, e.queueRefs(&e.intQ), e.queueRefs(&e.fpQ))
-}
-
-// save writes the engine with the given issue-queue contents.
-func (e *Engine) save(enc *checkpoint.Enc, intRefs, fpRefs []qref) {
 	e.Hier.Save(enc)
 	e.ITLB.Save(enc)
 	e.DTLB.Save(enc)
@@ -101,8 +96,8 @@ func (e *Engine) save(enc *checkpoint.Enc, intRefs, fpRefs []qref) {
 		enc.Uint(t.Retired)
 		enc.Uint(t.CtxCycles)
 	}
-	saveQrefs(enc, intRefs)
-	saveQrefs(enc, fpRefs)
+	saveQrefs(enc, e.queueRefs(&e.intQ))
+	saveQrefs(enc, e.queueRefs(&e.fpQ))
 	enc.Int(int64(e.intRegsUsed))
 	enc.Int(int64(e.fpRegsUsed))
 	enc.Int(int64(e.rrRetire))
@@ -150,8 +145,8 @@ func (e *Engine) save(enc *checkpoint.Enc, intRefs, fpRefs []qref) {
 // Load overwrites the engine's state from a section written by Save on an
 // engine with the same configuration. Context and ROB geometry must match,
 // ring cursors must lie inside their ROB, and queue and event references
-// and the rotation cursors must name a context. The wakeup state is
-// rebuilt from the loaded ROBs and queue order (rebuildQueues).
+// must name a context. The wakeup state is rebuilt from the loaded ROBs and
+// queue order (rebuildQueues).
 func (e *Engine) Load(d *checkpoint.Dec) {
 	e.Hier.Load(d)
 	e.ITLB.Load(d)
@@ -171,12 +166,9 @@ func (e *Engine) Load(d *checkpoint.Dec) {
 	e.loadQrefs(d, &e.fpQ)
 	e.intRegsUsed = int(d.Int())
 	e.fpRegsUsed = int(d.Int())
-	for _, rr := range [...]*int{&e.rrRetire, &e.rrFetch, &e.rrDispatch} {
-		if *rr = int(d.Int()); *rr < 0 || *rr >= len(e.ctxs) {
-			d.Fail("rotation cursor %d outside %d contexts", *rr, len(e.ctxs))
-			*rr = 0
-		}
-	}
+	e.rrRetire = int(d.Int())
+	e.rrFetch = int(d.Int())
+	e.rrDispatch = int(d.Int())
 	e.smp.Load(d)
 	// The wakeup state is derived: rebuild it on every exit, so even a
 	// damaged section leaves it consistent with whatever the ROBs hold.

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
@@ -281,10 +283,47 @@ func TestMidFlightRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreHoldsDeadQueueCapacity restores a checkpoint taken inside a
-// cycle, after a squash freed queue members but before the issue stage: its
-// queue references name uops that are gone, and they must keep holding
-// capacity at this cycle's dispatch, as in the uninterrupted run.
+// saveWithQueues returns e's Save bytes with the two issue-queue lists
+// replaced by intRefs and fpRefs. Save writes only live members, so this is
+// how a checkpoint whose queue references name uops that are gone (damaged
+// or hand-made input) is built. It fails the test if Save no longer writes
+// the queues right after the per-thread counters.
+func saveWithQueues(t *testing.T, e *Engine, intRefs, fpRefs []qref) []byte {
+	t.Helper()
+	var pre, live, with checkpoint.Enc
+	e.Hier.Save(&pre)
+	e.ITLB.Save(&pre)
+	e.DTLB.Save(&pre)
+	e.Pred.Save(&pre)
+	e.SB.Save(&pre)
+	e.Metrics.Save(&pre)
+	e.Cycles.Save(&pre)
+	e.Mix.Save(&pre)
+	pre.Uint(e.now)
+	pre.Uint(e.nextID)
+	pre.Uint(uint64(len(e.perThread)))
+	for _, th := range e.perThread {
+		pre.Uint(th.Retired)
+		pre.Uint(th.CtxCycles)
+	}
+	saveQrefs(&live, e.queueRefs(&e.intQ))
+	saveQrefs(&live, e.queueRefs(&e.fpQ))
+	saveQrefs(&with, intRefs)
+	saveQrefs(&with, fpRefs)
+	full := saveBytes(e)
+	head := append(append([]byte(nil), pre.Bytes()...), live.Bytes()...)
+	if !bytes.HasPrefix(full, head) {
+		t.Fatal("Save no longer writes the issue queues after the per-thread counters")
+	}
+	return append(append(append([]byte(nil), pre.Bytes()...), with.Bytes()...), full[len(head):]...)
+}
+
+// TestRestoreHoldsDeadQueueCapacity restores a checkpoint whose queue
+// references include uops squashed since the last issue stage. They must
+// keep holding capacity until the next issue stage (DESIGN.md §6f, rule 6).
+// The references are taken at the start of a cycle whose completions squash
+// queue members, and spliced into a Save taken after retire; from there the
+// restored engine must match the uninterrupted run byte for byte.
 func TestRestoreHoldsDeadQueueCapacity(t *testing.T) {
 	a := newBenchEngine()
 	a.Run(20000)
@@ -302,9 +341,7 @@ func TestRestoreHoldsDeadQueueCapacity(t *testing.T) {
 			finishStep(a)
 			continue
 		}
-		var enc checkpoint.Enc
-		a.save(&enc, intRefs, fpRefs)
-		b := loadBench(t, enc.Bytes())
+		b := loadBench(t, saveWithQueues(t, a, intRefs, fpRefs))
 		if b.intQ.occupancy() != a.intQ.occupancy() || b.fpQ.occupancy() != a.fpQ.occupancy() {
 			t.Fatalf("restored occupancy int %d fp %d, run has int %d fp %d",
 				b.intQ.occupancy(), b.fpQ.occupancy(), a.intQ.occupancy(), a.fpQ.occupancy())
@@ -331,4 +368,61 @@ func finishStep(e *Engine) {
 	e.attribute()
 	e.Metrics.Cycles++
 	e.now++
+}
+
+// fillNonZero sets every leaf of v, unexported fields included, to a
+// non-zero value.
+func fillNonZero(v reflect.Value) {
+	switch {
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			fillNonZero(reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem())
+		}
+	case v.Kind() == reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(v.Index(i))
+		}
+	case v.Kind() == reflect.Bool:
+		v.SetBool(true)
+	case v.CanInt():
+		v.SetInt(0x5a)
+	case v.CanUint():
+		v.SetUint(0x5a)
+	case v.CanFloat():
+		v.SetFloat(0.5)
+	default:
+		panic(fmt.Sprintf("fillNonZero: unhandled kind %s", v.Kind()))
+	}
+}
+
+// TestPushResetsEveryField pushes into ROB slots whose every field holds a
+// stale non-zero value and requires each result to equal the fresh uop
+// push stands for. push writes the slot field by field, so a uop field it
+// forgets (a stale waiter bit or pending count would corrupt wakeup) fails
+// here.
+func TestPushResetsEveryField(t *testing.T) {
+	e := newBenchEngine()
+	c := &e.ctxs[0]
+	c.fetchIdx = 7
+	var fin FedInst
+	fin.PC, fin.Dep1, fin.TID, fin.PID = 0x4000, 2, 3, 9
+	for _, wrongPath := range []bool{false, true} {
+		fillNonZero(reflect.ValueOf(&c.rob[(c.head+c.sz)&(len(c.rob)-1)]).Elem())
+		want := uop{
+			in:        fin,
+			idx:       c.fetchIdx - 1,
+			seq:       c.nextSeq,
+			id:        e.nextID + 1,
+			state:     stFetched,
+			fetchedAt: e.now,
+			wrongPath: wrongPath,
+		}
+		if wrongPath {
+			want.idx = ^uint64(0)
+		}
+		if got := e.push(c, &fin, wrongPath); !reflect.DeepEqual(*got, want) {
+			t.Errorf("push (wrongPath %v) left\n%+v\nwant\n%+v", wrongPath, *got, want)
+		}
+	}
 }
