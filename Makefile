@@ -87,8 +87,10 @@ bench-diff:
 # bench-ab compares the working tree against the revision BASE on this host,
 # in pairs: it exports BASE with git archive, builds the root and
 # internal/pipeline test binaries of both sides with go test -c, then runs
-# BenchmarkSimulatorThroughput (one full-detail run) and BenchmarkEngineStep
-# (a fixed number of cycles) for 10 pairs, alternating which side runs
+# BenchmarkSimulatorThroughput (one full-detail run),
+# BenchmarkSimulatorThroughputSampled (the same run sampled, so mostly the
+# fast-forward path) and BenchmarkEngineStep (a fixed number of cycles)
+# for 10 pairs each, alternating which side runs
 # first, each binary from its own package directory. It prints every
 # pair's ns/op and head/base ratio and the median ratio per benchmark
 # (below 1 means the working tree is faster). Pairing cancels the host's
@@ -110,7 +112,8 @@ bench-ab:
 		(cd $$dir && $$d/$$side-$$pkg.test -test.run '^$$' -test.bench "^$$bench\$$" \
 			-test.benchtime $$bt -test.cpu 2 -test.timeout 30m) | \
 			awk -v b=$$bench '$$1 ~ "^"b"(-[0-9]+)?$$" {print $$3}'; }; \
-	for spec in root:BenchmarkSimulatorThroughput:1x pipeline:BenchmarkEngineStep:200000x; do \
+	for spec in root:BenchmarkSimulatorThroughput:1x root:BenchmarkSimulatorThroughputSampled:1x \
+		pipeline:BenchmarkEngineStep:200000x; do \
 		pkg=$${spec%%:*}; rest=$${spec#*:}; bench=$${rest%%:*}; bt=$${rest#*:}; \
 		: > $$d/ratios; \
 		for i in $$(seq 1 10); do \

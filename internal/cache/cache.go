@@ -46,7 +46,7 @@ type line struct {
 // does not carry data).
 type Cache struct {
 	cfg       Config //detlint:ignore snapshotcomplete configuration fixed at construction
-	sets      int    //detlint:ignore snapshotcomplete geometry derived from cfg at construction
+	setMask   uint64 //detlint:ignore snapshotcomplete geometry derived from cfg at construction (sets-1; sets is a power of two)
 	lines     []line // sets × ways, row-major
 	tick      uint64 //detlint:ignore counterflow LRU clock, timekeeping not a metric
 	tracker   *conflict.Tracker
@@ -66,7 +66,8 @@ type Cache struct {
 }
 
 // New builds a cache from cfg. It panics on a malformed geometry, since
-// configurations are static.
+// configurations are static. The set count must be a power of two, so a
+// set index is a mask rather than a division on every access.
 func New(cfg Config) *Cache {
 	lineSize := 1 << cfg.LineShift
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || lineSize <= 0 {
@@ -76,9 +77,13 @@ func New(cfg Config) *Cache {
 	if nLines%cfg.Ways != 0 || nLines == 0 {
 		panic(fmt.Sprintf("cache %s: %d lines not divisible by %d ways", cfg.Name, nLines, cfg.Ways))
 	}
+	sets := nLines / cfg.Ways
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache %s: %d sets is not a power of two", cfg.Name, sets))
+	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      nLines / cfg.Ways,
+		setMask:   uint64(sets - 1),
 		lines:     make([]line, nLines),
 		tracker:   conflict.NewTracker(),
 		lineShift: uint(cfg.LineShift),
@@ -92,7 +97,7 @@ func (c *Cache) Name() string { return c.cfg.Name }
 func (c *Cache) LineAddr(paddr uint64) uint64 { return paddr >> c.lineShift }
 
 func (c *Cache) set(lineAddr uint64) []line {
-	s := int(lineAddr % uint64(c.sets))
+	s := int(lineAddr & c.setMask)
 	return c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
 }
 

@@ -158,6 +158,17 @@ func TestGeometryPanics(t *testing.T) {
 	New(Config{Name: "bad", SizeBytes: 0, Ways: 1, LineShift: 6})
 }
 
+// TestNonPowerOfTwoSetsPanics: the set index is a mask, so a geometry of
+// three sets (six 64-byte lines, two ways) is refused.
+func TestNonPowerOfTwoSetsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 3-set cache did not panic")
+		}
+	}()
+	New(Config{Name: "odd", SizeBytes: 6 * 64, Ways: 2, LineShift: 6})
+}
+
 // Property: any address is resident immediately after access.
 func TestAccessMakesResident(t *testing.T) {
 	c := New(Config{Name: "p", SizeBytes: 64 << 10, Ways: 2, LineShift: 6})

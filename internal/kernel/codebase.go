@@ -80,8 +80,8 @@ type regionWalker struct {
 	ws  []*workload.Walker
 }
 
-// walker returns the dynamic walker this code uses on context ctx. Bounded
-// traversals wrap it via Kernel.limit, which pools the Limit values.
+// walker returns the dynamic walker this code uses on context ctx; a
+// generation-stack entry or a trap handler draws a counted excerpt from it.
 func (rw *regionWalker) walker(ctx int) *workload.Walker {
 	return rw.ws[ctx%len(rw.ws)]
 }

@@ -12,14 +12,49 @@ import (
 	"repro/internal/workload"
 )
 
-// genEntry is one element of a context's generation stack: a generator plus
-// the annotation template its instructions carry, and an action to perform
-// when it is exhausted. The action is plain data (see action.go) so the
-// whole stack serializes into a checkpoint.
+// genEntry is one element of a context's generation stack: up to n
+// instructions drawn from a walker, the annotation template they carry, and
+// an action to perform when the entry is exhausted. The shapes are a closed
+// set, named by wrap: a bare walker excerpt (wrapNone), one followed by
+// fixed extra instructions (wrapTail, whose walker may be absent), or one
+// forced to a mode (wrapMode). Everything is plain data (the action too,
+// see action.go), so the whole stack serializes into a checkpoint (saveGen).
 type genEntry struct {
-	g    workload.Generator
-	tmpl pipeline.FedInst
-	done action
+	w     *workload.Walker // nil for a tail without one, or once a tail has moved on to extra
+	n     uint64           // instructions left to draw from w
+	extra []isa.Inst       // wrapTail: emitted in order once w is exhausted
+	pos   int              // wrapTail: index of the next extra instruction
+	mode  isa.Mode         // wrapMode: the mode every instruction is forced to
+	wrap  uint8            // wrapNone, wrapTail or wrapMode (the checkpoint encoding)
+	tmpl  pipeline.FedInst
+	done  action
+}
+
+// next writes the entry's next instruction over *in and reports whether
+// there was one. A tail drops its walker on the call that moves on to its
+// extra instructions; until then a drawn-out walker stays attached with
+// n == 0, and checkpoints record it that way.
+func (g *genEntry) next(in *isa.Inst) bool {
+	if g.w != nil {
+		if g.n > 0 {
+			g.n--
+			g.w.NextInto(in)
+			if g.wrap == wrapMode {
+				in.Mode = g.mode
+			}
+			return true
+		}
+		if g.wrap != wrapTail {
+			return false
+		}
+		g.w = nil
+	}
+	if g.pos < len(g.extra) {
+		*in = g.extra[g.pos]
+		g.pos++
+		return true
+	}
+	return false
 }
 
 // ctxFeed is the per-hardware-context generation state.
@@ -51,35 +86,6 @@ func (f *ctxFeed) init() {
 
 func (f *ctxFeed) push(e genEntry) { f.stack = append(f.stack, e) }
 
-// newLimit returns a bounded generator over g, reusing a pooled
-// workload.Limit when one is free (fill recycles them as stack entries
-// drain; see recycleLimit).
-func (k *Kernel) newLimit(g workload.Generator, n uint64) *workload.Limit {
-	if p := len(k.limitPool) - 1; p >= 0 {
-		l := k.limitPool[p]
-		k.limitPool = k.limitPool[:p]
-		l.G = g
-		l.N = n
-		return l
-	}
-	return &workload.Limit{G: g, N: n}
-}
-
-// recycleLimit returns an exhausted generator to the freelist if it is a
-// bare pooled Limit (wrapped generators — Tail, modeForce — are not pooled).
-func (k *Kernel) recycleLimit(g workload.Generator) {
-	if l, ok := g.(*workload.Limit); ok {
-		l.G = nil
-		l.N = 0
-		k.limitPool = append(k.limitPool, l)
-	}
-}
-
-// limit returns a pooled generator for n instructions of rw's code on ctx.
-func (k *Kernel) limit(rw *regionWalker, ctx, n int) workload.Generator {
-	return k.newLimit(rw.walker(ctx), uint64(n))
-}
-
 // tmplFor builds the annotation for code run on behalf of thread t.
 func tmplFor(t *Thread, cat sys.Category, sysno uint16) pipeline.FedInst {
 	return pipeline.FedInst{
@@ -109,12 +115,16 @@ func (k *Kernel) Span(ctx int, idx uint64) []pipeline.FedInst {
 	return f.buf[f.head+int(off):]
 }
 
-// Retired implements pipeline.Feed.
+// Retired implements pipeline.Feed. in may point into the feed buffer, so
+// everything needed from it is read before the buffer advances or compacts.
 func (k *Kernel) Retired(ctx int, idx uint64, in *pipeline.FedInst) {
 	f := &k.feeds[ctx]
 	if idx < f.base {
 		return
 	}
+	exit := in.Class == isa.PALReturn && in.Sys == sys.SysExit
+	syscall := in.Class == isa.PALCall && in.Syscall != 0
+	tid := in.TID
 	off := idx - f.base + 1
 	if off > uint64(len(f.buf)-f.head) {
 		off = uint64(len(f.buf) - f.head)
@@ -131,10 +141,10 @@ func (k *Kernel) Retired(ctx int, idx uint64, in *pipeline.FedInst) {
 		f.buf = f.buf[:n]
 		f.head = 0
 	}
-	if in.Class == isa.PALReturn && in.Sys == sys.SysExit {
-		k.finishExit(in.TID)
+	if exit {
+		k.finishExit(tid)
 	}
-	if in.Class == isa.PALCall && in.Syscall != 0 {
+	if syscall {
 		if f.paused {
 			k.enterSyscall(ctx)
 		} else {
@@ -307,7 +317,7 @@ func (k *Kernel) dtlbHandler(ctx int, in *pipeline.FedInst, vaddr uint64) []pipe
 	tmplPAL := *in
 	tmplPAL.Cat = sys.CatDTLB
 	tmplPAL.Sys = 0
-	out := k.drainRegion(k.handlerBuf[:0], k.code.palDTLB, ctx, palDTLBLen, tmplPAL, isa.PAL)
+	out := drainRegion(k.handlerBuf[:0], k.code.palDTLB, ctx, palDTLBLen, tmplPAL, isa.PAL)
 	if kind != mem.FaultNone {
 		tmplVM := tmplPAL
 		n := vmFaultLen
@@ -317,7 +327,7 @@ func (k *Kernel) dtlbHandler(ctx int, in *pipeline.FedInst, vaddr uint64) []pipe
 			// longer VM path below charges the OS reclaim work.
 			n = vmReclaimLen
 		}
-		out = k.drainRegion(out, k.code.vm, ctx, n, tmplVM, isa.Kernel)
+		out = drainRegion(out, k.code.vm, ctx, n, tmplVM, isa.Kernel)
 	}
 	out = append(out, palReturn(k.code.palDTLB.reg.Base, tmplPAL))
 	k.handlerBuf = out
@@ -342,9 +352,9 @@ func (k *Kernel) itlbHandler(ctx int, in *pipeline.FedInst, vaddr uint64) []pipe
 	tmpl := *in
 	tmpl.Cat = sys.CatITLB
 	tmpl.Sys = 0
-	out := k.drainRegion(k.handlerBuf[:0], k.code.palITLB, ctx, palITLBLen, tmpl, isa.PAL)
+	out := drainRegion(k.handlerBuf[:0], k.code.palITLB, ctx, palITLBLen, tmpl, isa.PAL)
 	if kind != mem.FaultNone {
-		out = k.drainRegion(out, k.code.vm, ctx, vmFaultLen, tmpl, isa.Kernel)
+		out = drainRegion(out, k.code.vm, ctx, vmFaultLen, tmpl, isa.Kernel)
 	}
 	out = append(out, palReturn(k.code.palITLB.reg.Base, tmpl))
 	k.handlerBuf = out
@@ -360,12 +370,12 @@ func (k *Kernel) interruptHandler(ctx int) []pipeline.FedInst {
 		tid = f.cur.tid
 	}
 	tmpl := kthreadTmpl(tid, sys.CatInterrupt)
-	out := k.drainRegion(k.handlerBuf[:0], k.code.palIntr, ctx, palIntrLen, tmpl, isa.PAL)
+	out := drainRegion(k.handlerBuf[:0], k.code.palIntr, ctx, palIntrLen, tmpl, isa.PAL)
 	n := clockIntrLen
 	if f.intrNet {
 		n = intrDevLen
 	}
-	out = k.drainRegion(out, k.code.intrDev, ctx, n, tmpl, isa.Kernel)
+	out = drainRegion(out, k.code.intrDev, ctx, n, tmpl, isa.Kernel)
 	out = append(out, palReturn(k.code.palIntr.reg.Base, tmpl))
 	f.intrNet = false
 	k.handlerBuf = out
@@ -377,26 +387,16 @@ func agentFor(in *pipeline.FedInst) conflict.Agent {
 	return conflict.Agent{TID: in.TID, Priv: in.Mode.Privileged()}
 }
 
-// drainAs runs a generator to exhaustion, appending its instructions to dst
-// stamped with tmpl and forced to the given mode.
-func drainAs(dst []pipeline.FedInst, g workload.Generator, tmpl pipeline.FedInst, mode isa.Mode) []pipeline.FedInst {
-	for {
-		in, ok := g.Next()
-		if !ok {
-			return dst
-		}
-		in.Mode = mode
+// drainRegion appends n instructions of rw's code for ctx to dst, stamped
+// with tmpl and forced to the given mode.
+func drainRegion(dst []pipeline.FedInst, rw *regionWalker, ctx, n int, tmpl pipeline.FedInst, mode isa.Mode) []pipeline.FedInst {
+	w := rw.walker(ctx)
+	for ; n > 0; n-- {
 		dst = append(dst, tmpl)
-		dst[len(dst)-1].Inst = in
+		in := &dst[len(dst)-1].Inst
+		w.NextInto(in)
+		in.Mode = mode
 	}
-}
-
-// drainRegion appends n instructions of rw's code for ctx to dst, recycling
-// the bounding Limit when the traversal completes.
-func (k *Kernel) drainRegion(dst []pipeline.FedInst, rw *regionWalker, ctx, n int, tmpl pipeline.FedInst, mode isa.Mode) []pipeline.FedInst {
-	l := k.newLimit(rw.walker(ctx), uint64(n))
-	dst = drainAs(dst, l, tmpl, mode)
-	k.recycleLimit(l)
 	return dst
 }
 
@@ -413,17 +413,15 @@ func (k *Kernel) fill(ctx int) bool {
 	// long chains of instant syscalls in application-only mode).
 	for guard := 0; guard < 1_000_000; guard++ {
 		if n := len(f.stack); n > 0 {
+			// Append the template, then generate the instruction into
+			// it in place; an exhausted entry takes the slot back.
 			top := &f.stack[n-1]
-			in, ok := top.g.Next()
-			if ok {
-				// Append the template then patch the instruction in place:
-				// one FedInst copy instead of wrap's build-then-append two.
-				f.buf = append(f.buf, top.tmpl)
-				f.buf[len(f.buf)-1].Inst = in
+			f.buf = append(f.buf, top.tmpl)
+			if top.next(&f.buf[len(f.buf)-1].Inst) {
 				return true
 			}
+			f.buf = f.buf[:len(f.buf)-1]
 			done := top.done
-			k.recycleLimit(top.g)
 			f.stack = f.stack[:n-1]
 			k.runAction(ctx, done)
 			continue
@@ -447,7 +445,8 @@ func (k *Kernel) fill(ctx int) bool {
 				return false
 			}
 			f.push(genEntry{
-				g:    k.limit(k.code.idle, ctx, idleChunk),
+				w:    k.code.idle.walker(ctx),
+				n:    idleChunk,
 				tmpl: kthreadTmpl(t.tid, sys.CatIdle),
 			})
 		case tkNetisr:
@@ -491,7 +490,8 @@ func (k *Kernel) schedule(ctx int) {
 	}
 	tmpl := kthreadTmpl(next.tid, sys.CatSched)
 	f.push(genEntry{
-		g:    k.limit(k.code.sched, ctx, schedLen),
+		w:    k.code.sched.walker(ctx),
+		n:    schedLen,
 		tmpl: tmpl,
 		done: action{Kind: actSwitchTo, TID: next.tid},
 	})
@@ -509,7 +509,8 @@ func (k *Kernel) userStep(ctx int, t *Thread) bool {
 		t.burst -= n
 		t.sinceSched += n
 		f.push(genEntry{
-			g:    k.newLimit(t.prog.Walker(), n),
+			w:    t.prog.Walker(),
+			n:    n,
 			tmpl: tmplFor(t, sys.CatUser, 0),
 		})
 		return true
@@ -571,9 +572,10 @@ func (k *Kernel) startSyscall(ctx int, t *Thread, req sys.Request) bool {
 		Syscall: req.Num,
 	}
 	f.push(genEntry{
-		g:    &workload.Tail{Extra: []isa.Inst{call}},
-		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
-		done: action{Kind: actSyscallPause, Req: req},
+		wrap:  wrapTail,
+		extra: []isa.Inst{call},
+		tmpl:  tmplFor(t, sys.CatSyscall, req.Num),
+		done:  action{Kind: actSyscallPause, Req: req},
 	})
 	return true
 }
@@ -594,7 +596,8 @@ func (k *Kernel) enterSyscall(ctx int) {
 	}
 	// Stack order: pushed last runs first.
 	f.push(genEntry{
-		g:    k.limit(k.code.services[req.Num], ctx, dynLen(req)),
+		w:    k.code.services[req.Num].walker(ctx),
+		n:    uint64(dynLen(req)),
 		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
 		done: action{Kind: actSvcDone, TID: t.tid, Req: req},
 	})
@@ -606,19 +609,23 @@ func (k *Kernel) enterSyscall(ctx int) {
 			k.hierDMA.DMA((req.Bytes+63)/64+1, k.lastTick)
 		}
 		f.push(genEntry{
-			g:    k.limit(k.code.disk, ctx, diskDriverLen),
+			w:    k.code.disk.walker(ctx),
+			n:    diskDriverLen,
 			tmpl: tmplFor(t, sys.CatSyscall, req.Num),
 		})
 	}
 	k.pushLockAcquire(ctx, t, req.Resource, sys.CatSyscall, req.Num)
 	f.push(genEntry{
-		g:    k.limit(k.code.preamble, ctx, preambleLen),
+		w:    k.code.preamble.walker(ctx),
+		n:    preambleLen,
 		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
 	})
-	palTmpl := tmplFor(t, sys.CatSyscall, req.Num)
 	f.push(genEntry{
-		g:    &modeForce{g: k.limit(k.code.palSys, ctx, palSysEntryLen), mode: isa.PAL},
-		tmpl: palTmpl,
+		w:    k.code.palSys.walker(ctx),
+		n:    palSysEntryLen,
+		wrap: wrapMode,
+		mode: isa.PAL,
+		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
 	})
 }
 
@@ -650,7 +657,8 @@ func (k *Kernel) pushLockAcquire(ctx int, t *Thread, res sys.Resource, cat sys.C
 		// The spin must run before the lock is considered taken; it is
 		// pushed after the acquire marker below, so it executes first.
 		defer f.push(genEntry{
-			g:    k.limit(k.code.spin, ctx, n),
+			w:    k.code.spin.walker(ctx),
+			n:    uint64(n),
 			tmpl: tm,
 		})
 	}
@@ -678,9 +686,10 @@ func (k *Kernel) pushSvcReturn(ctx int, t *Thread, req sys.Request, res int) {
 		Target: t.prog.Walker().PC(),
 	}
 	f.push(genEntry{
-		g:    &workload.Tail{Extra: []isa.Inst{ret}},
-		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
-		done: action{Kind: actSvcResult, TID: t.tid, Req: req, Res: res},
+		wrap:  wrapTail,
+		extra: []isa.Inst{ret},
+		tmpl:  tmplFor(t, sys.CatSyscall, req.Num),
+		done:  action{Kind: actSvcResult, TID: t.tid, Req: req, Res: res},
 	})
 }
 
@@ -697,7 +706,8 @@ func (k *Kernel) resumeBlockedSyscall(ctx int, t *Thread) {
 	}
 	k.pushSvcReturn(ctx, t, req, res)
 	f.push(genEntry{
-		g:    k.limit(k.code.services[req.Num], ctx, dynLen(req)/3),
+		w:    k.code.services[req.Num].walker(ctx),
+		n:    uint64(dynLen(req) / 3),
 		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
 	})
 }
@@ -722,12 +732,12 @@ func (k *Kernel) exitThread(ctx int, t *Thread) {
 		Target: k.code.sched.reg.Base,
 	}
 	f.push(genEntry{
-		g: &workload.Tail{
-			G:     k.limit(k.code.services[sys.SysExit], ctx, dynLen(sys.Request{Num: sys.SysExit})),
-			Extra: []isa.Inst{ret},
-		},
-		tmpl: tmplFor(t, sys.CatSyscall, sys.SysExit),
-		done: action{Kind: actClearCur},
+		w:     k.code.services[sys.SysExit].walker(ctx),
+		n:     uint64(dynLen(sys.Request{Num: sys.SysExit})),
+		wrap:  wrapTail,
+		extra: []isa.Inst{ret},
+		tmpl:  tmplFor(t, sys.CatSyscall, sys.SysExit),
+		done:  action{Kind: actClearCur},
 	})
 }
 
@@ -776,12 +786,12 @@ func (k *Kernel) crashWorker(ctx int, t *Thread) {
 		Target: k.code.sched.reg.Base,
 	}
 	f.push(genEntry{
-		g: &workload.Tail{
-			G:     k.limit(k.code.services[sys.SysExit], ctx, dynLen(sys.Request{Num: sys.SysExit})),
-			Extra: []isa.Inst{ret},
-		},
-		tmpl: tmplFor(t, sys.CatSyscall, sys.SysExit),
-		done: action{Kind: actClearCur},
+		w:     k.code.services[sys.SysExit].walker(ctx),
+		n:     uint64(dynLen(sys.Request{Num: sys.SysExit})),
+		wrap:  wrapTail,
+		extra: []isa.Inst{ret},
+		tmpl:  tmplFor(t, sys.CatSyscall, sys.SysExit),
+		done:  action{Kind: actClearCur},
 	})
 }
 
@@ -822,7 +832,8 @@ func (k *Kernel) doRespawn(ctx int) {
 	tmpl := kthreadTmpl(nt.tid, sys.CatSyscall)
 	tmpl.Sys = sys.SysFork
 	k.feeds[ctx].push(genEntry{
-		g:    k.limit(k.code.services[sys.SysFork], ctx, dynLen(forkReq)),
+		w:    k.code.services[sys.SysFork].walker(ctx),
+		n:    uint64(dynLen(forkReq)),
 		tmpl: tmpl,
 	})
 }
@@ -877,20 +888,4 @@ func (k *Kernel) asnOfPID(pid uint64) (uint16, bool) {
 		}
 	}
 	return 0, false
-}
-
-// modeForce overrides the mode of generated instructions (PAL trampolines
-// reuse kernel-style generation but execute in PAL mode).
-type modeForce struct {
-	g    workload.Generator
-	mode isa.Mode
-}
-
-func (m *modeForce) Next() (isa.Inst, bool) {
-	in, ok := m.g.Next()
-	if !ok {
-		return in, false
-	}
-	in.Mode = m.mode
-	return in, true
 }

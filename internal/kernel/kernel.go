@@ -228,10 +228,6 @@ type Kernel struct {
 	lastTick  uint64
 	interrupt []int //detlint:ignore snapshotcomplete scratch buffer returned by Cycle, carries no state across cycles
 
-	// limitPool recycles the workload.Limit generators that bound every code
-	// burst: the feed would otherwise allocate one per user burst and per
-	// trap handler, which dominates the allocation profile.
-	limitPool []*workload.Limit //detlint:ignore snapshotcomplete allocation freelist, holds no simulation state
 	// handlerBuf is the scratch the trap handlers assemble spliced code in;
 	// Trap consumes it before returning.
 	handlerBuf []pipeline.FedInst //detlint:ignore snapshotcomplete scratch buffer, dead once Trap returns

@@ -293,7 +293,8 @@ func (k *Kernel) netisrStep(ctx int, t *Thread) bool {
 	ns.pending = ns.pending[n:]
 	f := &k.feeds[ctx]
 	f.push(genEntry{
-		g:    k.limit(k.code.netisr, ctx, n*netisrFrameLen),
+		w:    k.code.netisr.walker(ctx),
+		n:    uint64(n * netisrFrameLen),
 		tmpl: kthreadTmpl(t.tid, sys.CatNetisr),
 		done: action{Kind: actNetisrDone, TID: t.tid, Batch: batch},
 	})

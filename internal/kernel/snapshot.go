@@ -15,16 +15,17 @@ import (
 	"repro/internal/workload"
 )
 
-// Generation-stack entry wrappers and generator sources (see saveGen).
+// Generation-stack entry shapes (genEntry.wrap) and walker sources (see
+// saveGen).
 const (
-	wrapNone uint8 = iota // bare *workload.Limit
-	wrapTail              // *workload.Tail (optionally around a Limit)
-	wrapMode              // *modeForce around a Limit
+	wrapNone uint8 = iota // a bare walker excerpt
+	wrapTail              // extra instructions, after an optional walker excerpt
+	wrapMode              // a walker excerpt forced to one mode
 )
 
 const (
-	srcRegion uint8 = iota // Limit around a kernel-code region walker
-	srcProg                // Limit around a user program's walker
+	srcRegion uint8 = iota // a kernel-code region walker
+	srcProg                // a user program's walker
 )
 
 // ProgFactory rebuilds the structure of a user program identified by
@@ -170,59 +171,43 @@ func saveThread(e *checkpoint.Enc, t *Thread) {
 	}
 }
 
-// saveGen writes one generation-stack entry. The generator shapes are a
-// closed set (see the push sites in feed.go and net.go): a Limit over a
-// walker, optionally wrapped in a Tail or a modeForce. The walker a Limit
-// draws from is written as a kernel region name plus walker index
-// (srcRegion) or as the owning thread (srcProg); the walker's own state is
+// saveGen writes one generation-stack entry: its shape, the shape's
+// fields, then whether a walker is attached and, if so, the count left and
+// the walker. The walker is written as a kernel region name plus walker
+// index (srcRegion) or as the owning thread (srcProg); its own state is
 // written with its region or thread.
 func saveGen(e *checkpoint.Enc, g genEntry, regionOf map[*workload.Walker]walkerRef, progOf map[*workload.Walker]uint32) {
 	g.tmpl.Save(e)
 	saveAction(e, &g.done)
-	var inner *workload.Limit
-	switch gen := g.g.(type) {
-	case *workload.Limit:
-		e.Uint(uint64(wrapNone))
-		inner = gen
-	case *workload.Tail:
-		e.Uint(uint64(wrapTail))
-		e.Uint(uint64(len(gen.Extra)))
-		for i := range gen.Extra {
-			gen.Extra[i].Save(e)
+	e.Uint(uint64(g.wrap))
+	switch g.wrap {
+	case wrapNone:
+	case wrapTail:
+		e.Uint(uint64(len(g.extra)))
+		for i := range g.extra {
+			g.extra[i].Save(e)
 		}
-		e.Int(int64(gen.Pos))
-		if gen.G != nil {
-			inner, _ = gen.G.(*workload.Limit)
-			if inner == nil {
-				panic(fmt.Sprintf("kernel: unsavable tail inner generator %T", gen.G))
-			}
-		}
-	case *modeForce:
-		e.Uint(uint64(wrapMode))
-		e.Uint(uint64(gen.mode))
-		inner, _ = gen.g.(*workload.Limit)
-		if inner == nil {
-			panic(fmt.Sprintf("kernel: unsavable modeForce inner generator %T", gen.g))
-		}
+		e.Int(int64(g.pos))
+	case wrapMode:
+		e.Uint(uint64(g.mode))
 	default:
-		panic(fmt.Sprintf("kernel: unsavable generator %T", g.g))
+		panic(fmt.Sprintf("kernel: unsavable generation entry shape %d", g.wrap))
 	}
-	e.Bool(inner != nil)
-	if inner == nil {
+	e.Bool(g.w != nil)
+	if g.w == nil {
+		if g.wrap != wrapTail {
+			panic("kernel: generation entry has no walker")
+		}
 		return
 	}
-	e.Uint(inner.N)
-	w, ok := inner.G.(*workload.Walker)
-	if !ok {
-		panic(fmt.Sprintf("kernel: unsavable limit source %T", inner.G))
-	}
-	if ref, ok := regionOf[w]; ok {
+	e.Uint(g.n)
+	if ref, ok := regionOf[g.w]; ok {
 		e.Uint(uint64(srcRegion))
 		e.String(ref.region)
 		e.Int(int64(ref.ctx))
 		return
 	}
-	if tid, ok := progOf[w]; ok {
+	if tid, ok := progOf[g.w]; ok {
 		e.Uint(uint64(srcProg))
 		e.Uint(uint64(tid))
 		return
@@ -466,26 +451,27 @@ func (k *Kernel) loadGen(d *checkpoint.Dec) genEntry {
 	g.tmpl.Load(d)
 	loadAction(d, &g.done)
 	wrap := d.Uint()
-	var tail *workload.Tail
-	var mode isa.Mode
-	switch uint8(wrap) {
+	g.wrap = uint8(wrap)
+	switch g.wrap {
 	case wrapNone:
 	case wrapTail:
-		tail = &workload.Tail{Extra: make([]isa.Inst, d.Len())}
-		for i := range tail.Extra {
-			tail.Extra[i].Load(d)
+		g.extra = make([]isa.Inst, d.Len())
+		for i := range g.extra {
+			g.extra[i].Load(d)
 		}
-		tail.Pos = int(d.Int())
+		g.pos = int(d.Int())
+		if g.pos < 0 || g.pos > len(g.extra) {
+			d.Fail("tail position %d outside %d extra instructions", g.pos, len(g.extra))
+			return g
+		}
 	case wrapMode:
-		mode = isa.Mode(d.Index(isa.NumModes))
+		g.mode = isa.Mode(d.Index(isa.NumModes))
 	default:
 		d.Fail("unknown generator wrapper %d", wrap)
 		return g
 	}
-	var inner *workload.Limit
 	if d.Bool() {
-		n := d.Uint()
-		var w *workload.Walker
+		g.n = d.Uint()
 		switch src := d.Uint(); uint8(src) {
 		case srcRegion:
 			name := d.Bytes()
@@ -495,41 +481,21 @@ func (k *Kernel) loadGen(d *checkpoint.Dec) genEntry {
 				d.Fail("unknown code walker %s/%d", name, ctx)
 				return g
 			}
-			w = rw.ws[ctx]
+			g.w = rw.ws[ctx]
 		case srcProg:
 			t := k.threadByTID(uint32(d.Uint()))
 			if t == nil || t.prog == nil {
 				d.Fail("unknown program walker")
 				return g
 			}
-			w = t.prog.Walker()
+			g.w = t.prog.Walker()
 		default:
 			d.Fail("unknown generator source %d", src)
 			return g
 		}
-		inner = k.newLimit(w, n)
 	}
-	if d.Failed() {
-		return g
-	}
-	switch uint8(wrap) {
-	case wrapNone:
-		if inner == nil {
-			d.Fail("bare entry with no inner generator")
-			return g
-		}
-		g.g = inner
-	case wrapTail:
-		if inner != nil {
-			tail.G = inner
-		}
-		g.g = tail
-	case wrapMode:
-		if inner == nil {
-			d.Fail("modeForce entry with no inner generator")
-			return g
-		}
-		g.g = &modeForce{g: inner, mode: mode}
+	if !d.Failed() && g.w == nil && g.wrap != wrapTail {
+		d.Fail("generation entry of shape %d with no walker", g.wrap)
 	}
 	return g
 }

@@ -206,6 +206,18 @@ func TestEngineStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFastForwardZeroAlloc is the same gate for the fast-forward loop:
+// with sampling enabled and the caches, TLBs and predictor warm, a
+// steady-state ffStep must not allocate.
+func TestFastForwardZeroAlloc(t *testing.T) {
+	e := newBenchEngine()
+	e.EnableSampling(SampleConfig{Period: 20_000, DetailWindow: 2_000, Warmup: 1_000, Seed: 1})
+	e.Run(100_000)
+	if avg := testing.AllocsPerRun(5000, func() { e.ffStep() }); avg != 0 {
+		t.Fatalf("Engine.ffStep steady state allocates %.3f allocs/op, want 0", avg)
+	}
+}
+
 // BenchmarkEngineStep measures the raw per-cycle cost of the core loop on a
 // synthetic feed (no kernel), reporting allocs/op so regressions are visible
 // in the BENCH_*.json trajectory.

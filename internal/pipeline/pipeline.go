@@ -102,7 +102,9 @@ type Feed interface {
 	Span(ctx int, idx uint64) []FedInst
 	// Retired notifies, in program order, that the instruction at idx
 	// committed. The kernel uses this to unpause generation after
-	// serializing instructions (syscall entry, PAL return).
+	// serializing instructions (syscall entry, PAL return). in may point
+	// into the span that holds idx, so Retired reads it before it advances
+	// or compacts the buffer.
 	Retired(ctx int, idx uint64, in *FedInst)
 	// Trap asks the kernel to splice handler code into ctx's stream at
 	// idx (the instruction previously at idx, if any, follows the spliced
@@ -485,7 +487,6 @@ type Engine struct {
 	retireScratch    FedInst //detlint:ignore snapshotcomplete scratch copy handed to Feed.Retired, dead after the call
 	trapScratch      FedInst //detlint:ignore snapshotcomplete scratch copy handed to Feed.Trap, dead after the call
 	fetchScratch     FedInst //detlint:ignore snapshotcomplete scratch for the wrong-path instruction being fetched, dead after fetchCtx
-	ffScratch        FedInst //detlint:ignore snapshotcomplete scratch for the instruction being fast-forwarded, dead after ffExec
 
 	// smp is the sampling FSM (sample.go); zero value means sampling off.
 	smp sampler

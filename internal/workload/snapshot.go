@@ -32,7 +32,7 @@ func (w *Walker) Save(e *checkpoint.Enc) {
 // walker over a region of identical shape.
 func (w *Walker) Load(d *checkpoint.Dec) {
 	w.idx = int(d.Int())
-	if w.idx < 0 || w.idx > len(w.loops) {
+	if w.idx < 0 || w.idx >= len(w.loops) {
 		d.Fail("walker position %d outside %d slots", w.idx, len(w.loops))
 		w.idx = 0
 	}
@@ -47,5 +47,9 @@ func (w *Walker) Load(d *checkpoint.Dec) {
 	checkpoint.LoadInts(d, w.coldLeft, "walker cold counts")
 	w.Count = d.Uint()
 	w.ResetEvery = d.Uint()
+	w.phase = 0
+	if w.ResetEvery > 0 && w.Count > 0 {
+		w.phase = (w.Count-1)%w.ResetEvery + 1
+	}
 	w.rng.Load(d)
 }

@@ -5,15 +5,9 @@ import (
 	"repro/internal/rng"
 )
 
-// Generator produces a finite or infinite stream of dynamic instructions.
-// Next returns ok=false when the generator is exhausted.
-type Generator interface {
-	Next() (isa.Inst, bool)
-}
-
 // Walker executes a Region, producing its dynamic instruction stream. It is
-// infinite (a region never "ends"; finite excerpts are taken with Limit or
-// by the kernel's service wrappers) and fully deterministic given its RNG.
+// infinite (a region never "ends"; finite excerpts are counted out by the
+// kernel's generation stack) and fully deterministic given its RNG.
 type Walker struct {
 	Reg       *Region //detlint:ignore snapshotcomplete static region pointer, re-linked by the owning workload on restore
 	rng       *rng.Rand
@@ -28,8 +22,15 @@ type Walker struct {
 	Count uint64
 	// ResetEvery, when nonzero, restarts the walk from slot 0 every that
 	// many dynamic instructions — the program's outer event loop. It also
-	// guarantees the walk cannot stay trapped in a degenerate cycle.
+	// guarantees the walk cannot stay trapped in a degenerate cycle. Set it
+	// only while Count is 0 (right after NewWalker): phase is derived from
+	// both and is recomputed only by Load.
 	ResetEvery uint64
+	// phase is the number of instructions emitted since the last reset
+	// point, in [0, ResetEvery]; the walk resets when it reaches
+	// ResetEvery. Counting it spares a Count%ResetEvery division per
+	// instruction.
+	phase uint64 //detlint:ignore snapshotcomplete derived from Count and ResetEvery, recomputed by Load
 }
 
 // NewWalker returns a walker over reg driven by r.
@@ -50,14 +51,27 @@ func (w *Walker) PC() uint64 { return w.Reg.PCOf(w.idx) }
 
 // Next emits the next dynamic instruction (always ok; Walker is infinite).
 func (w *Walker) Next() (isa.Inst, bool) {
+	var in isa.Inst
+	w.NextInto(&in)
+	return in, true
+}
+
+// NextInto writes the next dynamic instruction over every field of *in.
+// It is the generation hot path: the kernel generates straight into its
+// feed buffer, with no by-value return to copy.
+func (w *Walker) NextInto(in *isa.Inst) {
 	reg := w.Reg
 	n := len(reg.Slots)
-	if w.ResetEvery > 0 && w.Count > 0 && w.Count%w.ResetEvery == 0 {
-		w.idx = 0
-		w.callStack = w.callStack[:0]
+	if w.ResetEvery > 0 {
+		if w.phase == w.ResetEvery {
+			w.idx = 0
+			w.callStack = w.callStack[:0]
+			w.phase = 0
+		}
+		w.phase++
 	}
 	s := &reg.Slots[w.idx]
-	in := isa.Inst{
+	*in = isa.Inst{
 		PC:    reg.PCOf(w.idx),
 		Class: s.Kind,
 		Mode:  reg.Mode,
@@ -133,7 +147,6 @@ func (w *Walker) Next() (isa.Inst, bool) {
 
 	w.idx = next
 	w.Count++
-	return in, true
 }
 
 // dataAddr produces the address for a memory slot.
@@ -173,85 +186,6 @@ func (w *Walker) dataAddr(s *Slot) (addr uint64, physical bool) {
 
 func maxU64(a, b uint64) uint64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Limit wraps a generator to emit at most N instructions.
-type Limit struct {
-	G Generator
-	N uint64
-}
-
-// Next implements Generator.
-func (l *Limit) Next() (isa.Inst, bool) {
-	if l.N == 0 {
-		return isa.Inst{}, false
-	}
-	l.N--
-	return l.G.Next()
-}
-
-// Tail emits the instructions of G and then the extra instructions in
-// sequence (used to terminate a kernel service with a PAL return, or a user
-// burst with a syscall PAL call).
-type Tail struct {
-	G     Generator
-	Extra []isa.Inst
-	// Pos is the index of the next Extra instruction (exported so the
-	// checkpoint layer can serialize a partially drained tail).
-	Pos int
-}
-
-// Next implements Generator.
-func (t *Tail) Next() (isa.Inst, bool) {
-	if t.G != nil {
-		if in, ok := t.G.Next(); ok {
-			return in, true
-		}
-		t.G = nil
-	}
-	if t.Pos < len(t.Extra) {
-		in := t.Extra[t.Pos]
-		t.Pos++
-		return in, true
-	}
-	return isa.Inst{}, false
-}
-
-// Seq chains generators back to back.
-type Seq struct {
-	Gs []Generator
-}
-
-// Next implements Generator.
-func (s *Seq) Next() (isa.Inst, bool) {
-	for len(s.Gs) > 0 {
-		if in, ok := s.Gs[0].Next(); ok {
-			return in, true
-		}
-		s.Gs = s.Gs[1:]
-	}
-	return isa.Inst{}, false
-}
-
-// Drain collects up to max instructions from a generator into a slice
-// (used by the kernel to splice trap-handler code into a context's feed).
-func Drain(g Generator, max int) []isa.Inst {
-	out := make([]isa.Inst, 0, minInt(max, 4096))
-	for len(out) < max {
-		in, ok := g.Next()
-		if !ok {
-			break
-		}
-		out = append(out, in)
-	}
-	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
 		return a
 	}
 	return b

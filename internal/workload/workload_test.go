@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/rng"
 	"repro/internal/sys"
@@ -241,69 +243,6 @@ func TestIndirectRotation(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	reg := buildTest(t, 6)
-	l := &Limit{G: NewWalker(reg, rng.New(1)), N: 10}
-	n := 0
-	for {
-		_, ok := l.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 10 {
-		t.Fatalf("Limit emitted %d, want 10", n)
-	}
-}
-
-func TestTailAndSeq(t *testing.T) {
-	reg := buildTest(t, 7)
-	ret := isa.Inst{Class: isa.PALReturn, Mode: isa.PAL}
-	tl := &Tail{G: &Limit{G: NewWalker(reg, rng.New(1)), N: 5}, Extra: []isa.Inst{ret}}
-	var last isa.Inst
-	n := 0
-	for {
-		in, ok := tl.Next()
-		if !ok {
-			break
-		}
-		last = in
-		n++
-	}
-	if n != 6 || last.Class != isa.PALReturn {
-		t.Fatalf("Tail: n=%d last=%v", n, last.Class)
-	}
-
-	s := &Seq{Gs: []Generator{
-		&Limit{G: NewWalker(reg, rng.New(1)), N: 3},
-		&Limit{G: NewWalker(reg, rng.New(2)), N: 4},
-	}}
-	n = 0
-	for {
-		_, ok := s.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 7 {
-		t.Fatalf("Seq emitted %d, want 7", n)
-	}
-}
-
-func TestDrain(t *testing.T) {
-	reg := buildTest(t, 8)
-	out := Drain(&Limit{G: NewWalker(reg, rng.New(1)), N: 100}, 50)
-	if len(out) != 50 {
-		t.Fatalf("Drain got %d, want 50", len(out))
-	}
-	out = Drain(&Limit{G: NewWalker(reg, rng.New(1)), N: 5}, 50)
-	if len(out) != 5 {
-		t.Fatalf("Drain of short gen got %d, want 5", len(out))
-	}
-}
-
 func TestScriptProgram(t *testing.T) {
 	reg := buildTest(t, 9)
 	calls := 0
@@ -430,5 +369,62 @@ func TestHardBranchFracProducesWeakSites(t *testing.T) {
 	}
 	if total == 0 || weak != total {
 		t.Fatalf("hard sites %d of %d conditionals", weak, total)
+	}
+}
+
+// TestWalkerResetPhaseAcrossRestore pins the derived reset phase: a walker
+// saved just before, at and just after a reset point and restored into a
+// fresh walker continues exactly like one that was never interrupted.
+func TestWalkerResetPhaseAcrossRestore(t *testing.T) {
+	const r, k = 300, 3
+	reg := buildTest(t, 22)
+	walker := func() *Walker {
+		w := NewWalker(reg, rng.New(5))
+		w.ResetEvery = r
+		return w
+	}
+	ref := walker()
+	var want []isa.Inst
+	for i := 0; i < (k+1)*r+1+3*r; i++ {
+		in, _ := ref.Next()
+		want = append(want, in)
+	}
+	for _, cut := range []int{k*r - 1, k * r, k*r + 1} {
+		w := walker()
+		for i := 0; i < cut; i++ {
+			w.Next()
+		}
+		var e checkpoint.Enc
+		w.Save(&e)
+		fresh := NewWalker(reg, rng.New(99))
+		d := checkpoint.NewDec("walker", e.Bytes())
+		fresh.Load(&d)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		for i := 0; i < 3*r; i++ {
+			if got, _ := fresh.Next(); got != want[cut+i] {
+				t.Fatalf("cut %d: instruction %d after restore is %+v, want %+v", cut, i, got, want[cut+i])
+			}
+		}
+	}
+}
+
+// TestWalkerLoadRejectsPositionPastSlots damages a walker section so its
+// position equals the slot count: Load must refuse it rather than leave a
+// walker whose next instruction indexes past the region.
+func TestWalkerLoadRejectsPositionPastSlots(t *testing.T) {
+	reg := buildTest(t, 23)
+	var e checkpoint.Enc
+	NewWalker(reg, rng.New(1)).Save(&e)
+	raw := e.Bytes()
+	_, n := binary.Varint(raw) // the position is the section's first field
+	damaged := binary.AppendVarint(nil, int64(len(reg.Slots)))
+	damaged = append(damaged, raw[n:]...)
+	w := NewWalker(reg, rng.New(1))
+	d := checkpoint.NewDec("walker", damaged)
+	w.Load(&d)
+	if d.Err() == nil {
+		t.Fatalf("a walker position of %d over %d slots loaded without error", len(reg.Slots), len(reg.Slots))
 	}
 }
