@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race netsimref bench-smoke fuzz-smoke bench bench-diff bench-ab run experiments
+.PHONY: check build vet lint test race netsimref simbench-test bench-smoke fuzz-smoke bench bench-diff bench-ab run experiments
 
 # check is the full verification gate: compile, vet, the determinism linter,
 # the whole test suite (including cmd/ossmt's in-process smoke legs: an
@@ -8,9 +8,10 @@ GO ?= go
 # reruns of the sampled, resource-exhaustion and 100k-client fleet runs), a
 # fast race pass (Quick-scale simulations skip under -short, so the race leg
 # stays cheap while still covering the worker pool and fault-injection
-# paths), the netsim equivalence tests under the reference driver, a
-# one-iteration benchmark smoke, and a short run of every fuzz target.
-check: build vet lint test race netsimref bench-smoke fuzz-smoke
+# paths), the netsim equivalence tests under the reference driver, the
+# benchmark module's own tests, a one-iteration benchmark smoke, and a
+# short run of every fuzz target.
+check: build vet lint test race netsimref simbench-test bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +40,13 @@ race:
 # DESIGN.md, "Event-driven netsim").
 netsimref:
 	$(GO) test -tags netsimref -run 'TestEventDriven|TestSnapshotRoundTrip' ./internal/netsim/
+
+# simbench-test runs the tests of the benchmark module (simbench/, its own
+# Go module, so ./... at the root does not reach it): every workload at its
+# small size, run twice and once traced, so a digest that moves between
+# runs or a failed restore check shows up before a benchmark run.
+simbench-test:
+	$(GO) -C simbench test .
 
 # bench-smoke runs every benchmark exactly once — it exists to catch
 # crashes in bench-only code paths, not to measure anything.

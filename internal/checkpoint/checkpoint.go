@@ -244,9 +244,33 @@ func WriteFile(path string, img *Image) error {
 
 // ReadFile reads and verifies a checkpoint file.
 func ReadFile(path string) (*Image, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, &FormatError{Path: path, Reason: "reading", Err: err}
+	img, _, err := ReadFileInto(path, nil)
+	return img, err
+}
+
+// ReadFileInto is ReadFile into buf's backing array, grown only past its
+// capacity; it returns the buffer for the next read. The image's sections
+// alias the buffer, so the image is valid only until the buffer is reused:
+// restore from it before the next read. A restore keeps nothing of the
+// image (every Load decodes into live state; Dec.Bytes results are used
+// for lookups only), so a batch of restores can share one buffer.
+func ReadFileInto(path string, buf []byte) (*Image, []byte, error) {
+	fail := func(err error) (*Image, []byte, error) {
+		return nil, buf, &FormatError{Path: path, Reason: "reading", Err: err}
 	}
-	return decode(raw, path)
+	f, err := os.Open(path)
+	if err != nil {
+		return fail(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fail(err)
+	}
+	buf = Resize(buf, int(fi.Size()))
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return fail(err)
+	}
+	img, err := decode(buf, path)
+	return img, buf, err
 }

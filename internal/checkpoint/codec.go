@@ -92,6 +92,44 @@ func PutIntColumn[T Signed](e *Enc, vals []T) {
 	e.column(col)
 }
 
+// PutIntColumnAt appends a column of n signed values that are zero except
+// at the ascending indices at[j], which hold vals[j]. The bytes are those
+// PutIntColumn writes for the expanded slice, but nothing of length n is
+// built: state that only a few indices can hold (a walker's per-slot
+// counters) stays compact in memory and keeps its column format.
+func PutIntColumnAt[T Signed](e *Enc, n int, at []int32, vals []T) {
+	k := 0
+	for _, v := range vals {
+		if v != 0 {
+			k++
+		}
+	}
+	if 2*k > n {
+		e.buf = append(e.buf, colDense)
+		j := 0
+		for i := 0; i < n; i++ {
+			var u uint64
+			if j < len(at) && int(at[j]) == i {
+				u = zigzag(int64(vals[j]))
+				j++
+			}
+			e.buf = binary.AppendUvarint(e.buf, u)
+		}
+		return
+	}
+	e.buf = append(e.buf, colSparse)
+	e.Uint(uint64(k))
+	next := 0
+	for j, v := range vals {
+		if v != 0 {
+			i := int(at[j])
+			e.buf = binary.AppendUvarint(e.buf, uint64(i-next))
+			e.buf = binary.AppendUvarint(e.buf, zigzag(int64(v)))
+			next = i + 1
+		}
+	}
+}
+
 // column writes col in the shorter of the two column forms, and keeps it
 // as scratch for the next column.
 func (e *Enc) column(col []uint64) {

@@ -109,3 +109,45 @@ func TestLibraryWindowPath(t *testing.T) {
 		t.Fatalf("LibraryWindowPath = %q, want %q", got, want)
 	}
 }
+
+// TestReadFileIntoReusesBuffer reads a larger and then a smaller image
+// through one buffer: the second read reuses the first's array and its
+// image decodes as its own, and a failed read hands the buffer back.
+func TestReadFileIntoReusesBuffer(t *testing.T) {
+	dir := t.TempDir()
+	big, small := libManifest(), libManifest()
+	small.Window = 5
+	bigImg := NewImage()
+	PutManifest(bigImg, big)
+	bigImg.Put("pad", func(e *Enc) { e.String(strings.Repeat("x", 4096)) })
+	smallImg := NewImage()
+	PutManifest(smallImg, small)
+	for i, img := range []*Image{bigImg, smallImg} {
+		if err := WriteFile(LibraryWindowPath(dir, i), img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, buf, err := ReadFileInto(LibraryWindowPath(dir, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Manifest(img); err != nil || m != big {
+		t.Fatalf("first image: manifest %+v, %v", m, err)
+	}
+	first := &buf[0]
+	img, buf, err = ReadFileInto(LibraryWindowPath(dir, 1), buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &buf[0] != first {
+		t.Fatal("the smaller image was read into a new buffer")
+	}
+	if m, err := Manifest(img); err != nil || m != small {
+		t.Fatalf("second image: manifest %+v, %v", m, err)
+	}
+	_, back, err := ReadFileInto(filepath.Join(dir, "missing.ckpt"), buf)
+	var fe *FormatError
+	if !errors.As(err, &fe) || &back[0] != first {
+		t.Fatalf("missing file: error %v, buffer kept %v", err, &back[0] == first)
+	}
+}

@@ -18,8 +18,8 @@ func init() {
 }
 
 func ablationFetch(ev *env, sc Scale, seed uint64) Result {
-	icount := ev.window(apacheSim(sc, seed, core.Options{}), sc)
-	rr := ev.window(apacheSim(sc, seed, core.Options{RoundRobinFetch: true}), sc)
+	icount := ev.window(apacheConfig(sc, seed, core.Options{}), sc)
+	rr := ev.window(apacheConfig(sc, seed, core.Options{RoundRobinFetch: true}), sc)
 	t := report.NewTable("policy", "IPC", "squash%", "fetchable")
 	t.Row("icount-2.8", report.F2(icount.IPC()), report.F1(icount.Metrics.SquashPct()), report.F1(icount.Metrics.AvgFetchable()))
 	t.Row("round-robin", report.F2(rr.IPC()), report.F1(rr.Metrics.SquashPct()), report.F1(rr.Metrics.AvgFetchable()))
@@ -33,7 +33,7 @@ func ablationContexts(ev *env, sc Scale, seed uint64) Result {
 	t := report.NewTable("contexts", "IPC", "kernel%", "fetchable")
 	vals := map[string]float64{}
 	for _, n := range []int{1, 2, 4, 8} {
-		w := ev.window(apacheSim(sc, seed, core.Options{Contexts: n}), sc)
+		w := ev.window(apacheConfig(sc, seed, core.Options{Contexts: n}), sc)
 		t.Row(fmt.Sprintf("%d", n), report.F2(w.IPC()), report.F1(w.CycleAt.KernelPct()), report.F1(w.Metrics.AvgFetchable()))
 		vals[fmt.Sprintf("ipc%d", n)] = w.IPC()
 	}
@@ -44,8 +44,8 @@ func ablationContexts(ev *env, sc Scale, seed uint64) Result {
 func ablationIdle(ev *env, sc Scale, seed uint64) Result {
 	// Half-loaded machine: 4 Apache processes on 8 contexts leaves idle
 	// contexts whose spin loop competes for fetch slots.
-	halt := ev.window(apacheSim(sc, seed, core.Options{ServerProcesses: 4, Clients: 8}), sc)
-	spin := ev.window(apacheSim(sc, seed, core.Options{ServerProcesses: 4, Clients: 8, IdleSpin: true}), sc)
+	halt := ev.window(apacheConfig(sc, seed, core.Options{ServerProcesses: 4, Clients: 8}), sc)
+	spin := ev.window(apacheConfig(sc, seed, core.Options{ServerProcesses: 4, Clients: 8, IdleSpin: true}), sc)
 	t := report.NewTable("idle model", "IPC", "retired/kcycle")
 	perK := func(w report.Snapshot) float64 {
 		if w.Metrics.Cycles == 0 {
@@ -66,8 +66,7 @@ func ablationInterrupt(ev *env, sc Scale, seed uint64) Result {
 	t := report.NewTable("interval(cycles)", "IPC", "requests done", "netisr%")
 	vals := map[string]float64{}
 	for _, iv := range []uint64{sc.Interval / 2, sc.Interval, sc.Interval * 2} {
-		sim := core.NewApache(core.Options{Seed: seed, CyclesPer10ms: iv, Sampling: sc.Sampling})
-		w := ev.window(sim, sc)
+		w := ev.window(simConfig{"apache", core.Options{Seed: seed, CyclesPer10ms: iv, Sampling: sc.Sampling}}, sc)
 		t.Row(fmt.Sprintf("%d", iv), report.F2(w.IPC()), report.I(w.NetCompleted),
 			report.F1(w.CycleAt.PctCat(sys.CatNetisr)))
 		vals[fmt.Sprintf("done%d", iv)] = float64(w.NetCompleted)
@@ -80,7 +79,7 @@ func ablationProcs(ev *env, sc Scale, seed uint64) Result {
 	t := report.NewTable("server processes", "IPC", "requests done", "kernel%")
 	vals := map[string]float64{}
 	for _, n := range []int{8, 16, 32, 64} {
-		w := ev.window(apacheSim(sc, seed, core.Options{ServerProcesses: n}), sc)
+		w := ev.window(apacheConfig(sc, seed, core.Options{ServerProcesses: n}), sc)
 		t.Row(fmt.Sprintf("%d", n), report.F2(w.IPC()), report.I(w.NetCompleted), report.F1(w.CycleAt.KernelPct()))
 		vals[fmt.Sprintf("done%d", n)] = float64(w.NetCompleted)
 	}
@@ -94,8 +93,8 @@ func init() {
 }
 
 func ablationDMA(ev *env, sc Scale, seed uint64) Result {
-	off := ev.window(apacheSim(sc, seed, core.Options{}), sc)
-	on := ev.window(apacheSim(sc, seed, core.Options{ModelNetworkDMA: true}), sc)
+	off := ev.window(apacheConfig(sc, seed, core.Options{}), sc)
+	on := ev.window(apacheConfig(sc, seed, core.Options{ModelNetworkDMA: true}), sc)
 	t := report.NewTable("network DMA", "IPC", "requests done", "L2 miss%")
 	t.Row("omitted (paper)", report.F2(off.IPC()), report.I(off.NetCompleted), report.F2(off.L2.MissRateOverall()))
 	t.Row("modeled", report.F2(on.IPC()), report.I(on.NetCompleted), report.F2(on.L2.MissRateOverall()))
@@ -109,8 +108,8 @@ func ablationDMA(ev *env, sc Scale, seed uint64) Result {
 func ablationAffinity(ev *env, sc Scale, seed uint64) Result {
 	// Oversubscribed machine so scheduling decisions matter: 64 processes
 	// with frequent preemption on 8 contexts.
-	fifo := ev.window(apacheSim(sc, seed, core.Options{}), sc)
-	aff := ev.window(apacheSim(sc, seed, core.Options{AffinityScheduler: true}), sc)
+	fifo := ev.window(apacheConfig(sc, seed, core.Options{}), sc)
+	aff := ev.window(apacheConfig(sc, seed, core.Options{AffinityScheduler: true}), sc)
 	t := report.NewTable("scheduler", "IPC", "requests done", "L1D miss%", "DTLB miss%")
 	t.Row("fifo (paper's MP scheduler)", report.F2(fifo.IPC()), report.I(fifo.NetCompleted),
 		report.F2(fifo.L1D.MissRateOverall()), report.F2(fifo.DTLB.MissRateOverall()))
@@ -128,8 +127,8 @@ func init() {
 }
 
 func ablationKeepAlive(ev *env, sc Scale, seed uint64) Result {
-	one := ev.window(apacheSim(sc, seed, core.Options{}), sc)
-	ka := ev.window(apacheSim(sc, seed, core.Options{KeepAliveRequests: 8}), sc)
+	one := ev.window(apacheConfig(sc, seed, core.Options{}), sc)
+	ka := ev.window(apacheConfig(sc, seed, core.Options{KeepAliveRequests: 8}), sc)
 	t := report.NewTable("connections", "IPC", "requests done", "accept cyc%", "netisr%")
 	rowFor := func(label string, w report.Snapshot) {
 		t.Row(label, report.F2(w.IPC()), report.I(w.NetCompleted),
@@ -221,8 +220,8 @@ func ablationSampling(ev *env, sc Scale, seed uint64) Result {
 }
 
 func ablationDiskBound(ev *env, sc Scale, seed uint64) Result {
-	cached := ev.window(apacheSim(sc, seed, core.Options{}), sc)
-	bound := ev.window(apacheSim(sc, seed, core.Options{BufferCacheHitRate: 0.3}), sc)
+	cached := ev.window(apacheConfig(sc, seed, core.Options{}), sc)
+	bound := ev.window(apacheConfig(sc, seed, core.Options{BufferCacheHitRate: 0.3}), sc)
 	t := report.NewTable("fileset", "IPC", "requests done", "read cyc%", "L1D miss%")
 	rowFor := func(label string, w report.Snapshot) {
 		t.Row(label, report.F2(w.IPC()), report.I(w.NetCompleted),

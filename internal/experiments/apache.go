@@ -23,10 +23,10 @@ func init() {
 }
 
 func fig5(ev *env, sc Scale, seed uint64) Result {
-	sim := apacheSim(sc, seed, core.Options{})
+	conf := apacheConfig(sc, seed, core.Options{})
 	t := report.NewTable("cycles(k)", "user%", "kernel%", "pal%", "idle%")
 	var lastKernel float64
-	for _, sw := range ev.steps(sim, sc, 12) {
+	for _, sw := range ev.steps(conf, sc, 12) {
 		w := sw.w
 		lastKernel = w.CycleAt.PctMode(isa.Kernel) + w.CycleAt.PctMode(isa.PAL)
 		t.Row(report.I(sw.end/1000),
@@ -42,9 +42,9 @@ func fig5(ev *env, sc Scale, seed uint64) Result {
 }
 
 func fig6(ev *env, sc Scale, seed uint64) Result {
-	ap := apacheSim(sc, seed, core.Options{})
+	ap := apacheConfig(sc, seed, core.Options{})
 	apW := ev.window(ap, sc)
-	sp := specSim(sc, seed, core.Options{})
+	sp := specConfig(sc, seed, core.Options{})
 	spStart, spSteady := ev.phases(sp, sc)
 
 	t := report.NewTable("workload", "syscall%", "dtlb%", "itlb%", "intr%", "netisr%", "sched%", "spin%", "other%", "pal%")
@@ -68,11 +68,11 @@ func fig6(ev *env, sc Scale, seed uint64) Result {
 }
 
 func fig7(ev *env, sc Scale, seed uint64) Result {
-	sim := apacheSim(sc, seed, core.Options{})
+	conf := apacheConfig(sc, seed, core.Options{})
 	// phases covers the whole span, so startup+steady telescopes to the same
 	// full-run service-instruction totals the resource chart needs, while
 	// the syscall table keeps using the steady (measured) window.
-	startup, steady := ev.phases(sim, sc)
+	startup, steady := ev.phases(conf, sc)
 	w := steady
 
 	t := report.NewTable("syscall", "% of all cycles")
@@ -121,8 +121,8 @@ func fig7(ev *env, sc Scale, seed uint64) Result {
 }
 
 func tab5(ev *env, sc Scale, seed uint64) Result {
-	sim := apacheSim(sc, seed, core.Options{})
-	w := ev.window(sim, sc)
+	conf := apacheConfig(sc, seed, core.Options{})
+	w := ev.window(conf, sc)
 	t := report.NewTable("type", "user", "kernel", "overall")
 	mixRows(t, "apache", w)
 	text := t.String() + paperNote(
@@ -137,11 +137,11 @@ func tab5(ev *env, sc Scale, seed uint64) Result {
 }
 
 func tab6(ev *env, sc Scale, seed uint64) Result {
-	ap := apacheSim(sc, seed, core.Options{})
+	ap := apacheConfig(sc, seed, core.Options{})
 	apW := ev.window(ap, sc)
-	sp := specSim(sc, seed, core.Options{})
+	sp := specConfig(sc, seed, core.Options{})
 	_, spW := ev.phases(sp, sc)
-	ss := apacheSim(sc, seed, core.Options{Processor: core.Superscalar})
+	ss := apacheConfig(sc, seed, core.Options{Processor: core.Superscalar})
 	ssW := ev.window(ss, sc)
 
 	t := report.NewTable("metric", "apache/smt", "spec/smt", "apache/ss")
@@ -184,8 +184,8 @@ func tab6(ev *env, sc Scale, seed uint64) Result {
 }
 
 func tab7(ev *env, sc Scale, seed uint64) Result {
-	sim := apacheSim(sc, seed, core.Options{})
-	w := ev.window(sim, sc)
+	conf := apacheConfig(sc, seed, core.Options{})
+	w := ev.window(conf, sc)
 	var b strings.Builder
 	structRows(&b, "BTB", w.BTB)
 	structRows(&b, "L1I", w.L1I)
@@ -212,9 +212,9 @@ func tab7(ev *env, sc Scale, seed uint64) Result {
 }
 
 func tab8(ev *env, sc Scale, seed uint64) Result {
-	smt := apacheSim(sc, seed, core.Options{})
+	smt := apacheConfig(sc, seed, core.Options{})
 	smtW := ev.window(smt, sc)
-	ss := apacheSim(sc, seed, core.Options{Processor: core.Superscalar})
+	ss := apacheConfig(sc, seed, core.Options{Processor: core.Superscalar})
 	ssW := ev.window(ss, sc)
 
 	var b strings.Builder
@@ -260,8 +260,8 @@ func tab9(ev *env, sc Scale, seed uint64) Result {
 	}
 	ws := map[string]report.Snapshot{}
 	for _, c := range cfgs {
-		sim := apacheSim(sc, seed, c.opt)
-		ws[c.label] = ev.window(sim, sc)
+		conf := apacheConfig(sc, seed, c.opt)
+		ws[c.label] = ev.window(conf, sc)
 	}
 	t := report.NewTable("metric", "smt-only", "smt+os", "chg", "ss-only", "ss+os", "chg")
 	chg := func(a, b float64) string {

@@ -24,7 +24,7 @@ type Scale struct {
 	// Interval is the 10 ms interrupt granularity in cycles.
 	Interval uint64
 	// Sampling, when enabled, runs every simulation built through the
-	// standard specSim/apacheSim helpers in sampled mode (fast-forward with
+	// standard specConfig/apacheConfig helpers in sampled mode (fast-forward with
 	// warming between detailed windows). Percentage-style metrics remain
 	// estimates of the detailed windows; raw counters are not comparable to
 	// full-detail runs.
@@ -97,14 +97,38 @@ func (ev *env) advance(sim *core.Simulator, n uint64) {
 	sim.Run(n)
 }
 
-// window runs warmup, then measures for sc.Measure cycles and returns the
-// delta snapshot of the measured window. Under a WindowRunner the simulation
-// never runs here: the result is the merged deltas of the library windows
-// that open after warmup.
-func (ev *env) window(sim *core.Simulator, sc Scale) report.Snapshot {
-	if ev.win != nil {
-		return ev.win.merged(sim, sc, sc.Warmup, ^uint64(0))
+// simConfig is one simulation configuration: the workload name and the
+// options a simulator is built from. Experiments hand configurations, not
+// built simulators, to window, phases and steps: a WindowRunner finds its
+// library by configuration alone, so only the live path builds one.
+type simConfig struct {
+	workload string
+	opts     core.Options
+}
+
+// build constructs the configured simulator; invalid options panic, as
+// experiment functions have no error path.
+func (c simConfig) build() *core.Simulator {
+	sim, err := core.New(c.workload, c.opts)
+	if err != nil {
+		panic(err)
 	}
+	return sim
+}
+
+// window runs warmup, then measures for sc.Measure cycles and returns the
+// delta snapshot of the measured window. Under a WindowRunner nothing is
+// built or run here: the result is the merged deltas of the library
+// windows that open after warmup.
+func (ev *env) window(c simConfig, sc Scale) report.Snapshot {
+	if ev.win != nil {
+		return ev.win.merged(c, sc, sc.Warmup, ^uint64(0))
+	}
+	return ev.run(c.build(), sc)
+}
+
+// run is window's live path on a built simulator.
+func (ev *env) run(sim *core.Simulator, sc Scale) report.Snapshot {
 	ev.advance(sim, sc.Warmup)
 	a := report.Take(sim)
 	ev.advance(sim, sc.Measure)
@@ -116,10 +140,11 @@ func (ev *env) window(sim *core.Simulator, sc Scale) report.Snapshot {
 // (the first sc.Warmup cycles) and the steady window (the next sc.Measure).
 // Under a WindowRunner the two phases are the merged library windows that
 // open before and after the warmup boundary.
-func (ev *env) phases(sim *core.Simulator, sc Scale) (startup, steady report.Snapshot) {
+func (ev *env) phases(c simConfig, sc Scale) (startup, steady report.Snapshot) {
 	if ev.win != nil {
-		return ev.win.merged(sim, sc, 0, sc.Warmup), ev.win.merged(sim, sc, sc.Warmup, ^uint64(0))
+		return ev.win.merged(c, sc, 0, sc.Warmup), ev.win.merged(c, sc, sc.Warmup, ^uint64(0))
 	}
+	sim := c.build()
 	zero := report.Take(sim)
 	ev.advance(sim, sc.Warmup)
 	a := report.Take(sim)
@@ -140,7 +165,7 @@ type stepWin struct {
 // bucket holds the merged library windows opening inside it (the windowed
 // sampling period guarantees at least one per bucket); otherwise the
 // simulation advances bucket by bucket.
-func (ev *env) steps(sim *core.Simulator, sc Scale, n int) []stepWin {
+func (ev *env) steps(c simConfig, sc Scale, n int) []stepWin {
 	total := sc.Warmup + sc.Measure
 	step := total / uint64(n)
 	out := make([]stepWin, n)
@@ -153,10 +178,11 @@ func (ev *env) steps(sim *core.Simulator, sc Scale, n int) []stepWin {
 				// bucket rather than dropping it.
 				to = ^uint64(0)
 			}
-			out[i] = stepWin{end: uint64(i+1) * step, w: ev.win.merged(sim, sc, from, to)}
+			out[i] = stepWin{end: uint64(i+1) * step, w: ev.win.merged(c, sc, from, to)}
 		}
 		return out
 	}
+	sim := c.build()
 	prev := report.Take(sim)
 	for i := 0; i < n; i++ {
 		ev.advance(sim, step)
@@ -177,16 +203,18 @@ func paperNote(lines ...string) string {
 	return b.String()
 }
 
-func specSim(sc Scale, seed uint64, o core.Options) *core.Simulator {
+// specConfig is the SPECInt configuration at scale sc.
+func specConfig(sc Scale, seed uint64, o core.Options) simConfig {
 	o.Seed = seed
 	o.CyclesPer10ms = sc.Interval
 	o.Sampling = sc.Sampling
-	return core.NewSPECInt(o)
+	return simConfig{"specint", o}
 }
 
-func apacheSim(sc Scale, seed uint64, o core.Options) *core.Simulator {
+// apacheConfig is the Apache configuration at scale sc.
+func apacheConfig(sc Scale, seed uint64, o core.Options) simConfig {
 	o.Seed = seed
 	o.CyclesPer10ms = sc.Interval
 	o.Sampling = sc.Sampling
-	return core.NewApache(o)
+	return simConfig{"apache", o}
 }

@@ -20,7 +20,7 @@ func TestBitIdenticalReplay(t *testing.T) {
 		t.Skip("runs two Quick-scale Apache simulations")
 	}
 	run := func() report.Snapshot {
-		sim := apacheSim(Quick, 42, core.Options{})
+		sim := apacheConfig(Quick, 42, core.Options{}).build()
 		sim.Run(Quick.Warmup + Quick.Measure)
 		return report.Take(sim)
 	}

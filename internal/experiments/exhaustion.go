@@ -61,7 +61,7 @@ func ablationExhaustion(ev *env, sc Scale, seed uint64) Result {
 		}
 
 		// Unconstrained baseline: throughput and peak resource demand.
-		sim := apacheSim(scP, seed, opts())
+		sim := apacheConfig(scP, seed, opts()).build()
 		w0, err := ev.checkedWindow(sim, scP)
 		if err != nil {
 			trips++
@@ -107,7 +107,7 @@ func ablationExhaustion(ev *env, sc Scale, seed uint64) Result {
 					SqueezeAtTick:   1,
 				}
 			}
-			sim := apacheSim(scP, seed, o)
+			sim := apacheConfig(scP, seed, o).build()
 			w, err := ev.checkedWindow(sim, scP)
 			if err != nil {
 				trips++

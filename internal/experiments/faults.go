@@ -21,10 +21,10 @@ func ablationLoss(ev *env, sc Scale, seed uint64) Result {
 	t := report.NewTable("loss", "IPC", "done", "retransmits", "resets", "aborted", "dropped")
 	vals := map[string]float64{}
 	for _, loss := range []float64{0, 0.02, 0.05, 0.10} {
-		sim := apacheSim(sc, seed, core.Options{
+		conf := apacheConfig(sc, seed, core.Options{
 			Faults: faults.Config{LossRate: loss},
 		})
-		w := ev.window(sim, sc)
+		w := ev.window(conf, sc)
 		t.Row(fmt.Sprintf("%.2f", loss), report.F2(w.IPC()), report.I(w.NetCompleted),
 			report.I(w.NetRetransmits), report.I(w.NetResets), report.I(w.NetAborted),
 			report.I(w.FramesDropped))
@@ -46,10 +46,10 @@ func ablationCrash(ev *env, sc Scale, seed uint64) Result {
 	t := report.NewTable("crashrate", "IPC", "done", "crashes", "respawns", "resets", "asn-recycles")
 	vals := map[string]float64{}
 	for _, cr := range []float64{0, 0.0005, 0.002, 0.01} {
-		sim := apacheSim(sc, seed, core.Options{
+		conf := apacheConfig(sc, seed, core.Options{
 			Faults: faults.Config{CrashRate: cr},
 		})
-		w := ev.window(sim, sc)
+		w := ev.window(conf, sc)
 		t.Row(fmt.Sprintf("%.4f", cr), report.F2(w.IPC()), report.I(w.NetCompleted),
 			report.I(w.WorkerCrashes), report.I(w.WorkerRespawns), report.I(w.NetResets),
 			report.I(w.ASNRecycles))

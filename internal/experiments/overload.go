@@ -23,14 +23,14 @@ const (
 	baseOverloadClientsSS  = 8
 )
 
-// checkedWindow is window() with the simulation guardrails on: outside a
-// supervised sweep it advances through RunChecked, so a livelock, deadline,
-// or invariant panic surfaces as a structured error instead of a wedged or
-// corrupted run. Supervised sweeps already route every step through the
-// supervisor's own RunChecked.
+// checkedWindow is window() on a built simulator with the simulation
+// guardrails on: outside a supervised sweep it advances through RunChecked,
+// so a livelock, deadline, or invariant panic surfaces as a structured
+// error instead of a wedged or corrupted run. Supervised sweeps already
+// route every step through the supervisor's own RunChecked.
 func (ev *env) checkedWindow(sim *core.Simulator, sc Scale) (report.Snapshot, error) {
 	if ev.sup != nil {
-		return ev.window(sim, sc), nil
+		return ev.run(sim, sc), nil
 	}
 	ctx := context.Background()
 	if err := sim.RunChecked(ctx, sc.Warmup); err != nil {
@@ -88,7 +88,7 @@ func ablationOverload(ev *env, sc Scale, seed uint64) Result {
 			if bs < 2 {
 				bs = 2
 			}
-			sim := apacheSim(scP, seed, core.Options{
+			sim := apacheConfig(scP, seed, core.Options{
 				Processor:         p,
 				Clients:           nc,
 				KeepAliveRequests: 4,
@@ -102,7 +102,7 @@ func ablationOverload(ev *env, sc Scale, seed uint64) Result {
 					BurstEvery:      3 * tickScale,
 					BurstSize:       bs,
 				},
-			})
+			}).build()
 			w, err := ev.checkedWindow(sim, scP)
 			if err != nil {
 				trips++

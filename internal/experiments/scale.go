@@ -39,13 +39,13 @@ func ablationScale(ev *env, sc Scale, seed uint64) Result {
 		clients int
 	}{{"1k", 1_000}, {"10k", 10_000}, {"100k", 100_000}, {"1m", 1_000_000}} {
 		stagger := row.clients / scaleArrivalsPerTick
-		sim := apacheSim(sc, seed, core.Options{
+		sim := apacheConfig(sc, seed, core.Options{
 			Clients:          row.clients,
 			ThinkTicks:       stagger,
 			StaggerTicks:     stagger,
 			MeasureLatency:   true,
 			IdleTimeoutTicks: 8,
-		})
+		}).build()
 		w, err := ev.checkedWindow(sim, sc)
 		if err != nil {
 			trips++

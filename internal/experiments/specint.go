@@ -23,10 +23,10 @@ func init() {
 
 // fig1 samples the user/kernel/idle cycle shares over time.
 func fig1(ev *env, sc Scale, seed uint64) Result {
-	sim := specSim(sc, seed, core.Options{})
+	conf := specConfig(sc, seed, core.Options{})
 	t := report.NewTable("cycles(k)", "user%", "kernel%", "pal%", "idle%")
 	var lastKernel, startKernel float64
-	for i, sw := range ev.steps(sim, sc, 16) {
+	for i, sw := range ev.steps(conf, sc, 16) {
 		w := sw.w
 		kp := w.CycleAt.PctMode(isa.Kernel) + w.CycleAt.PctMode(isa.PAL)
 		if i == 0 {
@@ -65,9 +65,9 @@ func kernelBreakdownRows(t *report.Table, label string, w report.Snapshot) {
 }
 
 func fig2(ev *env, sc Scale, seed uint64) Result {
-	sim := specSim(sc, seed, core.Options{})
-	startup, steady := ev.phases(sim, sc)
-	ss := specSim(sc, seed, core.Options{Processor: core.Superscalar})
+	conf := specConfig(sc, seed, core.Options{})
+	startup, steady := ev.phases(conf, sc)
+	ss := specConfig(sc, seed, core.Options{Processor: core.Superscalar})
 	ssStartup, ssSteady := ev.phases(ss, sc)
 
 	t := report.NewTable("phase", "syscall%", "dtlb%", "itlb%", "intr%", "netisr%", "sched%", "spin%", "other%", "pal%")
@@ -91,8 +91,8 @@ func fig2(ev *env, sc Scale, seed uint64) Result {
 }
 
 func fig3(ev *env, sc Scale, seed uint64) Result {
-	sim := specSim(sc, seed, core.Options{})
-	startup, steady := ev.phases(sim, sc)
+	conf := specConfig(sc, seed, core.Options{})
+	startup, steady := ev.phases(conf, sc)
 	// The paper's Figure 3 counts incursions into *kernel memory
 	// management* — TLB refills of already-mapped pages are handled
 	// entirely in PAL and never reach the VM layer, so they are shown
@@ -118,8 +118,8 @@ func fig3(ev *env, sc Scale, seed uint64) Result {
 }
 
 func fig4(ev *env, sc Scale, seed uint64) Result {
-	sim := specSim(sc, seed, core.Options{})
-	startup, steady := ev.phases(sim, sc)
+	conf := specConfig(sc, seed, core.Options{})
+	startup, steady := ev.phases(conf, sc)
 	t := report.NewTable("syscall", "startup % of cycles", "steady % of cycles")
 	var readStart float64
 	for n := uint16(1); n < sys.NumSyscalls; n++ {
@@ -171,8 +171,8 @@ func mixRows(t *report.Table, label string, m report.Snapshot) {
 }
 
 func tab2(ev *env, sc Scale, seed uint64) Result {
-	sim := specSim(sc, seed, core.Options{})
-	startup, steady := ev.phases(sim, sc)
+	conf := specConfig(sc, seed, core.Options{})
+	startup, steady := ev.phases(conf, sc)
 	t := report.NewTable("phase/type", "user", "kernel", "overall")
 	mixRows(t, "startup", startup)
 	mixRows(t, "steady", steady)
@@ -212,8 +212,8 @@ func kernelAboveUser(structs ...report.StructStats) float64 {
 }
 
 func tab3(ev *env, sc Scale, seed uint64) Result {
-	sim := specSim(sc, seed, core.Options{})
-	w := ev.window(sim, sc)
+	conf := specConfig(sc, seed, core.Options{})
+	w := ev.window(conf, sc)
 	var b strings.Builder
 	structRows(&b, "BTB", w.BTB)
 	structRows(&b, "L1I", w.L1I)
@@ -246,8 +246,8 @@ func tab4(ev *env, sc Scale, seed uint64) Result {
 	t := report.NewTable("metric", "smt-only", "smt+os", "chg%", "ss-only", "ss+os", "chg%")
 	ws := map[string]report.Snapshot{}
 	for _, c := range cfgs {
-		sim := specSim(sc, seed, c.opt)
-		ws[c.label] = ev.window(sim, sc)
+		conf := specConfig(sc, seed, c.opt)
+		ws[c.label] = ev.window(conf, sc)
 	}
 	chg := func(only, with float64) string {
 		if only == 0 {

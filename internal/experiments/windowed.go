@@ -214,13 +214,18 @@ func BuildLibrary(dir, workloadName string, o core.Options, span uint64) (checkp
 // library (same configuration): the static machine is built once, from the
 // first image, and every later image only overwrites its mutable state —
 // restores are independent, so the per-window deltas are identical to
-// restoring each window into a fresh simulator.
+// restoring each window into a fresh simulator. The images are read one
+// after another into one buffer: each is restored before the next read
+// overwrites it.
 func RunWindowJobs(dir string, wins []int, wantFP string) ([]WindowResult, error) {
 	out := make([]WindowResult, 0, len(wins))
 	var sim *core.Simulator
+	var buf []byte
 	for _, win := range wins {
 		path := checkpoint.LibraryWindowPath(dir, win)
-		img, err := checkpoint.ReadFile(path)
+		var img *checkpoint.Image
+		var err error
+		img, buf, err = checkpoint.ReadFileInto(path, buf)
 		if err != nil {
 			return nil, err
 		}
@@ -253,15 +258,14 @@ func RunWindowJobs(dir string, wins []int, wantFP string) ([]WindowResult, error
 }
 
 // merged folds the report deltas of every window whose opening boundary lies
-// in [from, to), in window order. sim is used only as the configuration spec
-// (workload + options); it is never run.
-func (wr *WindowRunner) merged(sim *core.Simulator, sc Scale, from, to uint64) report.Snapshot {
+// in [from, to), in window order, for configuration c.
+func (wr *WindowRunner) merged(c simConfig, sc Scale, from, to uint64) report.Snapshot {
 	span := sc.Warmup + sc.Measure
-	res, err := wr.results(sim.Workload, sim.Opts, span)
+	res, err := wr.results(c.workload, c.opts, span)
 	if err != nil {
 		// Experiment functions have no error path; a broken library is an
 		// environment failure, not a measurement.
-		panic(fmt.Sprintf("experiments: checkpoint library for %s: %v", sim.Workload, err))
+		panic(fmt.Sprintf("experiments: checkpoint library for %s: %v", c.workload, err))
 	}
 	var acc report.Snapshot
 	first := true

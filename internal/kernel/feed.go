@@ -15,24 +15,24 @@ import (
 // genEntry is one element of a context's generation stack: up to n
 // instructions drawn from a walker, the annotation template they carry, and
 // an action to perform when the entry is exhausted. The shapes are a closed
-// set, named by wrap: a bare walker excerpt (wrapNone), one followed by
-// fixed extra instructions (wrapTail, whose walker may be absent), or one
+// set, named by wrap: a bare walker excerpt (wrapNone), one followed by a
+// fixed tail instruction (wrapTail, whose walker may be absent), or one
 // forced to a mode (wrapMode). Everything is plain data (the action too,
 // see action.go), so the whole stack serializes into a checkpoint (saveGen).
 type genEntry struct {
-	w     *workload.Walker // nil for a tail without one, or once a tail has moved on to extra
-	n     uint64           // instructions left to draw from w
-	extra []isa.Inst       // wrapTail: emitted in order once w is exhausted
-	pos   int              // wrapTail: index of the next extra instruction
-	mode  isa.Mode         // wrapMode: the mode every instruction is forced to
-	wrap  uint8            // wrapNone, wrapTail or wrapMode (the checkpoint encoding)
-	tmpl  pipeline.FedInst
-	done  action
+	w    *workload.Walker // nil for a tail without one, or once a tail has moved on to its instruction
+	n    uint64           // instructions left to draw from w
+	tail isa.Inst         // wrapTail: emitted once w is exhausted
+	pos  int              // wrapTail: 1 once tail has been emitted, else 0
+	mode isa.Mode         // wrapMode: the mode every instruction is forced to
+	wrap uint8            // wrapNone, wrapTail or wrapMode (the checkpoint encoding)
+	tmpl pipeline.FedInst
+	done action
 }
 
 // next writes the entry's next instruction over *in and reports whether
 // there was one. A tail drops its walker on the call that moves on to its
-// extra instructions; until then a drawn-out walker stays attached with
+// tail instruction; until then a drawn-out walker stays attached with
 // n == 0, and checkpoints record it that way.
 func (g *genEntry) next(in *isa.Inst) bool {
 	if g.w != nil {
@@ -49,9 +49,9 @@ func (g *genEntry) next(in *isa.Inst) bool {
 		}
 		g.w = nil
 	}
-	if g.pos < len(g.extra) {
-		*in = g.extra[g.pos]
-		g.pos++
+	if g.wrap == wrapTail && g.pos == 0 {
+		*in = g.tail
+		g.pos = 1
 		return true
 	}
 	return false
@@ -572,10 +572,10 @@ func (k *Kernel) startSyscall(ctx int, t *Thread, req sys.Request) bool {
 		Syscall: req.Num,
 	}
 	f.push(genEntry{
-		wrap:  wrapTail,
-		extra: []isa.Inst{call},
-		tmpl:  tmplFor(t, sys.CatSyscall, req.Num),
-		done:  action{Kind: actSyscallPause, Req: req},
+		wrap: wrapTail,
+		tail: call,
+		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
+		done: action{Kind: actSyscallPause, Req: req},
 	})
 	return true
 }
@@ -686,10 +686,10 @@ func (k *Kernel) pushSvcReturn(ctx int, t *Thread, req sys.Request, res int) {
 		Target: t.prog.Walker().PC(),
 	}
 	f.push(genEntry{
-		wrap:  wrapTail,
-		extra: []isa.Inst{ret},
-		tmpl:  tmplFor(t, sys.CatSyscall, req.Num),
-		done:  action{Kind: actSvcResult, TID: t.tid, Req: req, Res: res},
+		wrap: wrapTail,
+		tail: ret,
+		tmpl: tmplFor(t, sys.CatSyscall, req.Num),
+		done: action{Kind: actSvcResult, TID: t.tid, Req: req, Res: res},
 	})
 }
 
@@ -732,12 +732,12 @@ func (k *Kernel) exitThread(ctx int, t *Thread) {
 		Target: k.code.sched.reg.Base,
 	}
 	f.push(genEntry{
-		w:     k.code.services[sys.SysExit].walker(ctx),
-		n:     uint64(dynLen(sys.Request{Num: sys.SysExit})),
-		wrap:  wrapTail,
-		extra: []isa.Inst{ret},
-		tmpl:  tmplFor(t, sys.CatSyscall, sys.SysExit),
-		done:  action{Kind: actClearCur},
+		w:    k.code.services[sys.SysExit].walker(ctx),
+		n:    uint64(dynLen(sys.Request{Num: sys.SysExit})),
+		wrap: wrapTail,
+		tail: ret,
+		tmpl: tmplFor(t, sys.CatSyscall, sys.SysExit),
+		done: action{Kind: actClearCur},
 	})
 }
 
@@ -786,12 +786,12 @@ func (k *Kernel) crashWorker(ctx int, t *Thread) {
 		Target: k.code.sched.reg.Base,
 	}
 	f.push(genEntry{
-		w:     k.code.services[sys.SysExit].walker(ctx),
-		n:     uint64(dynLen(sys.Request{Num: sys.SysExit})),
-		wrap:  wrapTail,
-		extra: []isa.Inst{ret},
-		tmpl:  tmplFor(t, sys.CatSyscall, sys.SysExit),
-		done:  action{Kind: actClearCur},
+		w:    k.code.services[sys.SysExit].walker(ctx),
+		n:    uint64(dynLen(sys.Request{Num: sys.SysExit})),
+		wrap: wrapTail,
+		tail: ret,
+		tmpl: tmplFor(t, sys.CatSyscall, sys.SysExit),
+		done: action{Kind: actClearCur},
 	})
 }
 

@@ -2,6 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -48,12 +51,12 @@ func TestGenEntryLimit(t *testing.T) {
 }
 
 // TestGenEntryTailAndStack checks a tail (walker instructions, then its
-// extra ones; it drops the walker only on the call that moves on to the
-// extra) and a context's stack (entries drain top first, then the idle
-// context has nothing to run).
+// inline tail instruction, once; it drops the walker only on the call that
+// moves on to the tail) and a context's stack (entries drain top first,
+// then the idle context has nothing to run).
 func TestGenEntryTailAndStack(t *testing.T) {
 	ret := isa.Inst{Class: isa.PALReturn, Mode: isa.PAL}
-	g := genEntry{w: testWalker(1), n: 5, wrap: wrapTail, extra: []isa.Inst{ret}}
+	g := genEntry{w: testWalker(1), n: 5, wrap: wrapTail, tail: ret}
 	var in isa.Inst
 	n := 0
 	for g.next(&in) {
@@ -66,7 +69,10 @@ func TestGenEntryTailAndStack(t *testing.T) {
 		t.Fatalf("tail: n=%d last=%v", n, in.Class)
 	}
 	if g.w != nil {
-		t.Fatal("tail kept its walker after emitting its extra instruction")
+		t.Fatal("tail kept its walker after emitting its tail instruction")
+	}
+	if g.pos != 1 || g.next(&in) {
+		t.Fatalf("emitted tail at position %d generates again", g.pos)
 	}
 
 	cfg := DefaultConfig()
@@ -172,22 +178,60 @@ func TestRetiredInPlaceMatchesCopy(t *testing.T) {
 
 // TestLoadGenRejectsTailPositionOutsideExtra round-trips a tail entry
 // through saveGen and loadGen, and refuses a damaged one whose position
-// lies outside its extra instructions (the next generation would index
-// past them).
+// lies outside its one tail instruction (the next generation would emit
+// it again or never).
 func TestLoadGenRejectsTailPositionOutsideExtra(t *testing.T) {
 	k := New(DefaultConfig())
 	ret := isa.Inst{Class: isa.PALReturn, Mode: isa.PAL}
 	for _, pos := range []int{-1, 0, 1, 2} {
 		var e checkpoint.Enc
-		saveGen(&e, genEntry{wrap: wrapTail, extra: []isa.Inst{ret}, pos: pos}, nil, nil)
+		saveGen(&e, genEntry{wrap: wrapTail, tail: ret, pos: pos}, nil, nil)
 		d := checkpoint.NewDec("kernel", e.Bytes())
 		g := k.loadGen(&d)
 		err := d.Finish()
 		if valid := pos == 0 || pos == 1; valid != (err == nil) {
-			t.Fatalf("tail position %d over 1 extra: load error %v", pos, err)
+			t.Fatalf("tail position %d over 1 instruction: load error %v", pos, err)
 		}
-		if err == nil && (g.pos != pos || len(g.extra) != 1 || g.extra[0] != ret || g.w != nil) {
+		if err == nil && (g.pos != pos || g.tail != ret || g.w != nil) {
 			t.Fatalf("tail position %d round-tripped as %+v", pos, g)
+		}
+	}
+}
+
+// TestGenEntryTailCount pins the tail's checkpoint encoding: an
+// instruction count (always 1), the instruction, then the position. A
+// section claiming any other count is a *FormatError: the entry holds its
+// tail inline and has room for exactly one.
+func TestGenEntryTailCount(t *testing.T) {
+	k := New(DefaultConfig())
+	ret := isa.Inst{Class: isa.PALReturn, Mode: isa.PAL, PC: 0x40}
+	g := genEntry{wrap: wrapTail, tail: ret}
+	var want checkpoint.Enc
+	saveGen(&want, g, nil, nil)
+	for _, count := range []int{0, 1, 2, 3} {
+		var e checkpoint.Enc
+		g.tmpl.Save(&e)
+		saveAction(&e, &g.done)
+		e.Uint(uint64(wrapTail))
+		e.Uint(uint64(count))
+		for i := 0; i < count; i++ {
+			ret.Save(&e)
+		}
+		e.Int(0)
+		e.Bool(false)
+		if count == 1 && !bytes.Equal(e.Bytes(), want.Bytes()) {
+			t.Fatalf("saveGen wrote %x, want count, instruction, position: %x", want.Bytes(), e.Bytes())
+		}
+		d := checkpoint.NewDec("kernel", e.Bytes())
+		k.loadGen(&d)
+		err := d.Finish()
+		var fe *checkpoint.FormatError
+		if count == 1 {
+			if err != nil {
+				t.Fatalf("one-instruction tail: %v", err)
+			}
+		} else if !errors.As(err, &fe) || !strings.Contains(fe.Reason, fmt.Sprintf("tail of %d instructions", count)) {
+			t.Fatalf("tail of %d instructions: load error %v, want a *checkpoint.FormatError naming the count", count, err)
 		}
 	}
 }

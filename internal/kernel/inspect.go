@@ -2,6 +2,8 @@
 // thread and socket inventories with no pointers into kernel internals.
 package kernel
 
+import "repro/internal/workload"
+
 // ThreadInfo describes one thread for auditing.
 type ThreadInfo struct {
 	TID    uint32
@@ -96,4 +98,14 @@ func (k *Kernel) LiveUserProcs() int { return k.liveUsers }
 // per-process FD limit, process table.
 func (k *Kernel) PoolSizes() (sock, mbuf, fd, proc int) {
 	return k.cfg.SocketTableSize, k.cfg.MbufPoolSize, k.cfg.FDLimit, k.cfg.ProcTableSize
+}
+
+// CodeWalkers returns every kernel-code walker: each region's per-context
+// walkers, regions in build order.
+func (k *Kernel) CodeWalkers() []*workload.Walker {
+	var out []*workload.Walker
+	for _, reg := range k.code.all {
+		out = append(out, k.code.byName[reg.Name].ws...)
+	}
+	return out
 }

@@ -19,7 +19,7 @@ import (
 // saveGen).
 const (
 	wrapNone uint8 = iota // a bare walker excerpt
-	wrapTail              // extra instructions, after an optional walker excerpt
+	wrapTail              // one tail instruction, after an optional walker excerpt
 	wrapMode              // a walker excerpt forced to one mode
 )
 
@@ -183,10 +183,8 @@ func saveGen(e *checkpoint.Enc, g genEntry, regionOf map[*workload.Walker]walker
 	switch g.wrap {
 	case wrapNone:
 	case wrapTail:
-		e.Uint(uint64(len(g.extra)))
-		for i := range g.extra {
-			g.extra[i].Save(e)
-		}
+		e.Uint(1) // the tail's instruction count: always one
+		g.tail.Save(e)
 		e.Int(int64(g.pos))
 	case wrapMode:
 		e.Uint(uint64(g.mode))
@@ -455,13 +453,14 @@ func (k *Kernel) loadGen(d *checkpoint.Dec) genEntry {
 	switch g.wrap {
 	case wrapNone:
 	case wrapTail:
-		g.extra = make([]isa.Inst, d.Len())
-		for i := range g.extra {
-			g.extra[i].Load(d)
+		if n := d.Uint(); n != 1 {
+			d.Fail("tail of %d instructions, want 1", n)
+			return g
 		}
+		g.tail.Load(d)
 		g.pos = int(d.Int())
-		if g.pos < 0 || g.pos > len(g.extra) {
-			d.Fail("tail position %d outside %d extra instructions", g.pos, len(g.extra))
+		if g.pos < 0 || g.pos > 1 {
+			d.Fail("tail position %d outside its 1 instruction", g.pos)
 			return g
 		}
 	case wrapMode:

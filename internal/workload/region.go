@@ -51,10 +51,9 @@ type DataRegion struct {
 	Stream bool
 }
 
-// Slot is one static instruction.
+// Slot is one static instruction. Its fields are ordered widest first, so
+// the slot packs into 36 bytes: the walker reads one per instruction.
 type Slot struct {
-	// Kind is the instruction class.
-	Kind isa.Class
 	// Target is the taken-target slot index for control transfers.
 	Target int32
 	// TakenBias is the probability a conditional branch is taken
@@ -64,20 +63,37 @@ type Slot struct {
 	// Trips-1 consecutive times then falling through (deterministic, so
 	// the local predictor can learn it).
 	Trips int32
-	// IsCall marks an unconditional branch as a call (pushes the return
-	// slot); IsRet marks an indirect jump as a return (pops it).
-	IsCall, IsRet bool
 	// NumTargets > 1 gives an indirect jump a rotating set of targets
 	// starting at Target (the paper's kernel indirect-jump pathology).
 	NumTargets int32
 	// Data is the data-region index for memory slots.
 	Data int32
-	// Pattern is the address pattern for memory slots.
-	Pattern Pattern
 	// Stride is the sequential step in bytes for PatSeq.
 	Stride int32
+	// Ctr is the slot's counter ordinal within its region, or -1 for a
+	// slot that holds no counter (see Region.NumberCounters). It is
+	// derived from the other fields, never set by hand.
+	Ctr int32
 	// Dep1, Dep2 are register dependency distances.
 	Dep1, Dep2 uint16
+	// Kind is the instruction class.
+	Kind isa.Class
+	// IsCall marks an unconditional branch as a call (pushes the return
+	// slot); IsRet marks an indirect jump as a return (pops it).
+	IsCall, IsRet bool
+	// Pattern is the address pattern for memory slots.
+	Pattern Pattern
+}
+
+// holdsLoop reports whether a walker keeps a trip counter for the slot: a
+// loop-closing conditional branch.
+func (s *Slot) holdsLoop() bool { return s.Kind == isa.CondBranch && s.Trips > 0 }
+
+// holdsVisits reports whether a walker keeps a visit counter for the slot:
+// an indirect jump that rotates its targets, or a return that scatters
+// when it finds the call stack empty.
+func (s *Slot) holdsVisits() bool {
+	return s.Kind == isa.IndirectJump && (s.IsRet || s.NumTargets > 1)
 }
 
 // Region is a static synthetic program or kernel routine.
@@ -92,6 +108,43 @@ type Region struct {
 	Slots []Slot
 	// Data is the data regions referenced by memory slots.
 	Data []DataRegion
+	// Counters is the number of slots that hold a walker counter, so the
+	// length of every walker's counter array (see NumberCounters).
+	Counters int
+	// loops is the number of loop-branch ordinals; they come first, then
+	// the indirect-jump ones.
+	loops int32
+	// ctrSlot[c] is the slot index of counter ordinal c, ascending within
+	// each kind.
+	ctrSlot []int32
+	// numbered records that NumberCounters has run.
+	numbered bool
+}
+
+// NumberCounters gives every slot that can hold a walker counter its
+// ordinal (Slot.Ctr): loop branches first, then indirect jumps, each kind
+// in slot order; other slots get -1. A walker then keeps one counter per
+// ordinal instead of two per slot: only a few percent of slots ever count.
+// Build numbers the regions it makes and NewWalker numbers a hand-built
+// region on first use; call it again after editing a region's slots.
+func (r *Region) NumberCounters() {
+	r.ctrSlot = nil
+	for i := range r.Slots {
+		r.Slots[i].Ctr = -1
+		if r.Slots[i].holdsLoop() {
+			r.Slots[i].Ctr = int32(len(r.ctrSlot))
+			r.ctrSlot = append(r.ctrSlot, int32(i))
+		}
+	}
+	r.loops = int32(len(r.ctrSlot))
+	for i := range r.Slots {
+		if r.Slots[i].holdsVisits() {
+			r.Slots[i].Ctr = int32(len(r.ctrSlot))
+			r.ctrSlot = append(r.ctrSlot, int32(i))
+		}
+	}
+	r.Counters = len(r.ctrSlot)
+	r.numbered = true
 }
 
 // Size returns the region's code size in bytes (4 bytes per instruction).
@@ -359,6 +412,7 @@ func Build(p Profile, base uint64, layout func(i int, spec DataSpec) uint64, r *
 			}
 		}
 	}
+	reg.NumberCounters()
 	return reg
 }
 

@@ -9,15 +9,16 @@ import (
 // infinite (a region never "ends"; finite excerpts are counted out by the
 // kernel's generation stack) and fully deterministic given its RNG.
 type Walker struct {
-	Reg       *Region //detlint:ignore snapshotcomplete static region pointer, re-linked by the owning workload on restore
-	rng       *rng.Rand
-	idx       int
-	loops     []int32
+	Reg *Region //detlint:ignore snapshotcomplete static region pointer, re-linked by the owning workload on restore
+	rng *rng.Rand
+	idx int
+	// ctrs holds one counter per counting slot, indexed by Slot.Ctr: the
+	// trips left of a loop branch, or the visits to an indirect jump.
+	ctrs      []int32
 	callStack []int32
 	cursors   []uint64
 	coldPage  []uint64
 	coldLeft  []int32
-	switchPos []int32
 	// Count is the number of dynamic instructions emitted.
 	Count uint64
 	// ResetEvery, when nonzero, restarts the walk from slot 0 every that
@@ -33,16 +34,19 @@ type Walker struct {
 	phase uint64 //detlint:ignore snapshotcomplete derived from Count and ResetEvery, recomputed by Load
 }
 
-// NewWalker returns a walker over reg driven by r.
+// NewWalker returns a walker over reg driven by r. It numbers reg's
+// counters if nothing has yet (a hand-built region).
 func NewWalker(reg *Region, r *rng.Rand) *Walker {
+	if !reg.numbered {
+		reg.NumberCounters()
+	}
 	return &Walker{
-		Reg:       reg,
-		rng:       r,
-		loops:     make([]int32, len(reg.Slots)),
-		cursors:   make([]uint64, len(reg.Data)),
-		coldPage:  make([]uint64, len(reg.Data)),
-		coldLeft:  make([]int32, len(reg.Data)),
-		switchPos: make([]int32, len(reg.Slots)),
+		Reg:      reg,
+		rng:      r,
+		ctrs:     make([]int32, reg.Counters),
+		cursors:  make([]uint64, len(reg.Data)),
+		coldPage: make([]uint64, len(reg.Data)),
+		coldLeft: make([]int32, len(reg.Data)),
 	}
 }
 
@@ -89,11 +93,12 @@ func (w *Walker) NextInto(in *isa.Inst) {
 		in.Addr, in.Physical = w.dataAddr(s)
 	case isa.CondBranch:
 		if s.Trips > 0 {
-			if w.loops[w.idx] == 0 {
-				w.loops[w.idx] = s.Trips
+			trips := &w.ctrs[s.Ctr]
+			if *trips == 0 {
+				*trips = s.Trips
 			}
-			w.loops[w.idx]--
-			in.Taken = w.loops[w.idx] > 0
+			*trips--
+			in.Taken = *trips > 0
 		} else {
 			in.Taken = w.rng.Bool(float64(s.TakenBias))
 		}
@@ -123,11 +128,11 @@ func (w *Walker) NextInto(in *isa.Inst) {
 		} else if s.IsRet {
 			// Unmatched return (stack drained by a reset or imbalance):
 			// scatter deterministically rather than funneling to slot 0.
-			w.switchPos[w.idx]++
-			tgt = int32((uint64(w.idx)*2654435761 + uint64(w.switchPos[w.idx])*97) % uint64(n))
+			w.ctrs[s.Ctr]++
+			tgt = int32((uint64(w.idx)*2654435761 + uint64(w.ctrs[s.Ctr])*97) % uint64(n))
 		} else if s.NumTargets > 1 {
-			w.switchPos[w.idx]++
-			k := w.switchPos[w.idx]
+			w.ctrs[s.Ctr]++
+			k := w.ctrs[s.Ctr]
 			if k%16 == 0 {
 				// Every fourth execution the dispatch lands somewhere new
 				// (hash of site and visit count): this is the kernel's
