@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/isa"
 	"repro/internal/workload"
 	"repro/internal/workload/apache"
 	"repro/internal/workload/specint"
@@ -49,11 +50,9 @@ func main() {
 		}
 	}
 	fmt.Printf("%-4s %-18s %-13s %-6s %-18s %s\n", "#", "pc", "class", "taken", "addr/target", "deps")
+	var in isa.Inst
 	for i := 0; i < *n; i++ {
-		in, ok := w.Next()
-		if !ok {
-			break
-		}
+		w.NextInto(&in)
 		addr := ""
 		if in.Class.IsMem() {
 			phys := ""

@@ -39,6 +39,7 @@ func TestSnapshotComplete(t *testing.T) {
 		"snapshotcomplete/missing",  // deliberately missing fields
 		"snapshotcomplete/exempt",   // field- and type-level directives
 		"snapshotcomplete/gob",      // whole-receiver encoder escape
+		"snapshotcomplete/branch",   // fields touched only under a direction branch
 	)
 }
 

@@ -23,7 +23,8 @@ var CounterFlow = &Analyzer{
 A monotone counter is a uint64 (or [N]uint64) struct field that some function
 in a counted subsystem package (kernel, mem, cache, tlb, netsim, faults — or
 any package defining its own Take) increments with ++ or += and
-never decrements or plainly reassigns outside New*/Load*/Reset* functions.
+never decrements or plainly reassigns outside New*/Reset* functions and the
+checkpoint codec's Sync/sync* methods.
 Each such counter must be read by some function reachable from the report
 sink's Take (directly, or through an accessor method Take calls), and every
 top-level field of the snapshot type Take returns must be referenced in Take.
@@ -171,7 +172,7 @@ type counter struct {
 
 // monotoneCounters finds pkg's counter fields: uint64 / [N]uint64 fields with
 // at least one ++/+= and no decrement or plain reassignment outside
-// New*/Load*/Reset* (or init) functions. Results are in deterministic
+// New*/Reset*/Sync*/sync* (or init) functions. Results are in deterministic
 // (first increment position) order.
 func monotoneCounters(pkg *Package) []counter {
 	inc := map[string]*counter{}
@@ -241,10 +242,11 @@ func monotoneCounters(pkg *Package) []counter {
 }
 
 // counterExemptFunc reports whether writes in a function named name may
-// freely assign counter fields (construction, checkpoint load, reset).
+// freely assign counter fields (construction, the checkpoint codec's
+// methods, reset).
 func counterExemptFunc(name string) bool {
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Load") ||
-		strings.HasPrefix(name, "Reset") || name == "init"
+	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Sync") ||
+		strings.HasPrefix(name, "sync") || strings.HasPrefix(name, "Reset") || name == "init"
 }
 
 // counterSelector unwraps index chains (SyscallCount[n]++, Accesses[i]++)

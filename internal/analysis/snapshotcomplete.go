@@ -4,28 +4,31 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // SnapshotComplete verifies checkpoint coverage: for every type that
-// participates in the checkpoint layer — it has the codec pair, a Save
-// method and a Load (or Load-prefixed) method — every struct field must be
-// referenced in both methods, directly or through same-type helper methods.
-// A field that is saved but never loaded, or loaded but never saved, fails
-// the same way as one missing from both. This catches checkpoint drift the
-// moment a struct grows a field that the section codec does not know
-// about: the class of bug that silently breaks crash-consistent restore
-// (see CHECKPOINT.md).
+// participates in the checkpoint layer — it has a Sync method, the one
+// codec method that both writes and reads its section — every struct field
+// must be referenced in Sync, directly or through same-type helper
+// methods, and at least once outside a branch on the codec's direction
+// (an if whose condition calls Loading). A field the method never touches
+// drifts out of the checkpoint the moment the struct grows it; a field
+// touched only under a direction branch is written by one direction and
+// not read back by the other, or read without being written — the class
+// of bug that silently breaks crash-consistent restore (see CHECKPOINT.md).
 var SnapshotComplete = &Analyzer{
 	Name: "snapshotcomplete",
-	Doc: `verify every field of a Save/Load type is covered by both methods
+	Doc: `verify every field of a Sync type is covered by its codec method
 
-A type with a Save/Load method pair is part of the checkpoint contract: its
-entire mutable state must round-trip through its section. The analyzer
-enumerates the type's struct fields with go/types and requires each one to
-be selected somewhere in the body of Save and of Load (helper methods on the
-same type are followed; passing the whole receiver to an encoder counts as
-covering every field). Fields that are configuration, derived indexes
+A type with a Sync method is part of the checkpoint contract: its entire
+mutable state must round-trip through its section, and one method names
+each field once for both directions. The analyzer enumerates the type's
+struct fields with go/types and requires each one to be selected somewhere
+in the body of Sync (helper methods on the same type are followed; passing
+the whole receiver to an encoder counts as covering every field), and at
+least once outside a direction branch: the body or else of an if whose
+condition calls Loading, or the rest of a block after an if on Loading
+whose body ends in return. Fields that are configuration, derived indexes
 rebuilt on restore, or wiring re-established by the caller are annotated
 //detlint:ignore snapshotcomplete <reason> on the field line; a directive on
 the type declaration line exempts the whole type.`,
@@ -40,25 +43,8 @@ func runSnapshotComplete(pass *Pass) error {
 	}
 	sort.Strings(typeNames)
 	for _, typeName := range typeNames {
-		byName := methods[typeName]
-		snap := byName["Save"]
-		rest := byName["Load"]
-		if rest == nil {
-			// Accept a Load-prefixed variant; pick the first in name order
-			// so the choice is deterministic.
-			methodNames := make([]string, 0, len(byName))
-			for name := range byName {
-				methodNames = append(methodNames, name)
-			}
-			sort.Strings(methodNames)
-			for _, name := range methodNames {
-				if strings.HasPrefix(name, "Load") {
-					rest = byName[name]
-					break
-				}
-			}
-		}
-		if snap == nil || rest == nil {
+		sync := methods[typeName]["Sync"]
+		if sync == nil {
 			continue
 		}
 		obj := pass.Pkg.Scope().Lookup(typeName)
@@ -76,32 +62,31 @@ func runSnapshotComplete(pass *Pass) error {
 		if pass.Ignored(obj.Pos()) {
 			continue // type-level exemption on the declaration line
 		}
-		inSnap := coveredFields(pass, named, snap, methods[typeName])
-		inRest := coveredFields(pass, named, rest, methods[typeName])
+		cov := coveredFields(pass, named, sync, methods[typeName])
+		if cov == nil {
+			continue // the whole receiver escaped: everything is covered
+		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if f.Name() == "_" {
+			if f.Name() == "_" || cov[i] == covOutside {
 				continue
 			}
-			missSnap := inSnap != nil && !inSnap[i]
-			missRest := inRest != nil && !inRest[i]
-			if !missSnap && !missRest {
+			if cov[i] == covBranch {
+				pass.Reportf(f.Pos(), "field %s.%s is referenced in Sync only under a branch on the codec's direction: one direction may write what the other never reads — sync it outside the branch, or annotate //detlint:ignore snapshotcomplete <reason> if it is rebuilt on restore", typeName, f.Name())
 				continue
 			}
-			var where string
-			switch {
-			case missSnap && missRest:
-				where = snap.Name.Name + " or " + rest.Name.Name
-			case missSnap:
-				where = snap.Name.Name
-			default:
-				where = rest.Name.Name
-			}
-			pass.Reportf(f.Pos(), "field %s.%s is not referenced in %s: checkpoint state may drift — persist it, or annotate //detlint:ignore snapshotcomplete <reason> if it is configuration or rebuilt on restore", typeName, f.Name(), where)
+			pass.Reportf(f.Pos(), "field %s.%s is not referenced in Sync: checkpoint state may drift — persist it, or annotate //detlint:ignore snapshotcomplete <reason> if it is configuration or rebuilt on restore", typeName, f.Name())
 		}
 	}
 	return nil
 }
+
+// Field coverage levels, in increasing order.
+const (
+	covNone    = iota
+	covBranch  // referenced only under a direction branch
+	covOutside // referenced outside every direction branch
+)
 
 // methodDecls indexes the package's method declarations by receiver type
 // name then method name.
@@ -144,54 +129,114 @@ func receiverTypeName(e ast.Expr) string {
 	}
 }
 
-// coveredFields returns which top-level fields of named are selected within
-// fn's body, following calls to other methods of the same type (one common
-// pattern splits Restore into per-subsystem helpers). A nil result means
-// "everything covered": the whole receiver escaped (passed to an encoder,
-// copied with *t = s, returned), so field-level accounting is impossible and
-// the method is taken to cover all state.
-func coveredFields(pass *Pass, named *types.Named, fn *ast.FuncDecl, siblings map[string]*ast.FuncDecl) map[int]bool {
-	covered := map[int]bool{}
-	visited := map[*ast.FuncDecl]bool{}
-	var visit func(fd *ast.FuncDecl) bool
-	visit = func(fd *ast.FuncDecl) bool {
-		if visited[fd] {
-			return true
-		}
-		visited[fd] = true
-		if fd.Body == nil {
-			return true
-		}
-		recv := receiverObj(pass, fd)
-		if receiverEscapes(pass, fd, recv) {
-			return false // whole receiver handed off: all fields covered
-		}
-		ok := true
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+// coveredFields returns the coverage level of each top-level field of
+// named within fn's body, following calls to other methods of the same
+// type (a helper called under a direction branch covers its fields under
+// that branch). A nil result means "everything covered": the whole
+// receiver escaped (passed to an encoder, copied with *t = s, returned),
+// so field-level accounting is impossible and the method is taken to
+// cover all state.
+func coveredFields(pass *Pass, named *types.Named, fn *ast.FuncDecl, siblings map[string]*ast.FuncDecl) map[int]int {
+	covered := map[int]int{}
+	type visit struct {
+		fd       *ast.FuncDecl
+		inBranch bool
+	}
+	visited := map[visit]bool{}
+	escaped := false
+	var visitFunc func(fd *ast.FuncDecl, inBranch bool)
+	var walk func(n ast.Node, inBranch bool)
+	walk = func(n ast.Node, inBranch bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if sel := pass.TypesInfo.Selections[n]; sel != nil {
-					if sameNamed(sel.Recv(), named) && len(sel.Index()) > 0 {
-						covered[sel.Index()[0]] = true
+			case *ast.BlockStmt:
+				rest := inBranch
+				for _, stmt := range n.List {
+					walk(stmt, rest)
+					if ifs, ok := stmt.(*ast.IfStmt); ok && ifs.Else == nil && directionCond(ifs.Cond) && endsInReturn(ifs.Body) {
+						rest = true // the rest of the block runs in one direction only
 					}
-					// Follow helper methods on the same type.
-					if sel.Kind() == types.MethodVal && sameNamed(sel.Recv(), named) {
-						if callee := siblings[n.Sel.Name]; callee != nil {
-							if !visit(callee) {
-								ok = false
-							}
-						}
+				}
+				return false
+			case *ast.IfStmt:
+				if inBranch || !directionCond(n.Cond) {
+					return true
+				}
+				if n.Init != nil {
+					walk(n.Init, false)
+				}
+				walk(n.Cond, false)
+				walk(n.Body, true)
+				if n.Else != nil {
+					walk(n.Else, true)
+				}
+				return false
+			case *ast.SelectorExpr:
+				sel := pass.TypesInfo.Selections[n]
+				if sel == nil || !sameNamed(sel.Recv(), named) {
+					return true
+				}
+				// A field selection, or a method promoted through an
+				// embedded field, selects the field its path starts with.
+				if sel.Kind() == types.FieldVal || len(sel.Index()) > 1 {
+					level := covOutside
+					if inBranch {
+						level = covBranch
+					}
+					if k := sel.Index()[0]; covered[k] < level {
+						covered[k] = level
+					}
+				}
+				// Follow helper methods on the same type.
+				if sel.Kind() == types.MethodVal {
+					if callee := siblings[n.Sel.Name]; callee != nil {
+						visitFunc(callee, inBranch)
 					}
 				}
 			}
 			return true
 		})
-		return ok
 	}
-	if !visit(fn) {
+	visitFunc = func(fd *ast.FuncDecl, inBranch bool) {
+		if visited[visit{fd, inBranch}] || fd.Body == nil {
+			return
+		}
+		visited[visit{fd, inBranch}] = true
+		if receiverEscapes(pass, fd, receiverObj(pass, fd)) {
+			escaped = true // whole receiver handed off: all fields covered
+			return
+		}
+		walk(fd.Body, inBranch)
+	}
+	visitFunc(fn, false)
+	if escaped {
 		return nil
 	}
 	return covered
+}
+
+// directionCond reports whether an if condition branches on the codec's
+// direction: it calls a method named Loading.
+func directionCond(cond ast.Expr) bool {
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Loading" && len(call.Args) == 0 {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// endsInReturn reports whether a block's last statement is a return.
+func endsInReturn(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
+	}
+	_, ok := b.List[len(b.List)-1].(*ast.ReturnStmt)
+	return ok
 }
 
 // receiverObj returns the object of fn's receiver variable (nil if unnamed).

@@ -11,6 +11,8 @@ type core struct {
 	retries  uint64
 	ticks    uint64 //detlint:ignore counterflow fixture: tick clock, not a metric
 	lowWater uint64
+	fills    uint64 // want `monotone counter core\.fills is incremented at .* but never read on any path from report Take`
+	stalls   uint64 // want `monotone counter core\.stalls is incremented at .* but never read on any path from report Take`
 }
 
 func (c *core) hit()   { c.hits++ }
@@ -18,7 +20,19 @@ func (c *core) miss()  { c.misses++ }
 func (c *core) retry() { c.retries += 2 }
 func (c *core) tick()  { c.ticks++ }
 
-// drain reassigns lowWater outside a New*/Restore*/Reset* function, so it is
+// fill and stall count; the checkpoint codec's Sync and sync* methods may
+// reassign a counter without making it less of one.
+func (c *core) fill()  { c.fills++ }
+func (c *core) stall() { c.stalls++ }
+
+func (c *core) Sync(loaded uint64) {
+	c.fills = loaded
+	c.syncStalls(loaded)
+}
+
+func (c *core) syncStalls(loaded uint64) { c.stalls = loaded }
+
+// drain reassigns lowWater outside a New*/Reset*/Sync* function, so it is
 // not monotone and not subject to the contract.
 func (c *core) drain() {
 	c.lowWater++

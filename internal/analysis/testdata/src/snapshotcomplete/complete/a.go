@@ -1,18 +1,22 @@
 // Fixture for snapshotcomplete: fully-covered types produce no diagnostics,
-// including coverage through same-type helper methods.
+// including coverage through same-type helper methods and fields that a
+// direction branch touches as well as the shared path.
 package complete
 
-// Enc and Dec stand in for the checkpoint section codec.
-type Enc struct{ buf []uint64 }
+// Codec stands in for the checkpoint section codec.
+type Codec struct {
+	loading bool
+	buf     []uint64
+}
 
-func (e *Enc) Uint(v uint64) { e.buf = append(e.buf, v) }
+func (c *Codec) Loading() bool { return c.loading }
 
-type Dec struct{ buf []uint64 }
-
-func (d *Dec) Uint() uint64 {
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
+func (c *Codec) Uint(p *uint64) {
+	if c.loading {
+		*p, c.buf = c.buf[0], c.buf[1:]
+		return
+	}
+	c.buf = append(c.buf, *p)
 }
 
 type Counter struct {
@@ -20,14 +24,9 @@ type Counter struct {
 	hits  uint64
 }
 
-func (c *Counter) Save(e *Enc) {
-	e.Uint(c.ticks)
-	e.Uint(c.hits)
-}
-
-func (c *Counter) Load(d *Dec) {
-	c.ticks = d.Uint()
-	c.hits = d.Uint()
+func (k *Counter) Sync(c *Codec) {
+	c.Uint(&k.ticks)
+	c.Uint(&k.hits)
 }
 
 // Split covers one field through a helper method on the same type.
@@ -35,26 +34,19 @@ type Split struct {
 	x, y uint64
 }
 
-func (s *Split) Save(e *Enc) {
-	e.Uint(s.x)
-	s.saveY(e)
+func (s *Split) Sync(c *Codec) {
+	c.Uint(&s.x)
+	s.syncY(c)
 }
 
-func (s *Split) saveY(e *Enc) { e.Uint(s.y) }
+func (s *Split) syncY(c *Codec) { c.Uint(&s.y) }
 
-func (s *Split) Load(d *Dec) {
-	s.x = d.Uint()
-	s.loadY(d)
-}
-
-func (s *Split) loadY(d *Dec) { s.y = d.Uint() }
-
-// NoPair has no Load method: not part of the checkpoint contract.
-type NoPair struct {
+// NoSync has no Sync method: not part of the checkpoint contract.
+type NoSync struct {
 	scratch int
 }
 
-func (n *NoPair) Save(e *Enc) {}
+func (n *NoSync) Save(c *Codec) {}
 
 // Hist mirrors the latency histogram: a fixed bucket array plus scalar
 // tallies. An array field counts as covered when any element is selected
@@ -65,27 +57,29 @@ type Hist struct {
 	sum     uint64
 }
 
-func (h *Hist) Save(e *Enc) {
-	for _, b := range h.buckets {
-		e.Uint(b)
-	}
-	e.Uint(h.count)
-	e.Uint(h.sum)
-}
-
-func (h *Hist) Load(d *Dec) {
+func (h *Hist) Sync(c *Codec) {
 	for i := range h.buckets {
-		h.buckets[i] = d.Uint()
+		c.Uint(&h.buckets[i])
 	}
-	h.count = d.Uint()
-	h.sum = d.Uint()
+	c.Uint(&h.count)
+	c.Uint(&h.sum)
 }
 
-// Kernel uses a Load-prefixed variant that takes an extra argument.
+// Kernel takes an extra argument and relinks a reference when loading:
+// the branch touches ref, which the shared path syncs too.
 type Kernel struct {
 	next uint64
+	ref  *uint64
 }
 
-func (k *Kernel) Save(e *Enc) { e.Uint(k.next) }
-
-func (k *Kernel) LoadWith(d *Dec, factory func() int) { k.next = d.Uint() + uint64(factory()) }
+func (k *Kernel) Sync(c *Codec, resolve func(uint64) *uint64) {
+	c.Uint(&k.next)
+	var id uint64
+	if k.ref != nil {
+		id = *k.ref
+	}
+	c.Uint(&id)
+	if c.Loading() {
+		k.ref = resolve(id)
+	}
+}

@@ -2,22 +2,25 @@
 // //detlint:ignore directives suppress coverage requirements.
 package exempt
 
-// Enc and Dec stand in for the checkpoint section codec.
-type Enc struct{ buf []int }
+// Codec stands in for the checkpoint section codec.
+type Codec struct {
+	loading bool
+	buf     []int
+}
 
-type Dec struct{ buf []int }
+func (c *Codec) Loading() bool { return c.loading }
 
 type Tagged struct {
-	data []int
-	name string //detlint:ignore snapshotcomplete label fixed at construction
+	data  []int
+	name  string //detlint:ignore snapshotcomplete label fixed at construction
+	index []int  //detlint:ignore snapshotcomplete derived lookup index rebuilt from data on restore
 }
 
-func (t *Tagged) Save(e *Enc) {
-	e.buf = append(e.buf, t.data...)
-}
-
-func (t *Tagged) Load(d *Dec) {
-	t.data = append(t.data[:0], d.buf...)
+func (t *Tagged) Sync(c *Codec) {
+	c.buf = append(c.buf, t.data...)
+	if c.Loading() {
+		t.index = append(t.index[:0], t.data...)
+	}
 }
 
 //detlint:ignore snapshotcomplete scratch type whose state is rebuilt each run
@@ -25,6 +28,4 @@ type Whole struct {
 	x int
 }
 
-func (w *Whole) Save(e *Enc) {}
-
-func (w *Whole) Load(d *Dec) {}
+func (w *Whole) Sync(c *Codec) {}

@@ -11,14 +11,8 @@ type Blob struct {
 	a, b, c int
 }
 
-func (t *Blob) Save(buf *bytes.Buffer) {
+func (t *Blob) Sync(buf *bytes.Buffer) {
 	if err := gob.NewEncoder(buf).Encode(t); err != nil {
-		panic(err)
-	}
-}
-
-func (t *Blob) Load(data []byte) {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(t); err != nil {
 		panic(err)
 	}
 }

@@ -1,6 +1,6 @@
 // Package checkpoint defines the on-disk container for simulator
 // checkpoints — a versioned, CRC-protected set of named sections — and the
-// section codec every layer writes its state with (Enc, Dec; see codec.go).
+// section codec every layer syncs its state through (Codec; see codec.go).
 // The package knows nothing about the simulator — core composes the
 // sections — so it can be imported from every layer without cycles.
 //
@@ -11,7 +11,7 @@
 //	4 bytes  section count
 //	per section:
 //	  4 bytes  name length, then the name (UTF-8)
-//	  8 bytes  payload length, then the payload (Enc-encoded)
+//	  8 bytes  payload length, then the payload (Codec-encoded)
 //	4 bytes  CRC-32 (IEEE) of everything above
 //
 // Sections are written sorted by name, so the same state always produces
@@ -34,9 +34,9 @@ import (
 const Magic = "OSSMTCKP"
 
 // Version is the current format version. Readers reject other versions:
-// version 1 held gob-encoded sections, version 2 Enc-encoded ones whose meta
+// version 1 held gob-encoded sections, version 2 Codec-encoded ones whose meta
 // section still carried the SeedPartitions and FetchContexts options, and
-// version 3 holds Enc-encoded sections without them.
+// version 3 holds Codec-encoded sections without them.
 const Version = 3
 
 // Sanity bounds on decoded lengths, so a corrupt header cannot drive a
@@ -81,25 +81,25 @@ func NewImage() *Image {
 	return &Image{sections: map[string][]byte{}}
 }
 
-// Put stores the section save writes, replacing any previous content. The
+// Put stores the section sync writes, replacing any previous content. The
 // section is copied out of the writer's buffer at its exact length, so an
 // image held in memory carries no append slack.
-func (img *Image) Put(name string, save func(e *Enc)) {
-	var e Enc
-	save(&e)
-	img.sections[name] = bytes.Clone(e.Bytes())
+func (img *Image) Put(name string, sync func(c *Codec)) {
+	var c Codec
+	sync(&c)
+	img.sections[name] = bytes.Clone(c.Bytes())
 }
 
-// Get runs load over the named section. A missing section, a failed read,
-// or bytes left over after load are a *FormatError.
-func (img *Image) Get(name string, load func(d *Dec)) error {
+// Get runs sync over the named section, reading. A missing section, a
+// failed read, or bytes left over after sync are a *FormatError.
+func (img *Image) Get(name string, sync func(c *Codec)) error {
 	b, ok := img.sections[name]
 	if !ok {
 		return &FormatError{Reason: fmt.Sprintf("missing section %q", name)}
 	}
-	d := NewDec(name, b)
-	load(&d)
-	return d.Finish()
+	c := NewReader(name, b)
+	sync(&c)
+	return c.Finish()
 }
 
 // SectionLen returns the encoded byte length of the named section (0 if
@@ -252,8 +252,8 @@ func ReadFile(path string) (*Image, error) {
 // capacity; it returns the buffer for the next read. The image's sections
 // alias the buffer, so the image is valid only until the buffer is reused:
 // restore from it before the next read. A restore keeps nothing of the
-// image (every Load decodes into live state; Dec.Bytes results are used
-// for lookups only), so a batch of restores can share one buffer.
+// image (every Sync decodes into live state and copies the strings it
+// keeps), so a batch of restores can share one buffer.
 func ReadFileInto(path string, buf []byte) (*Image, []byte, error) {
 	fail := func(err error) (*Image, []byte, error) {
 		return nil, buf, &FormatError{Path: path, Reason: "reading", Err: err}

@@ -119,7 +119,7 @@ func TestReadFileIntoReusesBuffer(t *testing.T) {
 	small.Window = 5
 	bigImg := NewImage()
 	PutManifest(bigImg, big)
-	bigImg.Put("pad", func(e *Enc) { e.String(strings.Repeat("x", 4096)) })
+	bigImg.Put("pad", func(c *Codec) { pad := strings.Repeat("x", 4096); c.String(&pad) })
 	smallImg := NewImage()
 	PutManifest(smallImg, small)
 	for i, img := range []*Image{bigImg, smallImg} {

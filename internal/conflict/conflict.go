@@ -65,7 +65,7 @@ func (c Cause) String() string {
 // that key can be classified.
 //
 // The state is a frozen base plus an overlay. The base is the state as of
-// the last Load or Save, held as key-sorted parallel arrays in the order
+// the last Sync, held as key-sorted parallel arrays in the order
 // the checkpoint section stores them, so loading a checkpoint decodes
 // straight into three arrays instead of rehashing every key. Writes since then go to the overlay, a
 // power-of-two open-addressing table with linear probing. A lookup checks
@@ -167,7 +167,7 @@ func (t *Tracker) reserve() {
 	}
 	old, oldGen := t.ov, t.ovGen
 	size := max(2*len(old), minOverlay)
-	t.ov = make([]slot, size) //detlint:ignore hotalloc amortized doubling: the overlay keeps its capacity across Load, so it stops growing once it holds the busiest interval's writes
+	t.ov = make([]slot, size) //detlint:ignore hotalloc amortized doubling: the overlay keeps its capacity across Sync, so it stops growing once it holds the busiest interval's writes
 	t.ovGen = 1
 	for _, s := range old {
 		if s.gen == oldGen {

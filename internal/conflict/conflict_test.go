@@ -151,15 +151,15 @@ func bigSnap(n int) []byte {
 
 // save returns the tracker's checkpoint section.
 func save(tr *Tracker) []byte {
-	var e checkpoint.Enc
-	tr.Save(&e)
+	var e checkpoint.Codec
+	tr.Sync(&e)
 	return e.Bytes()
 }
 
 // load replaces the tracker's contents with section b.
 func load(tr *Tracker, b []byte) error {
-	d := checkpoint.NewDec("tracker", b)
-	tr.Load(&d)
+	d := checkpoint.NewReader("tracker", b)
+	tr.Sync(&d)
 	return d.Finish()
 }
 
@@ -170,8 +170,8 @@ func TestTrackerRestoreZeroAlloc(t *testing.T) {
 	snap := bigSnap(20_000)
 	tr := NewTracker()
 	burst := func() {
-		d := checkpoint.NewDec("tracker", snap)
-		tr.Load(&d)
+		d := checkpoint.NewReader("tracker", snap)
+		tr.Sync(&d)
 		for i := uint64(0); i < 5_000; i++ {
 			a := Agent{TID: uint32(i % 5), Priv: i%4 == 0}
 			tr.Classify(i<<6, a)
@@ -212,15 +212,16 @@ func TestTrackerOverlayGenerationWrap(t *testing.T) {
 // *checkpoint.FormatError and leave the tracker empty, never panic.
 func TestTrackerRestoreRejectsMismatchedArrays(t *testing.T) {
 	section := func(keys []uint64, tids []uint32, flags []uint8) []byte {
-		var e checkpoint.Enc
-		e.Uint(uint64(len(keys)))
+		var e checkpoint.Codec
+		checkpoint.Len(&e, &keys, -1, "keys")
 		prev := uint64(0)
 		for _, k := range keys {
-			e.Uint(k - prev)
+			delta := k - prev
+			e.Uint(&delta)
 			prev = k
 		}
-		checkpoint.PutUints(&e, tids)
-		checkpoint.PutUints(&e, flags)
+		checkpoint.Slice(&e, &tids, -1, "TIDs")
+		checkpoint.Slice(&e, &flags, -1, "flags")
 		return e.Bytes()
 	}
 	for name, b := range map[string][]byte{
@@ -254,8 +255,8 @@ func BenchmarkTrackerRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := checkpoint.NewDec("tracker", snap)
-		tr.Load(&d)
+		d := checkpoint.NewReader("tracker", snap)
+		tr.Sync(&d)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
 }

@@ -45,11 +45,12 @@ func (o oracle) section() []byte {
 	slices.Sort(keys)
 	tids := make([]uint32, len(keys))
 	flags := make([]uint8, len(keys))
-	var e checkpoint.Enc
-	e.Uint(uint64(len(keys)))
+	var e checkpoint.Codec
+	checkpoint.Len(&e, &keys, -1, "keys")
 	prev := uint64(0)
 	for i, k := range keys {
-		e.Uint(k - prev)
+		delta := k - prev
+		e.Uint(&delta)
 		prev = k
 		ev := o[k]
 		tids[i] = ev.tid
@@ -60,8 +61,8 @@ func (o oracle) section() []byte {
 			flags[i] |= trackerInvalidated
 		}
 	}
-	checkpoint.PutUints(&e, tids)
-	checkpoint.PutUints(&e, flags)
+	checkpoint.Slice(&e, &tids, -1, "TIDs")
+	checkpoint.Slice(&e, &flags, -1, "flags")
 	return e.Bytes()
 }
 

@@ -1,6 +1,6 @@
 // Crash-consistent checkpoint/restore for the whole simulator. A checkpoint
 // is a versioned checkpoint.Image with one section per layer, each written
-// by the layer's Save and read back by its Load:
+// and read back by the layer's Sync:
 //
 //	meta    workload name, Options, cycle
 //	engine  pipeline.Engine (ROBs, event heap, caches, TLBs, predictor)
@@ -12,7 +12,7 @@
 // The golden guarantee: save at cycle N, restore into a fresh process, run M
 // more cycles — the result is bit-identical to running N+M straight through.
 // Restore rebuilds the static machine from the saved Options (the structure
-// is a deterministic function of them) and then loads every piece of
+// is a deterministic function of them) and then syncs every piece of
 // mutable state straight into it.
 //
 // WriteCheckpoint runs the invariant auditor first and refuses to persist an
@@ -46,18 +46,11 @@ func (s *Simulator) Audit() error {
 	return audit.Run(audit.Target{Engine: s.Engine, Kernel: s.Kernel})
 }
 
-// Save writes the meta section.
-func (m *Meta) Save(e *checkpoint.Enc) {
-	e.String(m.Workload)
-	m.Opts.Save(e)
-	e.Uint(m.Cycle)
-}
-
-// Load reads a meta section written by Save.
-func (m *Meta) Load(d *checkpoint.Dec) {
-	m.Workload = d.String()
-	m.Opts.Load(d)
-	m.Cycle = d.Uint()
+// Sync syncs the meta section.
+func (m *Meta) Sync(c *checkpoint.Codec) {
+	c.String(&m.Workload)
+	m.Opts.Sync(c)
+	c.Uint(&m.Cycle)
 }
 
 // Checkpoint captures the simulator's complete state as an image. The
@@ -66,17 +59,17 @@ func (m *Meta) Load(d *checkpoint.Dec) {
 func (s *Simulator) Checkpoint() (*checkpoint.Image, error) {
 	img := checkpoint.NewImage()
 	meta := Meta{Workload: s.Workload, Opts: s.Opts, Cycle: s.Now()}
-	img.Put("meta", meta.Save)
-	img.Put("engine", s.Engine.Save)
-	img.Put("kernel", s.Kernel.Save)
+	img.Put("meta", meta.Sync)
+	img.Put("engine", s.Engine.Sync)
+	img.Put("kernel", func(c *checkpoint.Codec) { s.Kernel.Sync(c, nil) })
 	if s.Net != nil {
-		img.Put("net", s.Net.Save)
+		img.Put("net", s.Net.Sync)
 	}
 	if s.Server != nil {
-		img.Put("server", s.Server.Save)
+		img.Put("server", s.Server.Sync)
 	}
 	if s.Faults != nil {
-		img.Put("faults", s.Faults.Save)
+		img.Put("faults", s.Faults.Sync)
 	}
 	return img, nil
 }
@@ -139,34 +132,34 @@ func (s *Simulator) progFactory() kernel.ProgFactory {
 // a good image into it.
 func (s *Simulator) RestoreInto(img *checkpoint.Image) error {
 	var meta Meta
-	if err := img.Get("meta", meta.Load); err != nil {
+	if err := img.Get("meta", meta.Sync); err != nil {
 		return err
 	}
 	if meta.Workload != s.Workload {
 		return &checkpoint.FormatError{Reason: fmt.Sprintf("checkpoint is for workload %q, simulator runs %q", meta.Workload, s.Workload)}
 	}
-	if err := img.Get("engine", s.Engine.Load); err != nil {
+	if err := img.Get("engine", s.Engine.Sync); err != nil {
 		return err
 	}
 	// The server's slot cursor bounds the program rebuilds the kernel
 	// section asks for, so it loads first.
 	if s.Server != nil {
-		if err := img.Get("server", s.Server.Load); err != nil {
+		if err := img.Get("server", s.Server.Sync); err != nil {
 			return err
 		}
 	}
 	factory := s.progFactory()
-	err := img.Get("kernel", func(d *checkpoint.Dec) { s.Programs = s.Kernel.Load(d, factory) })
+	err := img.Get("kernel", func(c *checkpoint.Codec) { s.Programs = s.Kernel.Sync(c, factory) })
 	if err != nil {
 		return err
 	}
 	if s.Net != nil {
-		if err := img.Get("net", s.Net.Load); err != nil {
+		if err := img.Get("net", s.Net.Sync); err != nil {
 			return err
 		}
 	}
 	if s.Faults != nil {
-		if err := img.Get("faults", s.Faults.Load); err != nil {
+		if err := img.Get("faults", s.Faults.Sync); err != nil {
 			return err
 		}
 	}
@@ -178,7 +171,7 @@ func (s *Simulator) RestoreInto(img *checkpoint.Image) error {
 // from the image.
 func Restore(img *checkpoint.Image) (*Simulator, error) {
 	var meta Meta
-	if err := img.Get("meta", meta.Load); err != nil {
+	if err := img.Get("meta", meta.Sync); err != nil {
 		return nil, err
 	}
 	sim, err := New(meta.Workload, meta.Opts)

@@ -287,11 +287,11 @@ func TestCheckpointCorruptionIsStructuredError(t *testing.T) {
 		// An image with only the meta section: the machine rebuilds, but
 		// the state sections are gone.
 		var meta core.Meta
-		if err := img.Get("meta", meta.Load); err != nil {
+		if err := img.Get("meta", meta.Sync); err != nil {
 			t.Fatal(err)
 		}
 		stripped := checkpoint.NewImage()
-		stripped.Put("meta", meta.Save)
+		stripped.Put("meta", meta.Sync)
 		_, err = core.Restore(stripped)
 		var ferr *checkpoint.FormatError
 		if !errors.As(err, &ferr) {

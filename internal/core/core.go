@@ -415,7 +415,7 @@ func NewApache(o Options) *Simulator {
 		sim.Kernel.AddWorker(p)
 	}
 	if sim.Faults != nil {
-		sim.Kernel.SetRespawn(func() workload.Program {
+		sim.Kernel.SetRespawn(func() *workload.ScriptProgram {
 			p := srv.Respawn()
 			sim.Programs = append(sim.Programs, p)
 			return p

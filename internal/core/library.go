@@ -21,11 +21,11 @@ const CodeVersion = "ossmt-sim-3"
 // and the cycle span — into a short hex string. Two configurations share a
 // checkpoint library if and only if their fingerprints match.
 func Fingerprint(workloadName string, o Options, span uint64) string {
-	var e checkpoint.Enc
-	o.Save(&e)
+	var c checkpoint.Codec
+	o.Sync(&c)
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%s|ckpt%d|span%d|stride%d|parts%d|",
 		CodeVersion, workloadName, checkpoint.Version, span, seedStride, seedPartitionCount)
-	h.Write(e.Bytes())
+	h.Write(c.Bytes())
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }

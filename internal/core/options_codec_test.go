@@ -52,11 +52,11 @@ func TestOptionsCodecCoversEveryField(t *testing.T) {
 	roundTrip := func(o core.Options) core.Options {
 		t.Helper()
 		in := core.Meta{Workload: "apache", Opts: o, Cycle: 42}
-		var e checkpoint.Enc
-		in.Save(&e)
+		var e checkpoint.Codec
+		in.Sync(&e)
 		var out core.Meta
-		d := checkpoint.NewDec("meta", e.Bytes())
-		out.Load(&d)
+		d := checkpoint.NewReader("meta", e.Bytes())
+		out.Sync(&d)
 		if err := d.Finish(); err != nil {
 			t.Fatalf("decoding meta: %v", err)
 		}

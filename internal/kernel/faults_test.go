@@ -67,7 +67,7 @@ func TestWorkerCrashTeardownAndRespawn(t *testing.T) {
 
 	k.SetFaults(faults.NewInjector(faults.Config{Seed: 1, CrashRate: 1, MaxCrashes: 1}))
 	respawns := 0
-	k.SetRespawn(func() workload.Program {
+	k.SetRespawn(func() *workload.ScriptProgram {
 		respawns++
 		return workerProgram("respawned", 9, 77)
 	})

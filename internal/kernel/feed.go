@@ -18,7 +18,7 @@ import (
 // set, named by wrap: a bare walker excerpt (wrapNone), one followed by a
 // fixed tail instruction (wrapTail, whose walker may be absent), or one
 // forced to a mode (wrapMode). Everything is plain data (the action too,
-// see action.go), so the whole stack serializes into a checkpoint (saveGen).
+// see action.go), so the whole stack serializes into a checkpoint (syncGen).
 type genEntry struct {
 	w    *workload.Walker // nil for a tail without one, or once a tail has moved on to its instruction
 	n    uint64           // instructions left to draw from w
@@ -63,9 +63,9 @@ type ctxFeed struct {
 	// head indexes the first live instruction in buf: retirement advances it
 	// instead of reslicing (which would strand the front capacity and force
 	// the generator to reallocate the buffer every refill). Compaction is
-	// amortized in Retired; sections hold buf[head:], so the head never
-	// appears in the checkpoint format.
-	head  int //detlint:ignore snapshotcomplete normalized away: sections hold buf[head:]
+	// amortized in Retired; sections hold the compacted buffer, so the head
+	// never appears in the checkpoint format.
+	head  int //detlint:ignore snapshotcomplete normalized away: sections hold the compacted buffer
 	base  uint64
 	stack []genEntry
 	cur   *Thread
@@ -85,6 +85,13 @@ func (f *ctxFeed) init() {
 }
 
 func (f *ctxFeed) push(e genEntry) { f.stack = append(f.stack, e) }
+
+// compact slides the live instructions to the front of the buffer.
+func (f *ctxFeed) compact() {
+	n := copy(f.buf, f.buf[f.head:])
+	f.buf = f.buf[:n]
+	f.head = 0
+}
 
 // tmplFor builds the annotation for code run on behalf of thread t.
 func tmplFor(t *Thread, cat sys.Category, sysno uint16) pipeline.FedInst {
@@ -137,9 +144,7 @@ func (k *Kernel) Retired(ctx int, idx uint64, in *pipeline.FedInst) {
 	} else if f.head >= 1024 && f.head >= len(f.buf)-f.head {
 		// Amortized compaction: once the dead prefix outweighs the live
 		// tail, slide the tail to the front so capacity is reused.
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
+		f.compact()
 	}
 	if exit {
 		k.finishExit(tid)
@@ -219,8 +224,8 @@ func (k *Kernel) Cycle(now uint64) []int {
 		if len(k.net.pending) > k.MbufHighwater {
 			k.MbufHighwater = len(k.net.pending)
 		}
-		if k.cfg.ModelNetworkDMA && k.hierDMA != nil && len(frames) > 0 {
-			k.hierDMA.DMA(len(frames), now)
+		if k.cfg.ModelNetworkDMA && k.hier != nil && len(frames) > 0 {
+			k.hier.DMA(len(frames), now)
 		}
 	}
 	if k.cfg.AppOnly {
@@ -605,8 +610,8 @@ func (k *Kernel) enterSyscall(ctx int) {
 		// Buffer-cache miss: the zero-latency disk still costs the full
 		// driver path and a DMA transfer on the memory bus.
 		k.DiskReads++
-		if k.hierDMA != nil {
-			k.hierDMA.DMA((req.Bytes+63)/64+1, k.lastTick)
+		if k.hier != nil {
+			k.hier.DMA((req.Bytes+63)/64+1, k.lastTick)
 		}
 		f.push(genEntry{
 			w:    k.code.disk.walker(ctx),
@@ -873,8 +878,8 @@ func (k *Kernel) flushEvictions() {
 		}
 		if k.hier != nil {
 			base := mem.FrameBase(ev.PFN)
-			k.hier.FlushIRange(base, mem.PageSize)
-			k.hier.FlushDRange(base, mem.PageSize)
+			k.hier.L1I.InvalidateRange(base, mem.PageSize)
+			k.hier.L1D.InvalidateRange(base, mem.PageSize)
 		}
 	}
 }

@@ -32,7 +32,8 @@ func TestGenEntryLimit(t *testing.T) {
 		var in isa.Inst
 		n := 0
 		for g.next(&in) {
-			want, _ := ref.Next()
+			var want isa.Inst
+			ref.NextInto(&want)
 			if wrap == wrapMode {
 				want.Mode = isa.PAL
 			}
@@ -167,8 +168,8 @@ func TestRetiredInPlaceMatchesCopy(t *testing.T) {
 			t.Fatalf("run covers %d getpids, %d exits, %d compactions; want some, 1, some",
 				k.SyscallCount[sys.SysGetpid], k.SyscallCount[sys.SysExit], compactions)
 		}
-		var e checkpoint.Enc
-		k.Save(&e)
+		var e checkpoint.Codec
+		k.Sync(&e, nil)
 		return e.Bytes()
 	}
 	if !bytes.Equal(run(true), run(false)) {
@@ -176,23 +177,43 @@ func TestRetiredInPlaceMatchesCopy(t *testing.T) {
 	}
 }
 
+// tailSection writes a tail entry with the given instruction count and
+// position by hand, so damaged entries can be built: syncGen refuses to
+// write them.
+func tailSection(count, pos int) []byte {
+	var e checkpoint.Codec
+	var g genEntry
+	g.tmpl.Sync(&e)
+	syncAction(&e, &g.done)
+	wrap := wrapTail
+	checkpoint.U(&e, &wrap)
+	checkpoint.U(&e, &count)
+	for i := 0; i < count; i++ {
+		tailInst.Sync(&e)
+	}
+	checkpoint.I(&e, &pos)
+	hasWalker := false
+	e.Bool(&hasWalker)
+	return e.Bytes()
+}
+
+var tailInst = isa.Inst{Class: isa.PALReturn, Mode: isa.PAL, PC: 0x40}
+
 // TestLoadGenRejectsTailPositionOutsideExtra round-trips a tail entry
-// through saveGen and loadGen, and refuses a damaged one whose position
-// lies outside its one tail instruction (the next generation would emit
-// it again or never).
+// through syncGen, and refuses a damaged one whose position lies outside
+// its one tail instruction (the next generation would emit it again or
+// never).
 func TestLoadGenRejectsTailPositionOutsideExtra(t *testing.T) {
 	k := New(DefaultConfig())
-	ret := isa.Inst{Class: isa.PALReturn, Mode: isa.PAL}
 	for _, pos := range []int{-1, 0, 1, 2} {
-		var e checkpoint.Enc
-		saveGen(&e, genEntry{wrap: wrapTail, tail: ret, pos: pos}, nil, nil)
-		d := checkpoint.NewDec("kernel", e.Bytes())
-		g := k.loadGen(&d)
+		d := checkpoint.NewReader("kernel", tailSection(1, pos))
+		var g genEntry
+		k.syncGen(&d, &g, walkerRefs{})
 		err := d.Finish()
 		if valid := pos == 0 || pos == 1; valid != (err == nil) {
 			t.Fatalf("tail position %d over 1 instruction: load error %v", pos, err)
 		}
-		if err == nil && (g.pos != pos || g.tail != ret || g.w != nil) {
+		if err == nil && (g.pos != pos || g.tail != tailInst || g.w != nil) {
 			t.Fatalf("tail position %d round-tripped as %+v", pos, g)
 		}
 	}
@@ -204,26 +225,17 @@ func TestLoadGenRejectsTailPositionOutsideExtra(t *testing.T) {
 // tail inline and has room for exactly one.
 func TestGenEntryTailCount(t *testing.T) {
 	k := New(DefaultConfig())
-	ret := isa.Inst{Class: isa.PALReturn, Mode: isa.PAL, PC: 0x40}
-	g := genEntry{wrap: wrapTail, tail: ret}
-	var want checkpoint.Enc
-	saveGen(&want, g, nil, nil)
+	g := genEntry{wrap: wrapTail, tail: tailInst}
+	var want checkpoint.Codec
+	k.syncGen(&want, &g, walkerRefs{})
 	for _, count := range []int{0, 1, 2, 3} {
-		var e checkpoint.Enc
-		g.tmpl.Save(&e)
-		saveAction(&e, &g.done)
-		e.Uint(uint64(wrapTail))
-		e.Uint(uint64(count))
-		for i := 0; i < count; i++ {
-			ret.Save(&e)
+		b := tailSection(count, 0)
+		if count == 1 && !bytes.Equal(b, want.Bytes()) {
+			t.Fatalf("syncGen wrote %x, want count, instruction, position: %x", want.Bytes(), b)
 		}
-		e.Int(0)
-		e.Bool(false)
-		if count == 1 && !bytes.Equal(e.Bytes(), want.Bytes()) {
-			t.Fatalf("saveGen wrote %x, want count, instruction, position: %x", want.Bytes(), e.Bytes())
-		}
-		d := checkpoint.NewDec("kernel", e.Bytes())
-		k.loadGen(&d)
+		d := checkpoint.NewReader("kernel", b)
+		var got genEntry
+		k.syncGen(&d, &got, walkerRefs{})
 		err := d.Finish()
 		var fe *checkpoint.FormatError
 		if count == 1 {

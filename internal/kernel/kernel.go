@@ -3,7 +3,7 @@
 //
 // It implements pipeline.Feed: for every hardware context it generates the
 // instruction stream the context fetches — interleaving user-program code
-// (from workload.Program models) with the kernel's own synthetic code:
+// (from workload.ScriptProgram models) with the kernel's own synthetic code:
 // system-call services, PAL TLB-miss handlers, the virtual-memory layer,
 // an SMP-style scheduler with Alpha ASN management, netisr protocol-stack
 // threads, interrupt stubs, and the idle loop.
@@ -20,6 +20,7 @@ package kernel
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/faults"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -56,11 +57,6 @@ type Config struct {
 	// from the OS buffer cache; misses execute the disk driver and DMA
 	// (the disk itself is zero-latency, as in the paper's §2.2.1).
 	BufferCacheHitRate float64
-	// ColdBoot skips the pre-mapping of kernel text and data that models
-	// the paper's methodology of measuring a booted, resident OS (SimOS
-	// boots Digital Unix before measurement). With ColdBoot every kernel
-	// page takes the full first-touch VM path during the run.
-	ColdBoot bool
 	// ModelNetworkDMA adds the network interface's DMA transfers to the
 	// memory bus (the paper omits them; §2.2.1 argues the average bus
 	// delay stays insignificant — this flag lets the claim be tested).
@@ -164,7 +160,7 @@ type Thread struct {
 	asn   uint16
 	kind  threadKind
 	state threadState
-	prog  workload.Program
+	prog  *workload.ScriptProgram
 	// burst is the remaining user instructions of the current StepRun.
 	burst uint64
 	// sinceSched counts user instructions since last scheduling, for the
@@ -209,10 +205,9 @@ type Kernel struct {
 	Mem *mem.Memory
 
 	// Hardware hooks, wired after pipeline construction.
-	itlb    *tlb.TLB         //detlint:ignore snapshotcomplete hardware wiring re-attached by core assembly on restore
-	dtlb    *tlb.TLB         //detlint:ignore snapshotcomplete hardware wiring re-attached by core assembly on restore
-	hier    cacheInvalidator //detlint:ignore snapshotcomplete hardware wiring re-attached by core assembly on restore
-	hierDMA dmaSink          //detlint:ignore snapshotcomplete hardware wiring re-attached by core assembly on restore
+	itlb *tlb.TLB         //detlint:ignore snapshotcomplete hardware wiring re-attached by core assembly on restore
+	dtlb *tlb.TLB         //detlint:ignore snapshotcomplete hardware wiring re-attached by core assembly on restore
+	hier *cache.Hierarchy //detlint:ignore snapshotcomplete hardware wiring re-attached by core assembly on restore
 
 	code *codebase // kernel code regions + walkers
 
@@ -236,8 +231,8 @@ type Kernel struct {
 
 	// faults is the fault injector (nil = no process faults); respawn
 	// builds a replacement worker after an injected crash.
-	faults  *faults.Injector        //detlint:ignore snapshotcomplete fault wiring re-attached by core assembly on restore
-	respawn func() workload.Program //detlint:ignore snapshotcomplete fault wiring re-attached by core assembly on restore
+	faults  *faults.Injector               //detlint:ignore snapshotcomplete fault wiring re-attached by core assembly on restore
+	respawn func() *workload.ScriptProgram //detlint:ignore snapshotcomplete fault wiring re-attached by core assembly on restore
 
 	// Counters surfaced in reports.
 	ContextSwitches uint64
@@ -302,18 +297,6 @@ type Kernel struct {
 	MbufHighwater   int    // peak mbuf-pool occupancy
 }
 
-// cacheInvalidator is the slice of the cache hierarchy the kernel needs for
-// the architectural flush commands.
-type cacheInvalidator interface {
-	FlushIRange(base, size uint64)
-	FlushDRange(base, size uint64)
-}
-
-// dmaSink accepts DMA bus traffic (network-interface transfers).
-type dmaSink interface {
-	DMA(n int, now uint64)
-}
-
 // New builds a kernel model. Wire the hardware with AttachEngine before use.
 func New(cfg Config) *Kernel {
 	if cfg.Contexts <= 0 {
@@ -375,9 +358,7 @@ func New(cfg Config) *Kernel {
 		n.state = tsBlocked
 		n.sock = -1
 	}
-	if !cfg.ColdBoot {
-		k.prewarm()
-	}
+	k.prewarm()
 	if cfg.MemFrameLimit > 0 {
 		k.Mem.SetFrameLimit(cfg.MemFrameLimit)
 	}
@@ -413,19 +394,13 @@ func (k *Kernel) prewarm() {
 func (k *Kernel) AttachEngine(e *pipeline.Engine) {
 	k.itlb = e.ITLB
 	k.dtlb = e.DTLB
-	k.hier = hierAdapter{e}
-	k.hierDMA = e.Hier
+	k.hier = e.Hier
 }
-
-type hierAdapter struct{ e *pipeline.Engine }
-
-func (h hierAdapter) FlushIRange(base, size uint64) { h.e.Hier.L1I.InvalidateRange(base, size) }
-func (h hierAdapter) FlushDRange(base, size uint64) { h.e.Hier.L1D.InvalidateRange(base, size) }
 
 // newThread registers a thread. A user thread needs a process-table slot;
 // newThread returns nil when the table is full (the fork-time admission
 // control — callers surface the EAGAIN analogue).
-func (k *Kernel) newThread(kind threadKind, prog workload.Program) *Thread {
+func (k *Kernel) newThread(kind threadKind, prog *workload.ScriptProgram) *Thread {
 	t := &Thread{
 		tid:  k.nextTID,
 		kind: kind,
@@ -493,7 +468,7 @@ func (k *Kernel) allocASN() uint16 {
 // AddProgram registers a user process running prog and makes it runnable.
 // It returns the thread (for tests and reporting). Initial wiring must fit
 // the process table; size ProcTableSize for the workload.
-func (k *Kernel) AddProgram(prog workload.Program) *Thread {
+func (k *Kernel) AddProgram(prog *workload.ScriptProgram) *Thread {
 	t := k.newThread(tkUser, prog)
 	if t == nil {
 		panic(fmt.Sprintf("kernel: process table full (%d slots); raise Config.ProcTableSize",
@@ -506,7 +481,7 @@ func (k *Kernel) AddProgram(prog workload.Program) *Thread {
 
 // AddWorker registers a user process that the fault-injection process
 // domain may crash (an Apache pool worker).
-func (k *Kernel) AddWorker(prog workload.Program) *Thread {
+func (k *Kernel) AddWorker(prog *workload.ScriptProgram) *Thread {
 	t := k.AddProgram(prog)
 	t.worker = true
 	return t
@@ -548,7 +523,7 @@ func (k *Kernel) applySqueeze(memFrac, poolFrac float64) {
 
 // SetRespawn installs the master's re-fork hook: called after an injected
 // worker crash to build the replacement process.
-func (k *Kernel) SetRespawn(fn func() workload.Program) { k.respawn = fn }
+func (k *Kernel) SetRespawn(fn func() *workload.ScriptProgram) { k.respawn = fn }
 
 // StateCounts returns the scheduler population by state, for watchdog
 // diagnostics.

@@ -286,21 +286,11 @@ func TestBufferCacheHitRateRespected(t *testing.T) {
 	}
 }
 
-func TestColdBootSkipsPrewarm(t *testing.T) {
-	warm := New(DefaultConfig())
-	if warm.Mem.MappedPages(0) == 0 {
-		t.Fatal("booted kernel has no resident pages")
-	}
-	cfg := DefaultConfig()
-	cfg.ColdBoot = true
-	cold := New(cfg)
-	if cold.Mem.MappedPages(0) != 0 {
-		t.Fatalf("cold boot pre-mapped %d pages", cold.Mem.MappedPages(0))
-	}
-}
-
 func TestPrewarmResetsSetupCounters(t *testing.T) {
 	k := New(DefaultConfig())
+	if k.Mem.MappedPages(0) == 0 {
+		t.Fatal("booted kernel has no resident pages")
+	}
 	if k.Mem.Allocs != 0 || k.Mem.Refills != 0 {
 		t.Fatalf("prewarm leaked setup counters: allocs=%d refills=%d", k.Mem.Allocs, k.Mem.Refills)
 	}

@@ -228,7 +228,7 @@ func TestNetworkAcceptReadWrite(t *testing.T) {
 		}
 	}))
 	// Advance program state from syscall results.
-	prog := k.Threads()[len(k.Threads())-1].prog.(*workload.ScriptProgram)
+	prog := k.Threads()[len(k.Threads())-1].prog
 	prog.ResultFn = func(req sys.Request, result int) {
 		switch req.Num {
 		case sys.SysAccept:

@@ -49,7 +49,7 @@ type socket struct {
 	// head instead of re-slicing so the consumed prefix of the backing
 	// array does not leak; the queue compacts amortized (same pattern as
 	// ctxFeed in feed.go).
-	acceptHead int //detlint:ignore snapshotcomplete normalized away: sections hold acceptQ[acceptHead:]
+	acceptHead int //detlint:ignore snapshotcomplete normalized away: sections hold the compacted queue
 	data       int
 	closed     bool
 	waiters    []*Thread
@@ -100,11 +100,16 @@ func (s *socket) popAccept() int {
 		s.acceptQ = s.acceptQ[:0]
 		s.acceptHead = 0
 	} else if s.acceptHead >= 64 && s.acceptHead >= len(s.acceptQ)-s.acceptHead {
-		n := copy(s.acceptQ, s.acceptQ[s.acceptHead:])
-		s.acceptQ = s.acceptQ[:n]
-		s.acceptHead = 0
+		s.compactAccept()
 	}
 	return sid
+}
+
+// compactAccept slides the live accept queue to the front of its array.
+func (s *socket) compactAccept() {
+	n := copy(s.acceptQ, s.acceptQ[s.acceptHead:])
+	s.acceptQ = s.acceptQ[:n]
+	s.acceptHead = 0
 }
 
 // netState is the kernel's network stack state.
@@ -681,7 +686,7 @@ func (k *Kernel) syscallEffect(t *Thread, req sys.Request) (res int, block bool)
 		if req.Addr != 0 {
 			if paddr, ok := k.Mem.Translate(t.pid, req.Addr); ok {
 				base := paddr &^ uint64(mem.PageMask)
-				k.hier.FlushDRange(base, mem.PageSize)
+				k.hier.L1D.InvalidateRange(base, mem.PageSize)
 			}
 			k.Mem.Unmap(t.pid, req.Addr)
 			k.dtlb.InvalidatePage(t.asn, req.Addr)

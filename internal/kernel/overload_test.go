@@ -94,12 +94,12 @@ func TestAcceptQueuePartialConsumptionRoundTrip(t *testing.T) {
 	if len(live) != 6 {
 		t.Fatalf("%d live accept-queue entries, want 6", len(live))
 	}
-	var sec checkpoint.Enc
-	k.Save(&sec)
+	var sec checkpoint.Codec
+	k.Sync(&sec, nil)
 
 	k2 := New(cfg)
-	d := checkpoint.NewDec("kernel", sec.Bytes())
-	k2.Load(&d, nil)
+	d := checkpoint.NewReader("kernel", sec.Bytes())
+	k2.Sync(&d, nil)
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -109,8 +109,8 @@ func TestAcceptQueuePartialConsumptionRoundTrip(t *testing.T) {
 	}
 	// The head is normalized away: the restored kernel, whose queue starts
 	// at 0, writes the same section bytes.
-	var sec2 checkpoint.Enc
-	if k2.Save(&sec2); !bytes.Equal(sec.Bytes(), sec2.Bytes()) {
+	var sec2 checkpoint.Codec
+	if k2.Sync(&sec2, nil); !bytes.Equal(sec.Bytes(), sec2.Bytes()) {
 		t.Fatal("restored kernel writes a different section: the accept-queue head leaked into the encoding")
 	}
 	owner2 := k2.threads[0]

@@ -141,7 +141,7 @@ type Memory struct {
 	// processes execute one set of physical pages).
 	shared []struct{ base, end uint64 }
 
-	frames     uint64 //detlint:ignore snapshotcomplete geometry fixed at construction; Load rejects a mismatch
+	frames     uint64
 	nextFrame  uint64 //detlint:ignore counterflow frame allocator bump pointer, not a metric
 	free       []uint64
 	owners     []mapping // indexed by pfn: current owner, for reclaim

@@ -374,17 +374,17 @@ func TestSnapshotRoundTripPressureState(t *testing.T) {
 	for i := uint64(0); i < 12; i++ {
 		m.Touch(3, UserDataBase+i*PageSize)
 	}
-	var s, s2 checkpoint.Enc
-	m.Save(&s)
+	var s, s2 checkpoint.Codec
+	m.Sync(&s)
 	m2, _ := NewMemory(8 * PageSize)
-	d := checkpoint.NewDec("mem", s.Bytes())
-	m2.Load(&d)
+	d := checkpoint.NewReader("mem", s.Bytes())
+	m2.Sync(&d)
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	// Identical state must produce identical sections and identical
 	// behavior on the next pressure event.
-	if m2.Save(&s2); !bytes.Equal(s.Bytes(), s2.Bytes()) {
+	if m2.Sync(&s2); !bytes.Equal(s.Bytes(), s2.Bytes()) {
 		t.Fatalf("section round trip differs:\n%x\n%x", s.Bytes(), s2.Bytes())
 	}
 	pa1, k1 := m.Touch(3, UserDataBase+20*PageSize)

@@ -184,15 +184,15 @@ func buildNet(sc scenario, ref bool) *Network {
 // snapBytes returns the network's checkpoint section: its canonical state.
 func snapBytes(t *testing.T, n *Network) []byte {
 	t.Helper()
-	var e checkpoint.Enc
-	n.Save(&e)
+	var e checkpoint.Codec
+	n.Sync(&e)
 	return e.Bytes()
 }
 
 // loadSection runs load over section b and fails the test on any error.
-func loadSection(t *testing.T, b []byte, load func(*checkpoint.Dec)) {
+func loadSection(t *testing.T, b []byte, load func(*checkpoint.Codec)) {
 	t.Helper()
-	d := checkpoint.NewDec("test", b)
+	d := checkpoint.NewReader("test", b)
 	load(&d)
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
@@ -288,14 +288,14 @@ func TestSnapshotRoundTripMidWheel(t *testing.T) {
 	snap := snapBytes(t, n)
 	restored := New(sc.cfg)
 	inj := faults.NewInjector(sc.faults)
-	var injSec checkpoint.Enc
-	n.inj.Save(&injSec)
-	loadSection(t, injSec.Bytes(), inj.Load)
+	var injSec checkpoint.Codec
+	n.inj.Sync(&injSec)
+	loadSection(t, injSec.Bytes(), inj.Sync)
 	// SetFaults would redraw client kinds from the injector stream; attach
 	// the injector first, then overwrite all client state from the
 	// section (the core restore path does the same dance).
 	restored.SetFaults(inj)
-	loadSection(t, snap, restored.Load)
+	loadSection(t, snap, restored.Sync)
 
 	if !bytes.Equal(snapBytes(t, restored), snap) {
 		t.Fatal("load→save is not the identity")

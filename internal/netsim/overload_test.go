@@ -188,7 +188,7 @@ func TestOverloadDeterministicAndSnapshotRoundTrip(t *testing.T) {
 	// Restored copy must pick up mid-trickle sends, parked burst clients,
 	// held storm connections, and the partial latency histogram.
 	b := build()
-	loadSection(t, snap, b.Load)
+	loadSection(t, snap, b.Sync)
 	if grab(a) != grab(b) {
 		t.Fatalf("restore lost counters: a=%+v b=%+v", grab(a), grab(b))
 	}

@@ -14,7 +14,7 @@ import (
 // (see sample.go); otherwise every cycle runs the full detailed step.
 func (e *Engine) Run(n uint64) {
 	if e.smp.phase != sampleOff {
-		e.runSampled(n)
+		e.runSampled(n, false)
 		return
 	}
 	for i := uint64(0); i < n; i++ {

@@ -225,8 +225,8 @@ type uop struct {
 	doneAt    uint64
 	paddr     uint64 // translated data address (memory classes, set at issue)
 
-	// Wakeup state (wakeup.go), derived: Load rebuilds it. ticket orders
-	// queued uops by dispatch; waiters has bit s set when the queued uop in
+	// Wakeup state (wakeup.go), derived: Sync rebuilds it when loading.
+	// ticket orders queued uops by dispatch; waiters has bit s set when the queued uop in
 	// ROB slot s of this context waits on this one; pending counts the
 	// producers whose completion event has not popped.
 	ticket  uint64
@@ -475,9 +475,9 @@ type Engine struct {
 
 	// intQ and fpQ are the shared issue queues (wakeup.go); nextTicket
 	// numbers dispatches. Both are derived from the ROBs and the saved
-	// queue order, and Load rebuilds them.
-	intQ, fpQ        issueQueue //detlint:ignore snapshotcomplete derived wakeup index; Save writes the queue order, Load rebuilds it
-	nextTicket       uint64     //detlint:ignore snapshotcomplete derived dispatch order, renumbered by Load
+	// queue order, and Sync rebuilds them when loading.
+	intQ, fpQ        issueQueue //detlint:ignore snapshotcomplete derived wakeup index; Sync writes the queue order and rebuilds it
+	nextTicket       uint64     //detlint:ignore snapshotcomplete derived dispatch order, renumbered by Sync
 	intRegsUsed      int
 	fpRegsUsed       int
 	rrRetire         int

@@ -123,38 +123,23 @@ func (s *sampler) nextRand() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Save writes the sampling FSM.
-func (s *sampler) Save(e *checkpoint.Enc) {
-	for _, v := range [...]uint64{s.cfg.Period, s.cfg.DetailWindow, s.cfg.Warmup, s.cfg.Seed,
-		uint64(s.phase), s.left, s.post, s.rng, s.pace, s.acc, s.windows, s.ffCycles,
-		s.detailCycles, s.baseRetired, s.baseCycleCount} {
-		e.Uint(v)
+// Sync syncs the sampling FSM.
+func (s *sampler) Sync(c *checkpoint.Codec) {
+	for _, p := range [...]*uint64{&s.cfg.Period, &s.cfg.DetailWindow, &s.cfg.Warmup, &s.cfg.Seed} {
+		c.Uint(p)
 	}
-	s.baseCycles.Save(e)
-	s.ipc.Save(e)
-	s.kernelPct.Save(e)
-	s.userPct.Save(e)
-	s.idlePct.Save(e)
-	e.Bool(s.atWindow)
-	e.Bool(s.libBuild)
-}
-
-// Load reads a sampling FSM written by Save.
-func (s *sampler) Load(d *checkpoint.Dec) {
-	var phase uint64
-	for _, p := range [...]*uint64{&s.cfg.Period, &s.cfg.DetailWindow, &s.cfg.Warmup, &s.cfg.Seed,
-		&phase, &s.left, &s.post, &s.rng, &s.pace, &s.acc, &s.windows, &s.ffCycles,
+	checkpoint.U(c, &s.phase)
+	for _, p := range [...]*uint64{&s.left, &s.post, &s.rng, &s.pace, &s.acc, &s.windows, &s.ffCycles,
 		&s.detailCycles, &s.baseRetired, &s.baseCycleCount} {
-		*p = d.Uint()
+		c.Uint(p)
 	}
-	s.phase = samplePhase(phase)
-	s.baseCycles.Load(d)
-	s.ipc.Load(d)
-	s.kernelPct.Load(d)
-	s.userPct.Load(d)
-	s.idlePct.Load(d)
-	s.atWindow = d.Bool()
-	s.libBuild = d.Bool()
+	s.baseCycles.Sync(c)
+	s.ipc.Sync(c)
+	s.kernelPct.Sync(c)
+	s.userPct.Sync(c)
+	s.idlePct.Sync(c)
+	c.Bool(&s.atWindow)
+	c.Bool(&s.libBuild)
 }
 
 // SampleStats is the exported view of the sampling estimators, for reports.
@@ -245,40 +230,31 @@ func (e *Engine) RunToNextWindow(max uint64) (ran uint64, atWindow bool) {
 	if e.smp.phase == sampleOff {
 		panic("pipeline: RunToNextWindow requires sampling mode")
 	}
-	e.smp.atWindow = false
-	for i := uint64(0); i < max; i++ {
-		for e.smp.left == 0 {
-			e.sampleAdvance()
-		}
-		if e.smp.atWindow {
-			return i, true
-		}
-		e.smp.left--
-		if e.smp.detailed() {
-			e.step()
-			e.smp.detailCycles++
-		} else {
-			e.ffStep()
-			e.smp.ffCycles++
-		}
-	}
-	for e.smp.left == 0 {
-		e.sampleAdvance()
-	}
-	return max, e.smp.atWindow
+	ran = e.runSampled(max, true)
+	return ran, e.smp.atWindow
 }
 
 // runSampled is the sampling-mode Run loop: each cycle runs either the
-// unmodified detailed step or one fast-forward cycle, per the FSM. Phase
-// transitions at a Run boundary are applied eagerly so a window that closed
-// on the last cycle is already folded into the estimators when the caller
-// snapshots — the state is identical to advancing lazily on the next Run.
-func (e *Engine) runSampled(n uint64) {
+// unmodified detailed step or one fast-forward cycle, per the FSM. With
+// toWindow it stops before the first cycle of the next window that opens
+// and returns the cycles it ran. Phase transitions at a Run boundary are
+// applied eagerly so a window that closed on the last cycle is already
+// folded into the estimators when the caller snapshots — the state is
+// identical to advancing lazily on the next Run.
+func (e *Engine) runSampled(n uint64, toWindow bool) uint64 {
+	if toWindow {
+		e.smp.atWindow = false // move on from a window start the engine sits at
+	}
 	for i := uint64(0); i < n; i++ {
 		for e.smp.left == 0 {
 			e.sampleAdvance()
 		}
-		e.smp.atWindow = false
+		if e.smp.atWindow {
+			if toWindow {
+				return i
+			}
+			e.smp.atWindow = false
+		}
 		e.smp.left--
 		if e.smp.detailed() {
 			e.step()
@@ -291,6 +267,7 @@ func (e *Engine) runSampled(n uint64) {
 	for e.smp.left == 0 {
 		e.sampleAdvance()
 	}
+	return n
 }
 
 // sampleAdvance moves the FSM to the next phase. The chain always

@@ -2,7 +2,7 @@
 // instruction, the completion-event heap (written as the raw heap array, so
 // pop order is preserved exactly), issue-queue occupancy, renaming-register
 // accounting, and all metrics. The attached hardware structures (caches,
-// TLBs, predictor, store buffer) save and load through their own packages.
+// TLBs, predictor, store buffer) sync through their own packages.
 package pipeline
 
 import (
@@ -14,231 +14,133 @@ import (
 	"repro/internal/sys"
 )
 
-// Save writes the instruction and its thread attribution.
-func (f *FedInst) Save(e *checkpoint.Enc) {
-	f.Inst.Save(e)
-	e.Uint(uint64(f.TID))
-	e.Uint(uint64(f.ASN))
-	e.Uint(f.PID)
-	e.Uint(uint64(f.Cat))
-	e.Uint(uint64(f.Sys))
+// Sync syncs the instruction and its thread attribution. A category
+// outside the cycle attribution table is damage.
+func (f *FedInst) Sync(c *checkpoint.Codec) {
+	f.Inst.Sync(c)
+	checkpoint.U(c, &f.TID)
+	checkpoint.U(c, &f.ASN)
+	c.Uint(&f.PID)
+	checkpoint.Index(c, &f.Cat, sys.NumCategories)
+	checkpoint.U(c, &f.Sys)
 }
 
-// Load reads an instruction written by Save. A category outside the cycle
-// attribution table is damage.
-func (f *FedInst) Load(d *checkpoint.Dec) {
-	f.Inst.Load(d)
-	f.TID = uint32(d.Uint())
-	f.ASN = uint16(d.Uint())
-	f.PID = d.Uint()
-	f.Cat = sys.Category(d.Index(sys.NumCategories))
-	f.Sys = uint16(d.Uint())
+// syncUop syncs one in-flight instruction.
+func syncUop(c *checkpoint.Codec, u *uop) {
+	u.in.Sync(c)
+	c.Uint(&u.idx)
+	c.Uint(&u.seq)
+	c.Uint(&u.id)
+	checkpoint.U(c, &u.state)
+	c.Uint(&u.fetchedAt)
+	c.Uint(&u.doneAt)
+	c.Flags(&u.wrongPath, &u.mispred, &u.faulted, &u.usesInt, &u.usesFP, &u.inQueue)
+	c.Uint(&u.paddr)
 }
 
-// Flag bits of an in-flight instruction in the engine section.
-const (
-	uopWrongPath = 1 << iota
-	uopMispred
-	uopFaulted
-	uopUsesInt
-	uopUsesFP
-	uopInQueue
-)
-
-func saveUop(e *checkpoint.Enc, u *uop) {
-	u.in.Save(e)
-	e.Uint(u.idx)
-	e.Uint(u.seq)
-	e.Uint(u.id)
-	e.Uint(uint64(u.state))
-	e.Uint(u.fetchedAt)
-	e.Uint(u.doneAt)
-	e.Uint(checkpoint.Flags(u.wrongPath, u.mispred, u.faulted, u.usesInt, u.usesFP, u.inQueue))
-	e.Uint(u.paddr)
-}
-
-func loadUop(d *checkpoint.Dec, u *uop) {
-	u.in.Load(d)
-	u.idx = d.Uint()
-	u.seq = d.Uint()
-	u.id = d.Uint()
-	u.state = uopState(d.Uint())
-	u.fetchedAt = d.Uint()
-	u.doneAt = d.Uint()
-	flags := d.Uint()
-	u.wrongPath = flags&uopWrongPath != 0
-	u.mispred = flags&uopMispred != 0
-	u.faulted = flags&uopFaulted != 0
-	u.usesInt = flags&uopUsesInt != 0
-	u.usesFP = flags&uopUsesFP != 0
-	u.inQueue = flags&uopInQueue != 0
-	u.paddr = d.Uint()
-}
-
-// Save writes the engine's mutable state, hardware included. Each
-// context's ROB ring is written whole (fixed geometry) with its cursors;
-// each issue queue is written as its members in dispatch order; the
-// completion-event heap is written as its raw array, so pop order is
-// preserved exactly.
-func (e *Engine) Save(enc *checkpoint.Enc) {
-	e.Hier.Save(enc)
-	e.ITLB.Save(enc)
-	e.DTLB.Save(enc)
-	e.Pred.Save(enc)
-	e.SB.Save(enc)
-	e.Metrics.Save(enc)
-	e.Cycles.Save(enc)
-	e.Mix.Save(enc)
-	enc.Uint(e.now)
-	enc.Uint(e.nextID)
-	enc.Uint(uint64(len(e.perThread)))
-	for _, t := range e.perThread {
-		enc.Uint(t.Retired)
-		enc.Uint(t.CtxCycles)
-	}
-	saveQrefs(enc, e.queueRefs(&e.intQ))
-	saveQrefs(enc, e.queueRefs(&e.fpQ))
-	enc.Int(int64(e.intRegsUsed))
-	enc.Int(int64(e.fpRegsUsed))
-	enc.Int(int64(e.rrRetire))
-	enc.Int(int64(e.rrFetch))
-	enc.Int(int64(e.rrDispatch))
-	e.smp.Save(enc)
-	enc.Uint(uint64(len(e.ctxs)))
-	for i := range e.ctxs {
-		c := &e.ctxs[i]
-		enc.Uint(uint64(len(c.rob)))
-		for j := range c.rob {
-			saveUop(enc, &c.rob[j])
-		}
-		enc.Int(int64(c.head))
-		enc.Int(int64(c.sz))
-		enc.Uint(c.headSeq)
-		enc.Uint(c.nextSeq)
-		enc.Uint(c.fetchIdx)
-		enc.Int(int64(c.dispatch))
-		enc.Uint(c.icacheReadyAt)
-		enc.Uint(c.redirectAt)
-		enc.Bool(c.wrong != nil)
-		if c.wrong != nil {
-			enc.Uint(c.wrong.pc)
-			enc.Uint(c.wrong.state)
-			c.wrong.tmpl.Save(enc)
-		}
-		enc.Uint(c.lastILine)
-		enc.Bool(c.hadWork)
-		enc.Uint(c.pendingILine)
-		enc.Uint(uint64(c.lastCat))
-		enc.Uint(uint64(c.lastMode))
-		enc.Uint(uint64(c.lastSys))
-		enc.Uint(uint64(c.lastTID))
-	}
-	enc.Uint(uint64(len(e.events)))
-	for _, ev := range e.events {
-		enc.Uint(ev.at)
-		enc.Uint(uint64(ev.ctx))
-		enc.Uint(ev.seq)
-		enc.Uint(ev.id)
-	}
-}
-
-// Load overwrites the engine's state from a section written by Save on an
-// engine with the same configuration. Context and ROB geometry must match,
-// ring cursors must lie inside their ROB, and queue and event references
-// must name a context. The wakeup state is rebuilt from the loaded ROBs and
-// queue order (rebuildQueues).
-func (e *Engine) Load(d *checkpoint.Dec) {
-	e.Hier.Load(d)
-	e.ITLB.Load(d)
-	e.DTLB.Load(d)
-	e.Pred.Load(d)
-	e.SB.Load(d)
-	e.Metrics.Load(d)
-	e.Cycles.Load(d)
-	e.Mix.Load(d)
-	e.now = d.Uint()
-	e.nextID = d.Uint()
-	e.perThread = checkpoint.Resize(e.perThread, d.Len())
+// Sync syncs the engine's mutable state, hardware included, on an engine
+// with the same configuration when reading. Each context's ROB ring is
+// synced whole (fixed geometry) with its cursors, which must lie inside
+// it; each issue queue as its members in dispatch order; the
+// completion-event heap as its raw array, so pop order is preserved
+// exactly. Queue and event references must name a context.
+func (e *Engine) Sync(c *checkpoint.Codec) {
+	e.Hier.Sync(c)
+	e.ITLB.Sync(c)
+	e.DTLB.Sync(c)
+	e.Pred.Sync(c)
+	e.SB.Sync(c)
+	e.Metrics.Sync(c)
+	e.Cycles.Sync(c)
+	e.Mix.Sync(c)
+	c.Uint(&e.now)
+	c.Uint(&e.nextID)
+	checkpoint.Len(c, &e.perThread, -1, "thread statistics")
 	for i := range e.perThread {
-		e.perThread[i] = ThreadStat{Retired: d.Uint(), CtxCycles: d.Uint()}
+		c.Uint(&e.perThread[i].Retired)
+		c.Uint(&e.perThread[i].CtxCycles)
 	}
-	e.loadQrefs(d, &e.intQ)
-	e.loadQrefs(d, &e.fpQ)
-	e.intRegsUsed = int(d.Int())
-	e.fpRegsUsed = int(d.Int())
-	e.rrRetire = int(d.Int())
-	e.rrFetch = int(d.Int())
-	e.rrDispatch = int(d.Int())
-	e.smp.Load(d)
-	// The wakeup state is derived: rebuild it on every exit, so even a
-	// damaged section leaves it consistent with whatever the ROBs hold.
-	defer e.rebuildQueues()
-	if !d.Expect(len(e.ctxs), "contexts") {
+	e.syncQueue(c, &e.intQ)
+	e.syncQueue(c, &e.fpQ)
+	checkpoint.I(c, &e.intRegsUsed)
+	checkpoint.I(c, &e.fpRegsUsed)
+	checkpoint.I(c, &e.rrRetire)
+	checkpoint.I(c, &e.rrFetch)
+	checkpoint.I(c, &e.rrDispatch)
+	e.smp.Sync(c)
+	if c.Loading() {
+		// Derived state: the wakeup state is rebuilt from the loaded ROBs
+		// and queue order on every exit, so even a damaged section leaves
+		// it consistent with whatever the ROBs hold.
+		defer e.rebuildQueues()
+	}
+	if !c.Expect(len(e.ctxs), "contexts") {
 		return
 	}
 	for i := range e.ctxs {
-		c := &e.ctxs[i]
-		if !d.Expect(len(c.rob), "ROB entries") {
+		if !e.syncCtx(c, i) {
 			return
 		}
-		for j := range c.rob {
-			loadUop(d, &c.rob[j])
-		}
-		c.head = int(d.Int())
-		c.sz = int(d.Int())
-		c.headSeq = d.Uint()
-		c.nextSeq = d.Uint()
-		c.fetchIdx = d.Uint()
-		c.dispatch = int(d.Int())
-		if c.head < 0 || c.head >= len(c.rob) || c.sz < 0 || c.sz > len(c.rob) || c.dispatch < 0 || c.dispatch > c.sz {
-			d.Fail("context %d ROB cursors head %d size %d dispatch %d outside %d entries", i, c.head, c.sz, c.dispatch, len(c.rob))
-			c.head, c.sz, c.dispatch = 0, 0, 0
-		}
-		c.icacheReadyAt = d.Uint()
-		c.redirectAt = d.Uint()
-		c.wrong = nil
-		if d.Bool() {
-			c.wrongBuf.pc = d.Uint()
-			c.wrongBuf.state = d.Uint()
-			c.wrongBuf.tmpl.Load(d)
-			c.wrong = &c.wrongBuf
-		}
-		c.lastILine = d.Uint()
-		c.hadWork = d.Bool()
-		c.pendingILine = d.Uint()
-		c.lastCat = sys.Category(d.Index(sys.NumCategories))
-		c.lastMode = isa.Mode(d.Index(isa.NumModes))
-		c.lastSys = uint16(d.Uint())
-		c.lastTID = uint32(d.Uint())
 	}
-	n := d.Len()
-	if n > cap(e.events) {
-		d.Fail("%d completion events, heap holds %d", n, cap(e.events))
-		n = 0
-	}
-	e.events = e.events[:n]
+	checkpoint.Len(c, &e.events, cap(e.events), "completion events")
 	for i := range e.events {
-		e.events[i] = event{at: d.Uint(), ctx: d.Index(len(e.ctxs)), seq: d.Uint(), id: d.Uint()}
+		ev := &e.events[i]
+		c.Uint(&ev.at)
+		checkpoint.Index(c, &ev.ctx, len(e.ctxs))
+		c.Uint(&ev.seq)
+		c.Uint(&ev.id)
 	}
 }
 
-// Save writes the engine-level counters.
-func (m *Metrics) Save(e *checkpoint.Enc) {
-	for _, v := range [...]uint64{m.Cycles, m.Retired, m.Fetched, m.Squashed, m.ZeroFetch,
-		m.ZeroIssue, m.MaxIssue, m.FetchableSum, m.IntIssued, m.FPIssued, m.Interrupts,
-		m.DTLBTraps, m.ITLBTraps, m.SyscallsSeen, m.RetireStallSB, m.StallRedirect,
-		m.StallIMiss, m.StallROBFull, m.StallFeed} {
-		e.Uint(v)
+// syncCtx syncs one context; it reports false when the ROB geometry does
+// not match.
+func (e *Engine) syncCtx(c *checkpoint.Codec, i int) bool {
+	cx := &e.ctxs[i]
+	if !c.Expect(len(cx.rob), "ROB entries") {
+		return false
 	}
+	for j := range cx.rob {
+		syncUop(c, &cx.rob[j])
+	}
+	checkpoint.I(c, &cx.head)
+	checkpoint.I(c, &cx.sz)
+	c.Uint(&cx.headSeq)
+	c.Uint(&cx.nextSeq)
+	c.Uint(&cx.fetchIdx)
+	checkpoint.I(c, &cx.dispatch)
+	if c.Loading() && (cx.head < 0 || cx.head >= len(cx.rob) || cx.sz < 0 || cx.sz > len(cx.rob) || cx.dispatch < 0 || cx.dispatch > cx.sz) {
+		// Checking input: the ring cursors lie inside the ROB.
+		c.Fail("context %d ROB cursors head %d size %d dispatch %d outside %d entries", i, cx.head, cx.sz, cx.dispatch, len(cx.rob))
+		cx.head, cx.sz, cx.dispatch = 0, 0, 0
+	}
+	c.Uint(&cx.icacheReadyAt)
+	c.Uint(&cx.redirectAt)
+	wrong := cx.wrong != nil
+	c.Bool(&wrong)
+	cx.wrong = nil
+	if wrong {
+		cx.wrong = &cx.wrongBuf
+		c.Uint(&cx.wrongBuf.pc)
+		c.Uint(&cx.wrongBuf.state)
+		cx.wrongBuf.tmpl.Sync(c)
+	}
+	c.Uint(&cx.lastILine)
+	c.Bool(&cx.hadWork)
+	c.Uint(&cx.pendingILine)
+	checkpoint.Index(c, &cx.lastCat, sys.NumCategories)
+	checkpoint.Index(c, &cx.lastMode, isa.NumModes)
+	checkpoint.U(c, &cx.lastSys)
+	checkpoint.U(c, &cx.lastTID)
+	return true
 }
 
-// Load reads counters written by Save.
-func (m *Metrics) Load(d *checkpoint.Dec) {
+// Sync syncs the engine-level counters.
+func (m *Metrics) Sync(c *checkpoint.Codec) {
 	for _, p := range [...]*uint64{&m.Cycles, &m.Retired, &m.Fetched, &m.Squashed, &m.ZeroFetch,
 		&m.ZeroIssue, &m.MaxIssue, &m.FetchableSum, &m.IntIssued, &m.FPIssued, &m.Interrupts,
 		&m.DTLBTraps, &m.ITLBTraps, &m.SyscallsSeen, &m.RetireStallSB, &m.StallRedirect,
 		&m.StallIMiss, &m.StallROBFull, &m.StallFeed} {
-		*p = d.Uint()
+		c.Uint(p)
 	}
 }
 

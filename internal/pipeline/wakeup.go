@@ -7,8 +7,8 @@
 // found operand-ready, in the order it found them (DESIGN.md §6f).
 //
 // All of it is derived state. The checkpoint keeps the queue order it has
-// always kept (one reference per queued uop, oldest first), and Load
-// rebuilds tickets, counts, masks and ready lists from it.
+// always kept (one reference per queued uop, oldest first), and Sync
+// rebuilds tickets, counts, masks and ready lists from it when loading.
 package pipeline
 
 import (
@@ -155,7 +155,7 @@ func (e *Engine) resetQueues() {
 
 // ------------------------------------------------------------ checkpoint
 
-// queueRefs returns the members of q in ticket order, the order Save writes.
+// queueRefs returns the members of q in ticket order, the order Sync writes.
 func (e *Engine) queueRefs(q *issueQueue) []qref {
 	var refs []qref
 	for ctx := range e.ctxs {
@@ -170,27 +170,28 @@ func (e *Engine) queueRefs(q *issueQueue) []qref {
 	return refs
 }
 
-func saveQrefs(e *checkpoint.Enc, qs []qref) {
-	e.Uint(uint64(len(qs)))
-	for _, q := range qs {
-		e.Uint(uint64(q.ctx))
-		e.Uint(q.seq)
-		e.Uint(q.id)
+// syncQueue syncs one issue queue as its members in ticket order. Reading,
+// they are staged in the queue's ready list until rebuildQueues has the
+// ROBs; the list must not grow past its configured capacity.
+func (e *Engine) syncQueue(c *checkpoint.Codec, q *issueQueue) {
+	refs := &q.ready
+	if !c.Loading() {
+		// Derived state: the members are read off the ROBs.
+		members := e.queueRefs(q)
+		refs = &members
 	}
+	e.syncRefs(c, refs, cap(q.ready))
 }
 
-// loadQrefs reads a saved queue into q's ready list, which serves as the
-// staging area until rebuildQueues has the ROBs; it must not grow past its
-// configured capacity.
-func (e *Engine) loadQrefs(d *checkpoint.Dec, q *issueQueue) {
-	n := d.Len()
-	if n > cap(q.ready) {
-		d.Fail("issue queue of %d entries, capacity %d", n, cap(q.ready))
-		n = 0
-	}
-	q.ready = q.ready[:n]
-	for i := range q.ready {
-		q.ready[i] = qref{ctx: d.Index(len(e.ctxs)), seq: d.Uint(), id: d.Uint()}
+// syncRefs syncs a list of queue references, at most limit long when read
+// (unbounded for a negative limit); each must name a context.
+func (e *Engine) syncRefs(c *checkpoint.Codec, refs *[]qref, limit int) {
+	checkpoint.Len(c, refs, limit, "issue queue")
+	for i := range *refs {
+		r := &(*refs)[i]
+		checkpoint.Index(c, &r.ctx, len(e.ctxs))
+		c.Uint(&r.seq)
+		c.Uint(&r.id)
 	}
 }
 

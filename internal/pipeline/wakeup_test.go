@@ -243,16 +243,16 @@ func hasWaiters(e *Engine) bool {
 }
 
 func saveBytes(e *Engine) []byte {
-	var enc checkpoint.Enc
-	e.Save(&enc)
+	var enc checkpoint.Codec
+	e.Sync(&enc)
 	return enc.Bytes()
 }
 
 func loadBench(t *testing.T, b []byte) *Engine {
 	t.Helper()
 	e := newBenchEngine()
-	d := checkpoint.NewDec("engine", b)
-	e.Load(&d)
+	d := checkpoint.NewReader("engine", b)
+	e.Sync(&d)
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,37 +283,38 @@ func TestMidFlightRestore(t *testing.T) {
 	}
 }
 
-// saveWithQueues returns e's Save bytes with the two issue-queue lists
-// replaced by intRefs and fpRefs. Save writes only live members, so this is
-// how a checkpoint whose queue references name uops that are gone (damaged
-// or hand-made input) is built. It fails the test if Save no longer writes
-// the queues right after the per-thread counters.
+// saveWithQueues returns e's section with the two issue-queue lists
+// replaced by intRefs and fpRefs. Sync writes only live members, so this
+// is how a checkpoint whose queue references name uops that are gone
+// (damaged or hand-made input) is built. It fails the test if Sync no
+// longer writes the queues right after the per-thread counters.
 func saveWithQueues(t *testing.T, e *Engine, intRefs, fpRefs []qref) []byte {
 	t.Helper()
-	var pre, live, with checkpoint.Enc
-	e.Hier.Save(&pre)
-	e.ITLB.Save(&pre)
-	e.DTLB.Save(&pre)
-	e.Pred.Save(&pre)
-	e.SB.Save(&pre)
-	e.Metrics.Save(&pre)
-	e.Cycles.Save(&pre)
-	e.Mix.Save(&pre)
-	pre.Uint(e.now)
-	pre.Uint(e.nextID)
-	pre.Uint(uint64(len(e.perThread)))
-	for _, th := range e.perThread {
-		pre.Uint(th.Retired)
-		pre.Uint(th.CtxCycles)
+	var pre, live, with checkpoint.Codec
+	e.Hier.Sync(&pre)
+	e.ITLB.Sync(&pre)
+	e.DTLB.Sync(&pre)
+	e.Pred.Sync(&pre)
+	e.SB.Sync(&pre)
+	e.Metrics.Sync(&pre)
+	e.Cycles.Sync(&pre)
+	e.Mix.Sync(&pre)
+	pre.Uint(&e.now)
+	pre.Uint(&e.nextID)
+	checkpoint.Len(&pre, &e.perThread, -1, "thread statistics")
+	for i := range e.perThread {
+		pre.Uint(&e.perThread[i].Retired)
+		pre.Uint(&e.perThread[i].CtxCycles)
 	}
-	saveQrefs(&live, e.queueRefs(&e.intQ))
-	saveQrefs(&live, e.queueRefs(&e.fpQ))
-	saveQrefs(&with, intRefs)
-	saveQrefs(&with, fpRefs)
+	liveInt, liveFP := e.queueRefs(&e.intQ), e.queueRefs(&e.fpQ)
+	e.syncRefs(&live, &liveInt, -1)
+	e.syncRefs(&live, &liveFP, -1)
+	e.syncRefs(&with, &intRefs, -1)
+	e.syncRefs(&with, &fpRefs, -1)
 	full := saveBytes(e)
 	head := append(append([]byte(nil), pre.Bytes()...), live.Bytes()...)
 	if !bytes.HasPrefix(full, head) {
-		t.Fatal("Save no longer writes the issue queues after the per-thread counters")
+		t.Fatal("Sync no longer writes the issue queues after the per-thread counters")
 	}
 	return append(append(append([]byte(nil), pre.Bytes()...), with.Bytes()...), full[len(head):]...)
 }

@@ -25,7 +25,7 @@ type Rand struct {
 	s [4]uint64
 	// geo memoizes log(1-1/m) for Geometric, which is called in hot loops
 	// with a handful of distinct means over and over. The memo is a pure
-	// function of the arguments — not stream state — so Save/Load ignore it
+	// function of the arguments — not stream state — so Sync ignores it
 	// and results are bit-identical with or without it.
 	geo    [6]geoMemo //detlint:ignore snapshotcomplete derived memo of Geometric's arguments, not stream state
 	geoPos uint8      //detlint:ignore snapshotcomplete derived memo cursor, not stream state
@@ -208,8 +208,5 @@ func (z *Zipf) Next() int {
 	return lo
 }
 
-// Save writes the generator state to a checkpoint section.
-func (r *Rand) Save(e *checkpoint.Enc) { checkpoint.PutUints(e, r.s[:]) }
-
-// Load restores a generator state written by Save.
-func (r *Rand) Load(d *checkpoint.Dec) { checkpoint.LoadUints(d, r.s[:], "generator state") }
+// Sync syncs the generator state.
+func (r *Rand) Sync(c *checkpoint.Codec) { checkpoint.Array(c, r.s[:], "generator state") }

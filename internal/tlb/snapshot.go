@@ -6,65 +6,43 @@ import (
 	"repro/internal/mem"
 )
 
-// Per-entry flag bits in the TLB section.
-const (
-	entryValid = 1 << iota
-	entryFillerPrv
-)
-
-// Save writes the TLB's complete mutable state.
-func (t *TLB) Save(e *checkpoint.Enc) {
-	e.Uint(uint64(len(t.entries)))
-	for i := range t.entries {
-		en := &t.entries[i]
-		e.Uint(checkpoint.Flags(en.valid, en.filler.Priv))
-		e.Uint(uint64(en.asn))
-		e.Uint(en.vpn)
-		e.Uint(en.pfn)
-		e.Uint(en.lastUse)
-		e.Uint(uint64(en.filler.TID))
-		e.Uint(en.touched)
-	}
-	e.Uint(t.tick)
-	t.tracker.Save(e)
-	checkpoint.PutUints(e, t.Accesses[:])
-	checkpoint.PutUints(e, t.Misses[:])
-	t.Causes.Save(e)
-	t.Shared.Save(e)
-	e.Uint(t.Invalidations)
+// Sync syncs the entry.
+func (en *Entry) Sync(c *checkpoint.Codec) {
+	c.Flags(&en.valid, &en.filler.Priv)
+	checkpoint.U(c, &en.asn)
+	c.Uint(&en.vpn)
+	c.Uint(&en.pfn)
+	c.Uint(&en.lastUse)
+	checkpoint.U(c, &en.filler.TID)
+	c.Uint(&en.touched)
 }
 
-// Load overwrites the TLB's state from a section written by Save on a TLB
-// of the same size (geometry is configuration, not state), and rebuilds
-// the lookup index from the valid entries.
-func (t *TLB) Load(d *checkpoint.Dec) {
-	if !d.Expect(len(t.entries), "TLB entries") {
+// Sync syncs the TLB's complete mutable state, on a TLB of the same size
+// when reading (geometry is configuration, not state).
+func (t *TLB) Sync(c *checkpoint.Codec) {
+	if !c.Expect(len(t.entries), "TLB entries") {
 		return
 	}
-	clear(t.dmHead)
-	clear(t.dmNext)
 	for i := range t.entries {
-		en := &t.entries[i]
-		flags := d.Uint()
-		en.valid = flags&entryValid != 0
-		en.filler.Priv = flags&entryFillerPrv != 0
-		en.asn = uint16(d.Uint())
-		en.vpn = d.Uint()
-		en.pfn = d.Uint()
-		en.lastUse = d.Uint()
-		en.filler.TID = uint32(d.Uint())
-		en.touched = d.Uint()
-		if en.valid {
-			t.dmLink(key(en.asn, en.vpn), int32(i))
+		t.entries[i].Sync(c)
+	}
+	if c.Loading() {
+		// Derived state: the lookup index is rebuilt from the entries.
+		clear(t.dmHead)
+		clear(t.dmNext)
+		for i := range t.entries {
+			if en := &t.entries[i]; en.valid {
+				t.dmLink(key(en.asn, en.vpn), int32(i))
+			}
 		}
 	}
-	t.tick = d.Uint()
-	t.tracker.Load(d)
-	checkpoint.LoadUints(d, t.Accesses[:], "TLB accesses")
-	checkpoint.LoadUints(d, t.Misses[:], "TLB misses")
-	t.Causes.Load(d)
-	t.Shared.Load(d)
-	t.Invalidations = d.Uint()
+	c.Uint(&t.tick)
+	t.tracker.Sync(c)
+	checkpoint.Array(c, t.Accesses[:], "TLB accesses")
+	checkpoint.Array(c, t.Misses[:], "TLB misses")
+	t.Causes.Sync(c)
+	t.Shared.Sync(c)
+	c.Uint(&t.Invalidations)
 }
 
 // LiveEntry describes one valid entry for the invariant auditor.

@@ -51,9 +51,9 @@ type TLB struct {
 	// definitive miss — find needs no fallback scan, and its result is
 	// exactly what a scan of the fully-associative array would produce,
 	// independent of the index's insertion history. The index is derived
-	// state: Load rebuilds it from the entries.
-	dmHead  []int32 //detlint:ignore snapshotcomplete derived lookup index rebuilt from entries by Load
-	dmNext  []int32 //detlint:ignore snapshotcomplete derived lookup index rebuilt from entries by Load
+	// state: Sync rebuilds it from the entries when loading.
+	dmHead  []int32 //detlint:ignore snapshotcomplete derived lookup index rebuilt from entries by Sync
+	dmNext  []int32 //detlint:ignore snapshotcomplete derived lookup index rebuilt from entries by Sync
 	dmShift uint8   //detlint:ignore snapshotcomplete geometry fixed at construction
 
 	// Accesses and Misses are indexed by accessor privilege (0 user, 1 kernel).

@@ -329,14 +329,14 @@ func TestLookupIndexDifferential(t *testing.T) {
 				if (r>>24)%50 == 0 {
 					a.Flush()
 				} else {
-					var before, after checkpoint.Enc
-					a.Save(&before)
-					d := checkpoint.NewDec("tlb", before.Bytes())
-					a.Load(&d)
+					var before, after checkpoint.Codec
+					a.Sync(&before)
+					d := checkpoint.NewReader("tlb", before.Bytes())
+					a.Sync(&d)
 					if err := d.Finish(); err != nil {
 						t.Fatalf("op %d: Load: %v", op, err)
 					}
-					if a.Save(&after); !bytes.Equal(before.Bytes(), after.Bytes()) {
+					if a.Sync(&after); !bytes.Equal(before.Bytes(), after.Bytes()) {
 						t.Fatalf("op %d: Save/Load round-trip diverged", op)
 					}
 				}

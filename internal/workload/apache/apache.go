@@ -183,28 +183,16 @@ type ProcState struct {
 	Prng      *rng.Rand
 }
 
-// Save writes the script state to a checkpoint section.
-func (ps *ProcState) Save(e *checkpoint.Enc) {
-	e.Uint(uint64(ps.St))
-	e.Int(int64(ps.FD))
-	e.Int(int64(ps.FileBytes))
-	e.Int(int64(ps.Sent))
-	e.Bool(ps.Mapped)
-	e.Bool(ps.Served)
-	e.Uint(ps.MmapAddr)
-	ps.Prng.Save(e)
-}
-
-// Load reads script state written by Save, in place.
-func (ps *ProcState) Load(d *checkpoint.Dec) {
-	ps.St = reqState(d.Uint())
-	ps.FD = int(d.Int())
-	ps.FileBytes = int(d.Int())
-	ps.Sent = int(d.Int())
-	ps.Mapped = d.Bool()
-	ps.Served = d.Bool()
-	ps.MmapAddr = d.Uint()
-	ps.Prng.Load(d)
+// Sync syncs the script state in place.
+func (ps *ProcState) Sync(c *checkpoint.Codec) {
+	checkpoint.U(c, &ps.St)
+	checkpoint.I(c, &ps.FD)
+	checkpoint.I(c, &ps.FileBytes)
+	checkpoint.I(c, &ps.Sent)
+	c.Bool(&ps.Mapped)
+	c.Bool(&ps.Served)
+	c.Uint(&ps.MmapAddr)
+	ps.Prng.Sync(c)
 }
 
 // ProcessFor rebuilds the process model for an existing slot (checkpoint
@@ -383,17 +371,10 @@ func (s *Server) process(slot int) *workload.ScriptProgram {
 	}
 }
 
-// Save writes the server's pool-level state to a checkpoint section.
-func (s *Server) Save(e *checkpoint.Enc) {
-	e.Int(int64(s.nextSlot))
-	e.Uint(s.RequestsHandled)
-}
-
-// Load overwrites the server's pool-level state from a section written by
-// Save.
-func (s *Server) Load(d *checkpoint.Dec) {
-	s.nextSlot = int(d.Int())
-	s.RequestsHandled = d.Uint()
+// Sync syncs the server's pool-level state.
+func (s *Server) Sync(c *checkpoint.Codec) {
+	checkpoint.I(c, &s.nextSlot)
+	c.Uint(&s.RequestsHandled)
 }
 
 // NextSlot returns the highest process slot the pool has handed out; a

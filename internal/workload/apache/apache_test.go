@@ -3,6 +3,7 @@ package apache
 import (
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/sys"
 	"repro/internal/workload"
 )
@@ -108,7 +109,8 @@ func TestSharedTextAcrossProcesses(t *testing.T) {
 	progs := srv.Programs()
 	pcs := map[uint64]bool{}
 	for _, p := range progs {
-		in, _ := p.Walker().Next()
+		var in isa.Inst
+		p.Walker().NextInto(&in)
 		pcs[in.PC&^0xffff] = true
 	}
 	if len(pcs) != 1 {
@@ -128,7 +130,8 @@ func TestPrivateDataPerProcess(t *testing.T) {
 	addr := func(p *workload.ScriptProgram) uint64 {
 		w := p.Walker()
 		for {
-			in, _ := w.Next()
+			var in isa.Inst
+			w.NextInto(&in)
 			if in.Class.IsMem() {
 				return in.Addr
 			}

@@ -24,21 +24,22 @@ func DenseCounters(w *Walker) (loops, visits []int32) {
 	return loops, visits
 }
 
-// DenseSection encodes w's section in Save's field order, with the counter
+// DenseSection encodes w's section in Sync's field order, with the counter
 // columns written from the dense per-slot arrays loops and visits by
-// PutIntColumn: the reference Save's bytes must equal.
+// Column: the reference Sync's bytes must equal.
 func DenseSection(w *Walker, loops, visits []int32) []byte {
-	var e checkpoint.Enc
-	e.Int(int64(w.idx))
-	e.Uint(uint64(len(loops)))
-	checkpoint.PutIntColumn(&e, loops)
-	checkpoint.PutIntColumn(&e, visits)
-	checkpoint.PutInts(&e, w.callStack)
-	checkpoint.PutUints(&e, w.cursors)
-	checkpoint.PutUints(&e, w.coldPage)
-	checkpoint.PutInts(&e, w.coldLeft)
-	e.Uint(w.Count)
-	e.Uint(w.ResetEvery)
-	w.rng.Save(&e)
+	var e checkpoint.Codec
+	checkpoint.I(&e, &w.idx)
+	checkpoint.Len(&e, &loops, -1, "slots")
+	self := func(v *int32) *int32 { return v }
+	checkpoint.Column(&e, loops, self)
+	checkpoint.Column(&e, visits, self)
+	checkpoint.Slice(&e, &w.callStack, -1, "call stack")
+	checkpoint.Array(&e, w.cursors, "cursors")
+	checkpoint.Array(&e, w.coldPage, "cold pages")
+	checkpoint.Array(&e, w.coldLeft, "cold counts")
+	e.Uint(&w.Count)
+	e.Uint(&w.ResetEvery)
+	w.rng.Sync(&e)
 	return e.Bytes()
 }

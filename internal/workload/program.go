@@ -27,26 +27,12 @@ type Step struct {
 	Req sys.Request
 }
 
-// Program is the behavioral model of one user process: a source of user-mode
-// instructions (Walker) plus a script of compute bursts and system calls.
-// The behavioral kernel consumes Steps, runs the bursts on the program's
-// walker, and executes its own service code for the syscalls.
-type Program interface {
-	// Name identifies the program ("gcc", "apache-12").
-	Name() string
-	// Walker is the source of the program's user-mode instructions.
-	Walker() *Walker
-	// Next returns the program's next step. It is called after the
-	// previous step completes (for blocking syscalls, after the kernel
-	// unblocks the thread).
-	Next() Step
-	// OnSyscallResult lets the kernel report a result the program reacts
-	// to (e.g. bytes read from a socket, 0 meaning connection closed).
-	OnSyscallResult(req sys.Request, result int)
-}
-
-// ScriptProgram is a simple Program built from a fixed walker and a Next
-// function; the workload packages use it for their process models.
+// ScriptProgram is the behavioral model of one user process: a source of
+// user-mode instructions (its Walker) plus a script of compute bursts and
+// system calls, built from a Next function; the workload packages use it
+// for their process models. The behavioral kernel consumes Steps, runs the
+// bursts on the program's walker, and executes its own service code for
+// the syscalls.
 type ScriptProgram struct {
 	ProgName string
 	W        *Walker
@@ -58,29 +44,31 @@ type ScriptProgram struct {
 	// restore.
 	Slot int
 	// State points at the program's script state (a workload-package-specific
-	// struct that NextFn/ResultFn close over). The checkpoint layer saves it
-	// and loads it back in place on restore; programs with no mutable script
+	// struct that NextFn/ResultFn close over). The checkpoint layer syncs it
+	// in place; programs with no mutable script
 	// state leave it nil.
 	State ScriptState
 }
 
 // ScriptState is a program's mutable script state as the checkpoint layer
-// sees it: it writes itself to a section and reads itself back in place.
+// sees it: it syncs itself with a section, in place.
 type ScriptState interface {
-	Save(e *checkpoint.Enc)
-	Load(d *checkpoint.Dec)
+	Sync(c *checkpoint.Codec)
 }
 
-// Name implements Program.
+// Name identifies the program ("gcc", "apache-12").
 func (p *ScriptProgram) Name() string { return p.ProgName }
 
-// Walker implements Program.
+// Walker returns the source of the program's user-mode instructions.
 func (p *ScriptProgram) Walker() *Walker { return p.W }
 
-// Next implements Program.
+// Next returns the program's next step. The kernel calls it after the
+// previous step completes (for blocking syscalls, after it unblocks the
+// thread).
 func (p *ScriptProgram) Next() Step { return p.NextFn() }
 
-// OnSyscallResult implements Program.
+// OnSyscallResult reports a result the program reacts to (e.g. bytes read
+// from a socket, 0 meaning connection closed).
 func (p *ScriptProgram) OnSyscallResult(req sys.Request, result int) {
 	if p.ResultFn != nil {
 		p.ResultFn(req, result)

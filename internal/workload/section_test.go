@@ -15,8 +15,8 @@ import (
 
 // saved returns w's section as Save writes it.
 func saved(w *workload.Walker) []byte {
-	var e checkpoint.Enc
-	w.Save(&e)
+	var e checkpoint.Codec
+	w.Sync(&e)
 	return e.Bytes()
 }
 
@@ -83,7 +83,7 @@ func TestWalkerSectionMatchesDense(t *testing.T) {
 		if 2*nonzero > len(loops) {
 			denseSteps++
 		}
-		w.Next()
+		w.NextInto(&isa.Inst{})
 	}
 	if denseSteps == 0 {
 		t.Fatal("the loop column never took the dense form")
@@ -99,11 +99,11 @@ func TestWalkerLoadRejectsMisplacedCounter(t *testing.T) {
 	reg := denseRegion()
 	w := workload.NewWalker(reg, rng.New(1))
 	for i := 0; i < 9; i++ {
-		w.Next()
+		w.NextInto(&isa.Inst{})
 	}
 	load := func(section []byte) error {
-		d := checkpoint.NewDec("walker", section)
-		workload.NewWalker(reg, rng.New(2)).Load(&d)
+		d := checkpoint.NewReader("walker", section)
+		workload.NewWalker(reg, rng.New(2)).Sync(&d)
 		return d.Finish()
 	}
 	loops, visits := workload.DenseCounters(w)

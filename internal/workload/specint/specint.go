@@ -233,26 +233,15 @@ type ProcState struct {
 	Prng      *rng.Rand
 }
 
-// Save writes the script state to a checkpoint section.
-func (ps *ProcState) Save(e *checkpoint.Enc) {
-	e.Uint(uint64(ps.Ph))
-	e.Uint(ps.Ran)
-	e.Int(int64(ps.ReadsLeft))
-	e.Bool(ps.Opened)
-	e.Int(int64(ps.Bursts))
-	e.Int(int64(ps.Spawn))
-	ps.Prng.Save(e)
-}
-
-// Load reads script state written by Save, in place.
-func (ps *ProcState) Load(d *checkpoint.Dec) {
-	ps.Ph = phase(d.Uint())
-	ps.Ran = d.Uint()
-	ps.ReadsLeft = int(d.Int())
-	ps.Opened = d.Bool()
-	ps.Bursts = int(d.Int())
-	ps.Spawn = int(d.Int())
-	ps.Prng.Load(d)
+// Sync syncs the script state in place.
+func (ps *ProcState) Sync(c *checkpoint.Codec) {
+	checkpoint.U(c, &ps.Ph)
+	c.Uint(&ps.Ran)
+	checkpoint.I(c, &ps.ReadsLeft)
+	c.Bool(&ps.Opened)
+	checkpoint.I(c, &ps.Bursts)
+	checkpoint.I(c, &ps.Spawn)
+	ps.Prng.Sync(c)
 }
 
 // Programs builds the full multiprogrammed suite.

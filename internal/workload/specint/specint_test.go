@@ -95,7 +95,8 @@ func TestProgramsDistinctAddressSpaces(t *testing.T) {
 	}
 	bases := map[uint64]bool{}
 	for _, p := range progs {
-		in, _ := p.Walker().Next()
+		var in isa.Inst
+		p.Walker().NextInto(&in)
 		bases[in.PC>>36] = true
 	}
 	if len(bases) != 8 {
@@ -109,7 +110,8 @@ func TestMixRoughlyMatchesTable2(t *testing.T) {
 	counts := map[isa.Class]int{}
 	n := 100_000
 	for i := 0; i < n; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		counts[in.Class]++
 	}
 	loadPct := 100 * float64(counts[isa.Load]) / float64(n)
@@ -125,8 +127,10 @@ func TestMixRoughlyMatchesTable2(t *testing.T) {
 func TestDeterministicPrograms(t *testing.T) {
 	a, b := New(Suite()[4], 2, 11), New(Suite()[4], 2, 11)
 	for i := 0; i < 2000; i++ {
-		x, _ := a.Walker().Next()
-		y, _ := b.Walker().Next()
+		var x isa.Inst
+		a.Walker().NextInto(&x)
+		var y isa.Inst
+		b.Walker().NextInto(&y)
 		if x != y {
 			t.Fatalf("programs diverged at %d", i)
 		}

@@ -25,13 +25,13 @@ type Walker struct {
 	// many dynamic instructions — the program's outer event loop. It also
 	// guarantees the walk cannot stay trapped in a degenerate cycle. Set it
 	// only while Count is 0 (right after NewWalker): phase is derived from
-	// both and is recomputed only by Load.
+	// both and is recomputed only by Sync.
 	ResetEvery uint64
 	// phase is the number of instructions emitted since the last reset
 	// point, in [0, ResetEvery]; the walk resets when it reaches
 	// ResetEvery. Counting it spares a Count%ResetEvery division per
 	// instruction.
-	phase uint64 //detlint:ignore snapshotcomplete derived from Count and ResetEvery, recomputed by Load
+	phase uint64 //detlint:ignore snapshotcomplete derived from Count and ResetEvery, recomputed by Sync
 }
 
 // NewWalker returns a walker over reg driven by r. It numbers reg's
@@ -52,13 +52,6 @@ func NewWalker(reg *Region, r *rng.Rand) *Walker {
 
 // PC returns the program counter of the next instruction.
 func (w *Walker) PC() uint64 { return w.Reg.PCOf(w.idx) }
-
-// Next emits the next dynamic instruction (always ok; Walker is infinite).
-func (w *Walker) Next() (isa.Inst, bool) {
-	var in isa.Inst
-	w.NextInto(&in)
-	return in, true
-}
 
 // NextInto writes the next dynamic instruction over every field of *in.
 // It is the generation hot path: the kernel generates straight into its

@@ -57,8 +57,10 @@ func TestWalkerDeterministic(t *testing.T) {
 	w1 := NewWalker(reg, rng.New(7))
 	w2 := NewWalker(reg, rng.New(7))
 	for i := 0; i < 5000; i++ {
-		a, _ := w1.Next()
-		b, _ := w2.Next()
+		var a isa.Inst
+		w1.NextInto(&a)
+		var b isa.Inst
+		w2.NextInto(&b)
 		if a != b {
 			t.Fatalf("walkers diverged at %d", i)
 		}
@@ -70,10 +72,8 @@ func TestWalkerPCsWithinRegion(t *testing.T) {
 	w := NewWalker(reg, rng.New(1))
 	end := reg.Base + reg.Size()
 	for i := 0; i < 20000; i++ {
-		in, ok := w.Next()
-		if !ok {
-			t.Fatal("walker exhausted")
-		}
+		var in isa.Inst
+		w.NextInto(&in)
 		if in.PC < reg.Base || in.PC >= end {
 			t.Fatalf("PC %#x outside region [%#x,%#x)", in.PC, reg.Base, end)
 		}
@@ -89,7 +89,8 @@ func TestWalkerMixMatchesProfile(t *testing.T) {
 	counts := map[isa.Class]int{}
 	n := 200000
 	for i := 0; i < n; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		counts[in.Class]++
 	}
 	frac := func(c isa.Class) float64 { return float64(counts[c]) / float64(n) }
@@ -122,7 +123,8 @@ func TestWalkerAddressesWithinData(t *testing.T) {
 	w := NewWalker(reg, rng.New(3))
 	d := reg.Data[0]
 	for i := 0; i < 50000; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		if !in.Class.IsMem() {
 			continue
 		}
@@ -144,7 +146,8 @@ func TestPhysicalRegions(t *testing.T) {
 	w := NewWalker(reg, rng.New(9))
 	phys, virt := 0, 0
 	for i := 0; i < 100000; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		if !in.Class.IsMem() {
 			continue
 		}
@@ -175,7 +178,8 @@ func TestLoopBranchDeterministicTrips(t *testing.T) {
 	w := NewWalker(reg, rng.New(1))
 	var seq []bool
 	for i := 0; i < 16; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		if in.Class == isa.CondBranch {
 			seq = append(seq, in.Taken)
 		}
@@ -203,19 +207,20 @@ func TestCallReturnMatching(t *testing.T) {
 		},
 	}
 	w := NewWalker(reg, rng.New(1))
-	in, _ := w.Next() // call
+	var in isa.Inst
+	w.NextInto(&in) // call
 	if in.Class != isa.UncondBranch || in.Target != reg.PCOf(2) {
 		t.Fatalf("call wrong: %+v", in)
 	}
-	in, _ = w.Next() // f body
+	w.NextInto(&in) // f body
 	if in.PC != reg.PCOf(2) {
 		t.Fatalf("did not enter function: pc=%#x", in.PC)
 	}
-	in, _ = w.Next() // return
+	w.NextInto(&in) // return
 	if in.Class != isa.IndirectJump || in.Target != reg.PCOf(1) {
 		t.Fatalf("return target %#x, want %#x", in.Target, reg.PCOf(1))
 	}
-	in, _ = w.Next()
+	w.NextInto(&in)
 	if in.PC != reg.PCOf(1) {
 		t.Fatalf("did not resume after call: pc=%#x", in.PC)
 	}
@@ -233,7 +238,8 @@ func TestIndirectRotation(t *testing.T) {
 	w := NewWalker(reg, rng.New(1))
 	seen := map[uint64]bool{}
 	for i := 0; i < 4000; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		if in.PC == 0 && in.Class == isa.IndirectJump {
 			seen[in.Target] = true
 		}
@@ -307,7 +313,8 @@ func TestStreamRegionsMarchThroughWholeRegion(t *testing.T) {
 	w := NewWalker(reg, rng.New(1))
 	maxAddr := uint64(0)
 	for i := 0; i < 100000; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		if in.Addr > maxAddr {
 			maxAddr = in.Addr
 		}
@@ -329,7 +336,8 @@ func TestNonStreamSeqWrapsHotWindow(t *testing.T) {
 	}
 	w := NewWalker(reg, rng.New(1))
 	for i := 0; i < 10000; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		if in.Addr >= 0x100000+4096 {
 			t.Fatalf("loop-style seq escaped the hot window: %#x", in.Addr)
 		}
@@ -342,7 +350,8 @@ func TestResetEveryRestartsWalk(t *testing.T) {
 	w.ResetEvery = 500
 	sawBaseAfterReset := false
 	for i := 0; i < 2000; i++ {
-		in, _ := w.Next()
+		var in isa.Inst
+		w.NextInto(&in)
 		if i > 500 && in.PC == reg.Base {
 			sawBaseAfterReset = true
 			break
@@ -386,24 +395,27 @@ func TestWalkerResetPhaseAcrossRestore(t *testing.T) {
 	ref := walker()
 	var want []isa.Inst
 	for i := 0; i < (k+1)*r+1+3*r; i++ {
-		in, _ := ref.Next()
+		var in isa.Inst
+		ref.NextInto(&in)
 		want = append(want, in)
 	}
 	for _, cut := range []int{k*r - 1, k * r, k*r + 1} {
 		w := walker()
 		for i := 0; i < cut; i++ {
-			w.Next()
+			w.NextInto(&isa.Inst{})
 		}
-		var e checkpoint.Enc
-		w.Save(&e)
+		var e checkpoint.Codec
+		w.Sync(&e)
 		fresh := NewWalker(reg, rng.New(99))
-		d := checkpoint.NewDec("walker", e.Bytes())
-		fresh.Load(&d)
+		d := checkpoint.NewReader("walker", e.Bytes())
+		fresh.Sync(&d)
 		if err := d.Finish(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		for i := 0; i < 3*r; i++ {
-			if got, _ := fresh.Next(); got != want[cut+i] {
+			var got isa.Inst
+			fresh.NextInto(&got)
+			if got != want[cut+i] {
 				t.Fatalf("cut %d: instruction %d after restore is %+v, want %+v", cut, i, got, want[cut+i])
 			}
 		}
@@ -415,15 +427,15 @@ func TestWalkerResetPhaseAcrossRestore(t *testing.T) {
 // walker whose next instruction indexes past the region.
 func TestWalkerLoadRejectsPositionPastSlots(t *testing.T) {
 	reg := buildTest(t, 23)
-	var e checkpoint.Enc
-	NewWalker(reg, rng.New(1)).Save(&e)
+	var e checkpoint.Codec
+	NewWalker(reg, rng.New(1)).Sync(&e)
 	raw := e.Bytes()
 	_, n := binary.Varint(raw) // the position is the section's first field
 	damaged := binary.AppendVarint(nil, int64(len(reg.Slots)))
 	damaged = append(damaged, raw[n:]...)
 	w := NewWalker(reg, rng.New(1))
-	d := checkpoint.NewDec("walker", damaged)
-	w.Load(&d)
+	d := checkpoint.NewReader("walker", damaged)
+	w.Sync(&d)
 	if d.Err() == nil {
 		t.Fatalf("a walker position of %d over %d slots loaded without error", len(reg.Slots), len(reg.Slots))
 	}
