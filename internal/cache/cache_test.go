@@ -269,7 +269,7 @@ func TestMSHRFullStalls(t *testing.T) {
 	if !stalled {
 		t.Fatal("no stall with 2-entry MSHR and 8 concurrent misses")
 	}
-	if h.MSHRStalls("d") == 0 {
+	if stalls, _ := h.MSHRCounts(); stalls[1] == 0 {
 		t.Fatal("stall not counted")
 	}
 }

@@ -75,6 +75,8 @@ type Snapshot struct {
 	// Memory-system counters surfaced by the counterflow audit (previously
 	// counted but unreported).
 	Writebacks      [3]uint64 // I, D, L2 dirty evictions
+	MSHRFullStalls  [3]uint64 // I, D, L2 accesses rejected at a full MSHR
+	MSHRFills       [3]uint64 // I, D, L2 fills reserved in the MSHR
 	BusTransactions uint64
 	SBPushed        uint64
 	SBDrained       uint64
@@ -190,6 +192,7 @@ func Take(sim *core.Simulator) Snapshot {
 		uint64(e.Hier.AvgOutstanding("l2", 1)),
 	}
 	s.Writebacks = [3]uint64{e.Hier.L1I.Writebacks, e.Hier.L1D.Writebacks, e.Hier.L2.Writebacks}
+	s.MSHRFullStalls, s.MSHRFills = e.Hier.MSHRCounts()
 	s.BusTransactions = e.Hier.BusTransactions
 	s.SBPushed = e.SB.Pushed
 	s.SBDrained = e.SB.Drained
