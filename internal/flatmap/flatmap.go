@@ -10,10 +10,9 @@
 // Put/Get/Delete touch no allocator at all and layout is a pure function of
 // the operation history, which is itself deterministic.
 //
-// The table is not serialized: checkpoint users rebuild it from their own
-// saved state on restore, in place with Reset (Range provides a
-// deterministic entry-pool walk for section writers, which sort by key
-// anyway).
+// checkpoint.Table writes a table's entries sorted by key (Range provides a
+// deterministic entry-pool walk) and, on restore, refills it in place with
+// Reset and Put.
 package flatmap
 
 const (
