@@ -97,11 +97,12 @@ bench-diff:
 # internal/pipeline test binaries of both sides with go test -c, then runs
 # BenchmarkSimulatorThroughput (one full-detail run),
 # BenchmarkSimulatorThroughputSampled (the same run sampled, so mostly the
-# fast-forward path) and BenchmarkEngineStep (a fixed number of cycles)
-# for 10 pairs each, alternating which side runs
-# first, each binary from its own package directory. It prints every
-# pair's ns/op and head/base ratio and the median ratio per benchmark
-# (below 1 means the working tree is faster). Pairing cancels the host's
+# fast-forward path), BenchmarkEngineStep (a fixed number of cycles) and
+# BenchmarkNetTick100k and BenchmarkNetTick1M (the client driver's tick at
+# 10^5 and 10^6 clients with the same active load) for 10 pairs each,
+# alternating which side runs first, each binary from its own package
+# directory. It prints every pair's ns/op and head/base ratio and the
+# median ratio per benchmark (below 1 means the working tree is faster). Pairing cancels the host's
 # slow and fast phases that a stored baseline cannot; it reports, it does
 # not gate. Usage: make bench-ab BASE=<rev>
 BENCHAB_DIR ?= /tmp/bench-ab
@@ -121,7 +122,8 @@ bench-ab:
 			-test.benchtime $$bt -test.cpu 2 -test.timeout 30m) | \
 			awk -v b=$$bench '$$1 ~ "^"b"(-[0-9]+)?$$" {print $$3}'; }; \
 	for spec in root:BenchmarkSimulatorThroughput:1x root:BenchmarkSimulatorThroughputSampled:1x \
-		pipeline:BenchmarkEngineStep:200000x; do \
+		pipeline:BenchmarkEngineStep:200000x root:BenchmarkNetTick100k:20x \
+		root:BenchmarkNetTick1M:20x; do \
 		pkg=$${spec%%:*}; rest=$${spec#*:}; bench=$${rest%%:*}; bt=$${rest#*:}; \
 		: > $$d/ratios; \
 		for i in $$(seq 1 10); do \

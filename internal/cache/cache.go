@@ -33,13 +33,18 @@ type Config struct {
 	LineShift int
 }
 
+// line is one tag entry, laid out widest first with the filling agent
+// flattened into its TID and privilege bit, so it takes 32 bytes
+// (TestLineSize): two to a host cache line.
 type line struct {
-	valid   bool
 	tag     uint64
 	lastUse uint64
-	filler  conflict.Agent
 	touched uint64 // bitmask of tid&63 that hit since fill
-	dirty   bool
+	// fillerTID and fillerPriv are the conflict.Agent that filled the line.
+	fillerTID  uint32
+	fillerPriv bool
+	valid      bool
+	dirty      bool
 }
 
 // Cache is one level of the hierarchy (tags + metadata only; the simulator
@@ -126,8 +131,8 @@ func (c *Cache) Access(paddr uint64, ag conflict.Agent, write bool) bool {
 				l.dirty = true
 			}
 			bit := uint64(1) << (ag.TID & 63)
-			if l.filler.TID != ag.TID && l.touched&bit == 0 {
-				c.Shared.Add(ag, l.filler)
+			if l.fillerTID != ag.TID && l.touched&bit == 0 {
+				c.Shared.Add(ag, conflict.Agent{TID: l.fillerTID, Priv: l.fillerPriv})
 			}
 			l.touched |= bit
 			return true
@@ -151,12 +156,13 @@ func (c *Cache) Access(paddr uint64, ag conflict.Agent, write bool) bool {
 	}
 	c.tracker.FirstSeen(la, ag)
 	*v = line{
-		valid:   true,
-		tag:     la,
-		lastUse: c.tick,
-		filler:  ag,
-		touched: uint64(1) << (ag.TID & 63),
-		dirty:   write,
+		tag:        la,
+		lastUse:    c.tick,
+		touched:    uint64(1) << (ag.TID & 63),
+		fillerTID:  ag.TID,
+		fillerPriv: ag.Priv,
+		valid:      true,
+		dirty:      write,
 	}
 	return false
 }

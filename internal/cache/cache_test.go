@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/conflict"
 )
@@ -413,5 +414,13 @@ func TestHierarchyProbeReportsResidency(t *testing.T) {
 	}
 	if l1i, l1d, l2 := h.Probe(0xffff0000); l1i || l1d || l2 {
 		t.Fatalf("Probe(0xffff0000) = (%v, %v, %v), want all false", l1i, l1d, l2)
+	}
+}
+
+// TestLineSize pins the tag entry's size: an L2 keeps tens of thousands
+// of them, scanned a set at a time on every access.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n > 32 {
+		t.Fatalf("cache.line is %d bytes, want at most 32", n)
 	}
 }

@@ -13,9 +13,9 @@ import (
 func (l *line) Sync(c *checkpoint.Codec) {
 	c.Uint(&l.tag)
 	c.Uint(&l.lastUse)
-	checkpoint.U(c, &l.filler.TID)
+	checkpoint.U(c, &l.fillerTID)
 	c.Uint(&l.touched)
-	c.Flags(&l.valid, &l.dirty, &l.filler.Priv)
+	c.Flags(&l.valid, &l.dirty, &l.fillerPriv)
 }
 
 // Sync syncs the cache's mutable state, on a cache of the same geometry

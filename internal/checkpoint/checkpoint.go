@@ -81,14 +81,35 @@ func NewImage() *Image {
 	return &Image{sections: map[string][]byte{}}
 }
 
-// Put stores the section sync writes, replacing any previous content. The
-// section is copied out of the writer's buffer at its exact length, so an
-// image held in memory carries no append slack.
+// Put stores the section sync writes, replacing any previous content. To
+// write several sections, use a Writer.
 func (img *Image) Put(name string, sync func(c *Codec)) {
-	var c Codec
-	sync(&c)
-	img.sections[name] = bytes.Clone(c.Bytes())
+	w := Writer{img: img}
+	w.Put(name, sync)
 }
+
+// Writer writes the sections of one image through one codec, so the write
+// buffer and column scratch grown for one section serve the next instead
+// of each section growing its own from empty. Each section is copied out
+// at its exact length, so the image carries no append slack and keeps
+// nothing of the writer: drop the writer once the image is built.
+type Writer struct {
+	img *Image
+	c   Codec
+}
+
+// NewWriter returns a writer that builds a new image.
+func NewWriter() *Writer { return &Writer{img: NewImage()} }
+
+// Put stores the section sync writes, replacing any previous content.
+func (w *Writer) Put(name string, sync func(c *Codec)) {
+	w.c.buf = w.c.buf[:0]
+	sync(&w.c)
+	w.img.sections[name] = bytes.Clone(w.c.buf)
+}
+
+// Image returns the image written so far.
+func (w *Writer) Image() *Image { return w.img }
 
 // Get runs sync over the named section, reading. A missing section, a
 // failed read, or bytes left over after sync are a *FormatError.

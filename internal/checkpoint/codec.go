@@ -93,7 +93,33 @@ func (c *Codec) Fail(format string, args ...any) {
 func (c *Codec) remaining() int { return len(c.buf) - c.off }
 
 // putUint appends an unsigned value.
-func (c *Codec) putUint(v uint64) { c.buf = binary.AppendUvarint(c.buf, v) }
+func (c *Codec) putUint(v uint64) {
+	c.room()
+	c.buf = binary.AppendUvarint(c.buf, v)
+}
+
+// putInt appends a signed value.
+func (c *Codec) putInt(v int64) {
+	c.room()
+	c.buf = binary.AppendVarint(c.buf, v)
+}
+
+// room makes room for one more varint. A full buffer doubles: append grows
+// a large slice by a quarter at a time, so a section written from empty
+// would allocate about five times its size in growth, where doubling
+// allocates two to four times.
+func (c *Codec) room() {
+	if cap(c.buf)-len(c.buf) < binary.MaxVarintLen64 {
+		c.grow()
+	}
+}
+
+// grow doubles the buffer's capacity.
+func (c *Codec) grow() {
+	b := make([]byte, len(c.buf), 2*cap(c.buf)+256)
+	copy(b, c.buf)
+	c.buf = b
+}
 
 // getUint reads an unsigned value; a one-byte value, the common case,
 // takes the short path.
@@ -185,7 +211,7 @@ func I[T Integer](c *Codec, p *T) {
 		*p = T(c.getInt())
 		return
 	}
-	c.buf = binary.AppendVarint(c.buf, int64(*p))
+	c.putInt(int64(*p))
 }
 
 // Index syncs an unsigned value that must lie in [0, n): a position in, or
@@ -420,7 +446,7 @@ func elems[T Integer](c *Codec, s []T) {
 		}
 	case signed[T]():
 		for _, v := range s {
-			c.buf = binary.AppendVarint(c.buf, int64(v))
+			c.putInt(int64(v))
 		}
 	default:
 		for _, v := range s {

@@ -57,21 +57,21 @@ func (m *Meta) Sync(c *checkpoint.Codec) {
 // error is always nil; it stays in the signature for callers that treat a
 // checkpoint as fallible I/O.
 func (s *Simulator) Checkpoint() (*checkpoint.Image, error) {
-	img := checkpoint.NewImage()
+	w := checkpoint.NewWriter()
 	meta := Meta{Workload: s.Workload, Opts: s.Opts, Cycle: s.Now()}
-	img.Put("meta", meta.Sync)
-	img.Put("engine", s.Engine.Sync)
-	img.Put("kernel", func(c *checkpoint.Codec) { s.Kernel.Sync(c, nil) })
+	w.Put("meta", meta.Sync)
+	w.Put("engine", s.Engine.Sync)
+	w.Put("kernel", func(c *checkpoint.Codec) { s.Kernel.Sync(c, nil) })
 	if s.Net != nil {
-		img.Put("net", s.Net.Sync)
+		w.Put("net", s.Net.Sync)
 	}
 	if s.Server != nil {
-		img.Put("server", s.Server.Sync)
+		w.Put("server", s.Server.Sync)
 	}
 	if s.Faults != nil {
-		img.Put("faults", s.Faults.Sync)
+		w.Put("faults", s.Faults.Sync)
 	}
-	return img, nil
+	return w.Image(), nil
 }
 
 // WriteCheckpoint audits the simulator and, only if the state is consistent,

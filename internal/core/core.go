@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -195,6 +196,14 @@ func (o Options) Validate() error {
 	}
 	if o.KeepAliveRequests < 0 {
 		return fmt.Errorf("core: negative KeepAliveRequests %d", o.KeepAliveRequests)
+	}
+	// Each of the fleet's clients counts its connection's requests in an
+	// int32, and clients are numbered by int32 indexes.
+	if o.KeepAliveRequests > math.MaxInt32 {
+		return fmt.Errorf("core: KeepAliveRequests %d exceeds %d", o.KeepAliveRequests, math.MaxInt32)
+	}
+	if o.Clients > math.MaxInt32 {
+		return fmt.Errorf("core: Clients %d exceeds %d", o.Clients, math.MaxInt32)
 	}
 	if o.AcceptBacklog < 0 {
 		return fmt.Errorf("core: negative AcceptBacklog %d", o.AcceptBacklog)

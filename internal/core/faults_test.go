@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -251,5 +252,33 @@ func TestComposedFaultDomainsStaySane(t *testing.T) {
 			t.Fatalf("seed %d: composed-fault twins diverged", seed)
 		}
 		a.Engine.CheckInvariants()
+	}
+}
+
+// TestOptionsValidateInt32 rejects fleet options that the client record's
+// int32 fields cannot hold, naming the field.
+func TestOptionsValidateInt32(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits: every int fits int32")
+	}
+	big := math.MaxInt32
+	big++
+	for _, tc := range []struct {
+		field string
+		o     Options
+	}{
+		{"KeepAliveRequests", Options{KeepAliveRequests: big}},
+		{"Clients", Options{Clients: big}},
+		{"RetryTimeoutTicks", Options{Faults: faults.Config{RetryTimeoutTicks: big}}},
+		{"BackoffCapTicks", Options{Faults: faults.Config{BackoffCapTicks: big}}},
+		{"MaxRetries", Options{Faults: faults.Config{MaxRetries: big}}},
+	} {
+		err := tc.o.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Validate(%s = %d) = %v, want an error naming %s", tc.field, big, err, tc.field)
+		}
+	}
+	if err := (Options{KeepAliveRequests: math.MaxInt32, Clients: 1000}).Validate(); err != nil {
+		t.Errorf("KeepAliveRequests at the int32 limit rejected: %v", err)
 	}
 }

@@ -30,6 +30,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -190,6 +191,19 @@ func (c Config) Validate() error {
 	if c.RetryTimeoutTicks < 0 || c.BackoffCapTicks < 0 || c.MaxRetries < 0 {
 		return fmt.Errorf("faults: negative retry parameter (timeout %d, cap %d, retries %d)",
 			c.RetryTimeoutTicks, c.BackoffCapTicks, c.MaxRetries)
+	}
+	// A client keeps its retry count and backoff interval in int32s.
+	for _, p := range []struct {
+		name string
+		v    int
+	}{
+		{"RetryTimeoutTicks", c.RetryTimeoutTicks},
+		{"BackoffCapTicks", c.BackoffCapTicks},
+		{"MaxRetries", c.MaxRetries},
+	} {
+		if p.v > math.MaxInt32 {
+			return fmt.Errorf("faults: %s %d exceeds %d", p.name, p.v, math.MaxInt32)
+		}
 	}
 	if c.TrickleTicks < 0 || c.StormHoldTicks < 0 {
 		return fmt.Errorf("faults: negative overload tick parameter (trickle %d, storm hold %d)",

@@ -85,6 +85,10 @@ func (m *IntMap) bucket(key int) uint64 {
 // Len returns the number of live entries.
 func (m *IntMap) Len() int { return m.n }
 
+// Buckets returns the bucket count: the size the table's storage is laid
+// out for, as against Len, what it holds.
+func (m *IntMap) Buckets() int { return len(m.buckets) }
+
 // Get returns the value stored for key.
 func (m *IntMap) Get(key int) (int, bool) {
 	for i := m.buckets[m.bucket(key)]; i >= 0; i = m.entries[i].next {

@@ -199,6 +199,30 @@ func loadSection(t *testing.T, b []byte, load func(*checkpoint.Codec)) {
 	}
 }
 
+// restoreNet restores n's checkpoint section (and its injector's) into a
+// fresh Network built for sc, and fails the test unless saving the
+// restored network gives the same bytes back.
+func restoreNet(t *testing.T, sc scenario, n *Network) *Network {
+	t.Helper()
+	snap := snapBytes(t, n)
+	restored := New(sc.cfg)
+	if n.inj != nil {
+		inj := faults.NewInjector(sc.faults)
+		var injSec checkpoint.Codec
+		n.inj.Sync(&injSec)
+		loadSection(t, injSec.Bytes(), inj.Sync)
+		// SetFaults would redraw client kinds from the injector stream;
+		// attach the injector first, then overwrite all client state from
+		// the section (the core restore path does the same dance).
+		restored.SetFaults(inj)
+	}
+	loadSection(t, snap, restored.Sync)
+	if !bytes.Equal(snapBytes(t, restored), snap) {
+		t.Fatal("load→save is not the identity")
+	}
+	return restored
+}
+
 // TestEventDrivenMatchesReference pins byte-identity of the event-driven
 // driver against the reference full-scan driver: same frames every tick,
 // same final serialized state.
@@ -285,21 +309,7 @@ func TestSnapshotRoundTripMidWheel(t *testing.T) {
 		t.Fatal("dormant burst pool empty at checkpoint tick; scenario too tame")
 	}
 
-	snap := snapBytes(t, n)
-	restored := New(sc.cfg)
-	inj := faults.NewInjector(sc.faults)
-	var injSec checkpoint.Codec
-	n.inj.Sync(&injSec)
-	loadSection(t, injSec.Bytes(), inj.Sync)
-	// SetFaults would redraw client kinds from the injector stream; attach
-	// the injector first, then overwrite all client state from the
-	// section (the core restore path does the same dance).
-	restored.SetFaults(inj)
-	loadSection(t, snap, restored.Sync)
-
-	if !bytes.Equal(snapBytes(t, restored), snap) {
-		t.Fatal("load→save is not the identity")
-	}
+	restored := restoreNet(t, sc, n)
 
 	// Continue both under identical servers: every subsequent tick must
 	// match bit for bit.

@@ -47,10 +47,13 @@
 // equivalence_test.go pins byte-identity). The dormant flash-crowd pool is a
 // binary min-heap of client indexes popped in ascending order — the same
 // order the scan found them. The conn→file-size and conn→client demux
-// tables are flat free-listed hash tables (internal/flatmap), not Go maps.
+// tables are flat free-listed hash tables (internal/flatmap), not Go maps,
+// sized by the connections in use rather than by the fleet.
 package netsim
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/faults"
@@ -91,6 +94,25 @@ type Config struct {
 	MeasureLatency bool
 }
 
+// Validate rejects a configuration whose values do not fit the client
+// record: the request size and per-connection request count seed int32
+// fields, and client indexes are int32.
+func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"RequestBytes", c.RequestBytes},
+		{"RequestsPerConn", c.RequestsPerConn},
+		{"Clients+BurstPool", c.Clients + c.BurstPool},
+	} {
+		if f.v > math.MaxInt32 {
+			return fmt.Errorf("netsim: %s %d exceeds %d", f.name, f.v, math.MaxInt32)
+		}
+	}
+	return nil
+}
+
 // DefaultConfig returns the paper's client setup.
 func DefaultConfig() Config {
 	return Config{Clients: 128, Seed: 99, RequestBytes: 300, ThinkTicks: 0}
@@ -121,34 +143,21 @@ const dormantTick = ^uint64(0)
 // fileClassWeights is the SPECWeb96 class mix (35/50/14/1).
 var fileClassWeights = []float64{35, 50, 14, 1}
 
+// client is one SPECWeb client's request state. A 10^6-client fleet keeps
+// a million of these live, so the record is laid out widest first with
+// byte counts and small counters narrowed to int32 (at most 80 bytes,
+// TestClientSize): file sizes are at most 900,000 bytes by construction
+// (sampleFile), and Config.Validate and faults.Config.Validate bound the
+// request size, per-connection request count and retry timeouts that seed
+// the rest.
 type client struct {
-	state  clientState
-	kind   clientKind
 	conn   int
 	nextAt uint64 // tick index when the next request may start
-	got    int
-	want   int
-	// reqsLeft counts further requests to issue on the current
-	// connection before closing it (keep-alive).
-	reqsLeft int
-	// closing marks a connection whose FIN is owed to the server.
-	closing bool
-	// acks counts acknowledgment frames owed to the server for received
-	// response segments (sent at the next tick, like a real TCP peer).
-	acks int
 	// retryAt is the tick the retransmit timer fires (0 = unarmed; armed
 	// only under fault injection). While sendLeft > 0 it is armed but held
 	// off — the client is still "typing".
 	retryAt uint64
-	// retries counts retransmits of the current request.
-	retries int
-	// timeout is the current backoff interval in ticks.
-	timeout int
-	// sendLeft is the unsent remainder of a slow client's request; while
-	// nonzero the retransmit timer is held off and a chunk goes out every
-	// time sendAt passes.
-	sendLeft int
-	sendAt   uint64
+	sendAt  uint64
 	// startTick is the tick the in-flight request was issued, for
 	// end-to-end latency measurement.
 	startTick uint64
@@ -158,6 +167,26 @@ type client struct {
 	// scheduling state: rebuilt by canonical re-arm on restore, never
 	// serialized.
 	wakeAt uint64
+	got    int32
+	want   int32
+	// reqsLeft counts further requests to issue on the current
+	// connection before closing it (keep-alive).
+	reqsLeft int32
+	// acks counts acknowledgment frames owed to the server for received
+	// response segments (sent at the next tick, like a real TCP peer).
+	acks int32
+	// retries counts retransmits of the current request.
+	retries int32
+	// timeout is the current backoff interval in ticks.
+	timeout int32
+	// sendLeft is the unsent remainder of a slow client's request; while
+	// nonzero the retransmit timer is held off and a chunk goes out every
+	// time sendAt passes.
+	sendLeft int32
+	state    clientState
+	kind     clientKind
+	// closing marks a connection whose FIN is owed to the server.
+	closing bool
 }
 
 // delayedFrame is a frame held in transit by the fault injector.
@@ -176,6 +205,7 @@ type Network struct {
 	nextID  int
 	// files maps conn → requested file size (flat free-listed table; its
 	// contents are serialized sorted by conn, as the map predecessor was).
+	// It and connClient start empty and grow with open connections.
 	files *flatmap.IntMap
 
 	// wheel holds one entry per armed client wake-up; client.wakeAt
@@ -229,8 +259,12 @@ type Network struct {
 	Latency stats.Hist
 }
 
-// New builds the client fleet (plus the dormant flash-crowd pool).
+// New builds the client fleet (plus the dormant flash-crowd pool). It
+// panics on a configuration Validate rejects.
 func New(cfg Config) *Network {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 128
 	}
@@ -242,8 +276,8 @@ func New(cfg Config) *Network {
 		rng:        rng.New(cfg.Seed ^ 0x5ec1e75),
 		clients:    make([]client, cfg.Clients+cfg.BurstPool),
 		nextID:     1,
-		files:      flatmap.New(cfg.Clients + cfg.BurstPool),
-		connClient: flatmap.New(cfg.Clients + cfg.BurstPool),
+		files:      flatmap.New(0),
+		connClient: flatmap.New(0),
 		wheel:      timerwheel.New(0),
 		refScan:    defaultRefScan,
 	}
@@ -304,7 +338,8 @@ func classOf(bytes int) int {
 	}
 }
 
-// sampleFile draws a file size from the SPECWeb96 mix.
+// sampleFile draws a file size from the SPECWeb96 mix: at most 900,000
+// bytes (class 3, multiplier 9), so a byte count fits a client's int32.
 func (n *Network) sampleFile() int {
 	cls := n.rng.Choose(fileClassWeights)
 	mult := 1 + n.rng.Intn(9) // 1..9
@@ -502,7 +537,7 @@ func (n *Network) armRetry(c *client, fresh bool) {
 	}
 	if fresh {
 		c.retries = 0
-		c.timeout = n.inj.Cfg.RetryTimeoutTicks
+		c.timeout = int32(n.inj.Cfg.RetryTimeoutTicks)
 	}
 	c.retryAt = n.ticks + uint64(c.timeout)
 }
@@ -517,7 +552,7 @@ func (c *client) disarmRetry() {
 // retryExpired handles a fired retransmit timer: resend the request under
 // exponential backoff, or abandon it once the retry budget is spent.
 func (n *Network) retryExpired(c *client, i int32) {
-	if c.retries >= n.inj.Cfg.MaxRetries {
+	if int(c.retries) >= n.inj.Cfg.MaxRetries {
 		// Give up: drop the connection (best-effort FIN so the server can
 		// reap the socket) and return to idle for a fresh request.
 		n.Aborted++
@@ -527,10 +562,8 @@ func (n *Network) retryExpired(c *client, i int32) {
 	}
 	c.retries++
 	n.Retransmits++
-	c.timeout *= 2
-	if cap := n.inj.Cfg.BackoffCapTicks; c.timeout > cap {
-		c.timeout = cap
-	}
+	// Doubled in int: the cap, not the doubling, must fit int32.
+	c.timeout = int32(min(2*int(c.timeout), n.inj.Cfg.BackoffCapTicks))
 	c.retryAt = n.ticks + uint64(c.timeout)
 	// The retransmit carries Open so a lost SYN is recovered too; the
 	// kernel treats a duplicate open on an established connection as data.
@@ -637,15 +670,12 @@ func (n *Network) stepBody(i int32) {
 	}
 	if c.state == csWaiting && c.sendLeft > 0 && n.ticks >= c.sendAt {
 		// Slow trickle: the next request chunk.
-		chunk := n.cfg.RequestBytes / 4
-		if chunk < 1 {
-			chunk = 1
-		}
+		chunk := int32(max(n.cfg.RequestBytes/4, 1))
 		if chunk > c.sendLeft {
 			chunk = c.sendLeft
 		}
 		c.sendLeft -= chunk
-		n.sendToServer(kernel.Frame{Conn: c.conn, Bytes: chunk})
+		n.sendToServer(kernel.Frame{Conn: c.conn, Bytes: int(chunk)})
 		if c.sendLeft == 0 {
 			// Request fully sent; only now does the ordinary
 			// retransmit timer take over.
@@ -668,7 +698,7 @@ func (n *Network) stepBody(i int32) {
 	}
 	size := n.sampleFile()
 	c.got = 0
-	c.want = size
+	c.want = int32(size)
 	c.state = csWaiting
 	n.waiting++
 	c.startTick = n.ticks
@@ -684,7 +714,7 @@ func (n *Network) stepBody(i int32) {
 	n.nextID++
 	n.files.Put(conn, size)
 	n.bindConn(c, i, conn)
-	c.reqsLeft = n.cfg.RequestsPerConn - 1
+	c.reqsLeft = int32(n.cfg.RequestsPerConn - 1)
 	if c.reqsLeft < 0 || (c.kind == ckBurst && n.overloadOn()) {
 		// Flash-crowd arrivals are one-shot connections.
 		c.reqsLeft = 0
@@ -692,7 +722,7 @@ func (n *Network) stepBody(i int32) {
 	if c.kind == ckSlow && n.overloadOn() {
 		// Slowloris: a bare SYN now, the request body in trickled
 		// chunks. The worker that accepts blocks in read meanwhile.
-		c.sendLeft = n.cfg.RequestBytes
+		c.sendLeft = int32(n.cfg.RequestBytes)
 		c.sendAt = n.ticks + uint64(n.inj.Cfg.TrickleTicks)
 		n.sendToServer(kernel.Frame{Conn: conn, Open: true})
 	} else {
@@ -750,7 +780,7 @@ func (n *Network) deliverToClient(fr kernel.Frame) {
 			n.scheduleNeeds(i)
 			return
 		}
-		c.got += fr.Bytes
+		c.got += int32(fr.Bytes)
 		n.BytesServed += uint64(fr.Bytes)
 		// One acknowledgment per response segment.
 		c.acks++
@@ -776,7 +806,7 @@ func (n *Network) deliverToClient(fr kernel.Frame) {
 
 func (n *Network) finish(c *client, i int32) {
 	n.Completed++
-	n.PerClass[classOf(c.want)]++
+	n.PerClass[classOf(int(c.want))]++
 	if n.overloadOn() || n.cfg.MeasureLatency {
 		n.Latency.Observe(n.ticks - c.startTick)
 	}
