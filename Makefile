@@ -93,45 +93,51 @@ bench-diff:
 		$$(ls BENCH_*.json | sort | tail -1) /tmp/bench-diff.json
 
 # bench-ab compares the working tree against the revision BASE on this host,
-# in pairs: it exports BASE with git archive, builds the root and
-# internal/pipeline test binaries of both sides with go test -c, then runs
-# BenchmarkSimulatorThroughput (one full-detail run),
+# in pairs: it exports BASE with git archive, builds the root,
+# internal/pipeline and internal/netsim test binaries of both sides with
+# go test -c, then runs BenchmarkSimulatorThroughput (one full-detail run),
 # BenchmarkSimulatorThroughputSampled (the same run sampled, so mostly the
-# fast-forward path), BenchmarkEngineStep (a fixed number of cycles) and
+# fast-forward path), BenchmarkEngineStep (a fixed number of cycles),
 # BenchmarkNetTick100k and BenchmarkNetTick1M (the client driver's tick at
-# 10^5 and 10^6 clients with the same active load) for 10 pairs each,
-# alternating which side runs first, each binary from its own package
-# directory. It prints every pair's ns/op and head/base ratio and the
-# median ratio per benchmark (below 1 means the working tree is faster). Pairing cancels the host's
-# slow and fast phases that a stored baseline cannot; it reports, it does
-# not gate. Usage: make bench-ab BASE=<rev>
+# 10^5 and 10^6 clients with the same active load) and
+# BenchmarkFleetRestore (a checkpoint load of a 10^6-client fleet) for 10
+# pairs each, alternating which side runs first, each binary from its own
+# package directory. It prints every pair's ns/op and head/base ratio and
+# the median ratio per benchmark (below 1 means the working tree is
+# faster); a benchmark that one side lacks is reported and skipped.
+# Pairing cancels the host's slow and fast phases that a stored baseline
+# cannot; it reports, it does not gate. Usage: make bench-ab BASE=<rev>
 BENCHAB_DIR ?= /tmp/bench-ab
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>"; exit 2; }
 	rm -rf $(BENCHAB_DIR) && mkdir -p $(BENCHAB_DIR)/base
 	git archive --format=tar $(BASE) | tar -x -C $(BENCHAB_DIR)/base
 	cd $(BENCHAB_DIR)/base && $(GO) test -c -o $(BENCHAB_DIR)/base-root.test . && \
-		$(GO) test -c -o $(BENCHAB_DIR)/base-pipeline.test ./internal/pipeline
+		$(GO) test -c -o $(BENCHAB_DIR)/base-pipeline.test ./internal/pipeline && \
+		$(GO) test -c -o $(BENCHAB_DIR)/base-netsim.test ./internal/netsim
 	$(GO) test -c -o $(BENCHAB_DIR)/head-root.test . && \
-		$(GO) test -c -o $(BENCHAB_DIR)/head-pipeline.test ./internal/pipeline
+		$(GO) test -c -o $(BENCHAB_DIR)/head-pipeline.test ./internal/pipeline && \
+		$(GO) test -c -o $(BENCHAB_DIR)/head-netsim.test ./internal/netsim
 	@set -e; d=$(BENCHAB_DIR); here=$$(pwd); \
 	run() { side=$$1; pkg=$$2; bench=$$3; bt=$$4; \
 		if [ $$side = base ]; then dir=$$d/base; else dir=$$here; fi; \
-		if [ $$pkg = pipeline ]; then dir=$$dir/internal/pipeline; fi; \
+		if [ $$pkg != root ]; then dir=$$dir/internal/$$pkg; fi; \
 		(cd $$dir && $$d/$$side-$$pkg.test -test.run '^$$' -test.bench "^$$bench\$$" \
 			-test.benchtime $$bt -test.cpu 2 -test.timeout 30m) | \
 			awk -v b=$$bench '$$1 ~ "^"b"(-[0-9]+)?$$" {print $$3}'; }; \
 	for spec in root:BenchmarkSimulatorThroughput:1x root:BenchmarkSimulatorThroughputSampled:1x \
 		pipeline:BenchmarkEngineStep:200000x root:BenchmarkNetTick100k:20x \
-		root:BenchmarkNetTick1M:20x; do \
+		root:BenchmarkNetTick1M:20x netsim:BenchmarkFleetRestore:20x; do \
 		pkg=$${spec%%:*}; rest=$${spec#*:}; bench=$${rest%%:*}; bt=$${rest#*:}; \
 		: > $$d/ratios; \
 		for i in $$(seq 1 10); do \
 			if [ $$((i % 2)) = 1 ]; then b=$$(run base $$pkg $$bench $$bt); h=$$(run head $$pkg $$bench $$bt); \
 			else h=$$(run head $$pkg $$bench $$bt); b=$$(run base $$pkg $$bench $$bt); fi; \
+			if [ -z "$$b" ] || [ -z "$$h" ]; then echo "bench-ab: $$bench missing on one side, skipped"; break; fi; \
 			r=$$(awk -v h=$$h -v b=$$b 'BEGIN {printf "%.3f", h / b}'); echo $$r >> $$d/ratios; \
 			echo "bench-ab: $$bench pair $$i: base $$b ns/op, head $$h ns/op, head/base $$r"; \
 		done; \
+		[ -s $$d/ratios ] || continue; \
 		sort -g $$d/ratios | awk -v b=$$bench '{v[NR] = $$1} END {m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2; \
 			printf "bench-ab: %s median head/base %.3f over %d pairs\n", b, m, NR}'; \
 	done

@@ -76,11 +76,6 @@ type socket struct {
 	// from socket owners on restore, never serialized.
 	ownPrev, ownNext int
 	ownerT           *Thread
-	// idleWakeAt is the deadline of the socket's live idle-wheel entry
-	// (0 = none); a fired entry whose Due mismatches is stale. The wheel
-	// re-arms lazily: activity only moves lastActive, and a fire before
-	// lastActive+timeout reschedules instead of reaping. Derived state.
-	idleWakeAt uint64
 	// dirty marks the socket as having pending readiness work on the
 	// per-batch dirty ring (epoll-style deferred waiter wakeups). Always
 	// false between deliverFrames batches.
@@ -127,9 +122,11 @@ type netState struct {
 	now      uint64
 	// ticks counts 10 ms network ticks; idle timers are expressed in it.
 	ticks uint64 //detlint:ignore counterflow tick clock for idle timers, not a metric
-	// idleWheel holds one entry per idle-timeout candidate socket (stamped
-	// via socket.idleWakeAt); reapIdle advances it each tick instead of
-	// scanning the socket table. Derived state: rebuilt on restore.
+	// idleWheel holds each idle-timeout candidate socket's deadline, by
+	// socket id. It re-arms lazily: activity only moves lastActive, and a
+	// fire before lastActive+timeout reschedules instead of reaping.
+	// reapIdle advances it each tick instead of scanning the socket table.
+	// Derived state: rebuilt on restore.
 	idleWheel *timerwheel.Wheel
 	// idleDue is reapIdle's per-tick scratch of sockets due for reaping,
 	// sorted ascending so teardown order matches the old table scan.
@@ -148,7 +145,7 @@ type netState struct {
 }
 
 func newNetState() *netState {
-	ns := &netState{byConn: flatmap.New(0), idleWheel: timerwheel.New(0)}
+	ns := &netState{byConn: flatmap.New(0), idleWheel: timerwheel.New(0, 1)}
 	// Socket 0 is the server's listen socket.
 	ns.socks = append(ns.socks, &socket{id: 0, listen: true})
 	return ns
@@ -205,6 +202,7 @@ func (ns *netState) freeSocket(s *socket) {
 	}
 	ns.unlinkOwned(s)
 	id := s.id
+	ns.idleWheel.Cancel(int32(id))
 	*s = socket{id: id, free: true}
 	ns.sockFree = append(ns.sockFree, id)
 }
@@ -239,20 +237,20 @@ func (ns *netState) unlinkOwned(s *socket) {
 	s.ownPrev, s.ownNext = 0, 0
 }
 
-// armIdle schedules (or keeps) an idle-timeout wheel entry for an accepted
-// socket. Later activity does not reschedule — the fire handler re-arms
-// lazily off lastActive — so each socket keeps at most one live entry.
+// armIdle schedules (or keeps) an accepted socket's idle-timeout deadline.
+// Later activity does not reschedule — the fire handler re-arms lazily off
+// lastActive — and an earlier deadline already in the wheel is kept.
 func (k *Kernel) armIdle(s *socket) {
 	timeout := k.cfg.IdleTimeoutTicks
 	if timeout == 0 || s.listen {
 		return
 	}
 	d := s.lastActive + timeout
-	if s.idleWakeAt != 0 && s.idleWakeAt <= d {
+	id := int32(s.id)
+	if due := k.net.idleWheel.Due(id); due != 0 && due <= d {
 		return
 	}
-	s.idleWakeAt = d
-	k.net.idleWheel.Schedule(d, int32(s.id))
+	k.net.idleWheel.Schedule(d, id)
 }
 
 // SetNIC attaches the network simulator.
@@ -489,9 +487,9 @@ func (k *Kernel) backlogLimit() int {
 // not timed; the backlog bound is what limits those.
 //
 // The reaper is driven by the lastActive timestamp wheel instead of a
-// per-tick full-table scan: each accepted socket carries at most one wheel
-// entry (armed at accept), activity only moves lastActive, and a fired
-// entry for a socket that has since been active re-arms lazily at
+// per-tick full-table scan: each accepted socket has at most one deadline
+// in the wheel (armed at accept), activity only moves lastActive, and a
+// fired socket that has since been active re-arms lazily at
 // lastActive+timeout. Per tick this costs O(entries due), and each socket
 // fires at most ceil(idle span / timeout) times over its life — the same
 // reap ticks as the scan, independent of table size. Due sockets are torn
@@ -503,12 +501,8 @@ func (k *Kernel) reapIdle() {
 	ns := k.net
 	timeout := k.cfg.IdleTimeoutTicks
 	ns.idleDue = ns.idleDue[:0]
-	for _, e := range ns.idleWheel.Advance(ns.ticks) {
-		s := ns.sock(int(e.ID))
-		if s == nil || e.Due != s.idleWakeAt {
-			continue // stale entry: socket re-armed later or recycled
-		}
-		s.idleWakeAt = 0
+	for _, id := range ns.idleWheel.Advance(ns.ticks) {
+		s := ns.socks[id]
 		if s.listen || s.free || s.closed || s.owner == 0 {
 			continue
 		}
@@ -517,7 +511,7 @@ func (k *Kernel) reapIdle() {
 			k.armIdle(s)
 			continue
 		}
-		ns.idleDue = append(ns.idleDue, e.ID)
+		ns.idleDue = append(ns.idleDue, id)
 	}
 	slices.Sort(ns.idleDue)
 	for _, sid := range ns.idleDue {

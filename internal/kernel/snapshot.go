@@ -438,8 +438,8 @@ func (k *Kernel) syncNet(c *checkpoint.Codec) {
 	// Derived state: the per-thread owned-socket lists and the
 	// idle-timeout wheel are rebuilt (checkpoint-by-derivation). Loaded
 	// threads and reset sockets already zeroed ownHead, the intrusive
-	// links, idleWakeAt, and the dirty flag; the scratch rings are always
-	// empty between cycles.
+	// links and the dirty flag; the scratch rings are always empty between
+	// cycles.
 	ns.dirtyRing = ns.dirtyRing[:0]
 	ns.idleDue = ns.idleDue[:0]
 	ns.reapScratch = ns.reapScratch[:0]

@@ -11,7 +11,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 const (
@@ -440,7 +440,7 @@ func (m *Memory) compactFIFO() bool {
 	if len(m.fifo) == 0 {
 		return false
 	}
-	sort.Slice(m.fifo, func(i, j int) bool { return m.fifo[i] < m.fifo[j] })
+	slices.Sort(m.fifo)
 	return true
 }
 
@@ -468,21 +468,20 @@ func (m *Memory) ReleaseProcess(pid uint64) int {
 		return 0
 	}
 	t := m.tables[pid]
-	// Free frames in sorted page order: map iteration order is randomized,
+	// Free frames in sorted frame order: map iteration order is randomized,
 	// and the free list feeds later allocations, so an unsorted release
-	// would make every post-exit allocation nondeterministic.
-	pfns := make([]uint64, 0, len(t))
+	// would make every post-exit allocation nondeterministic. The frames
+	// go straight onto the free list and only the appended tail is sorted.
+	start := len(m.free)
 	for _, pfn := range t {
-		pfns = append(pfns, pfn)
+		m.free = append(m.free, pfn)
 	}
-	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
-	for vpn := range t {
-		delete(t, vpn)
-	}
-	m.free = append(m.free, pfns...)
+	slices.Sort(m.free[start:])
+	clear(t)
 	delete(m.rss, pid)
-	m.Unmappings += uint64(len(pfns))
-	return len(pfns)
+	n := len(m.free) - start
+	m.Unmappings += uint64(n)
+	return n
 }
 
 // MappedPages returns the number of pages mapped for pid (kernel uses

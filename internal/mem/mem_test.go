@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -411,5 +412,31 @@ func TestSharedRange(t *testing.T) {
 	p2, _ := m.Touch(2, base+10*PageSize)
 	if p1 == p2 {
 		t.Fatal("private pages shared")
+	}
+}
+
+// ReleaseProcess appends the process's frames to the free list in
+// ascending frame order, after the frames already free: the order a sorted
+// list of the process's frames appended to the list gives.
+func TestReleaseProcessAppendsSortedTail(t *testing.T) {
+	m, _ := NewMemory(1 << 20)
+	var pfns []uint64
+	for i := uint64(0); i < 12; i++ {
+		for _, pid := range []uint64{5, 6} {
+			pa, _ := m.Touch(pid, UserDataBase+i*PageSize)
+			if pid == 5 {
+				pfns = append(pfns, pa>>PageShift)
+			}
+		}
+	}
+	m.Unmap(6, UserDataBase+3*PageSize)
+	m.Unmap(6, UserDataBase)
+	want := append(m.FreeFrames(), pfns...)
+	slices.Sort(want[len(want)-len(pfns):])
+	if n := m.ReleaseProcess(5); n != len(pfns) {
+		t.Fatalf("released %d frames, want %d", n, len(pfns))
+	}
+	if got := m.FreeFrames(); !slices.Equal(got, want) {
+		t.Fatalf("free list %v, want %v", got, want)
 	}
 }

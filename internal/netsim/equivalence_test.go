@@ -220,7 +220,36 @@ func restoreNet(t *testing.T, sc scenario, n *Network) *Network {
 	if !bytes.Equal(snapBytes(t, restored), snap) {
 		t.Fatal("load→save is not the identity")
 	}
+	checkRequestRecords(t, restored)
 	return restored
+}
+
+// checkRequestRecords requires the request table to hold one record per
+// client with a nonzero request field and no other: every held record is
+// nonzero and held by one client, the free list holds the rest, and the
+// zero record is zero.
+func checkRequestRecords(t *testing.T, n *Network) {
+	t.Helper()
+	if n.reqs[0] != (request{}) {
+		t.Fatalf("the zero record was written: %+v", n.reqs[0])
+	}
+	holder := make(map[int32]int, len(n.reqs))
+	for i := range n.clients {
+		c := &n.clients[i]
+		if c.req == 0 {
+			continue
+		}
+		if *n.reqOf(c) == (request{}) {
+			t.Fatalf("client %d holds the all-zero record %d", i, c.req)
+		}
+		if j, ok := holder[c.req]; ok {
+			t.Fatalf("clients %d and %d hold record %d", j, i, c.req)
+		}
+		holder[c.req] = i
+	}
+	if inUse := len(n.reqs) - 1 - len(n.reqFree); inUse != len(holder) {
+		t.Fatalf("%d request records in use, %d clients with a nonzero request field", inUse, len(holder))
+	}
 }
 
 // TestEventDrivenMatchesReference pins byte-identity of the event-driven
@@ -248,6 +277,8 @@ func TestEventDrivenMatchesReference(t *testing.T) {
 			if ev.Completed == 0 {
 				t.Fatal("scenario completed no requests; not exercising anything")
 			}
+			checkRequestRecords(t, ev)
+			checkRequestRecords(t, rf)
 			if got, want := snapBytes(t, ev), snapBytes(t, rf); !bytes.Equal(got, want) {
 				t.Fatal("final serialized state diverges between drivers")
 			}
@@ -295,7 +326,7 @@ func TestSnapshotRoundTripMidWheel(t *testing.T) {
 	// timers and a non-empty dormant pool at checkpoint time.
 	armed, dormant := 0, 0
 	for i := range n.clients {
-		if n.clients[i].retryAt != 0 {
+		if n.reqOf(&n.clients[i]).retryAt != 0 {
 			armed++
 		}
 		if n.clients[i].nextAt == dormantTick {

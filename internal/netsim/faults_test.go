@@ -102,8 +102,8 @@ func TestLostSynRecovered(t *testing.T) {
 	if n.Completed != 1 {
 		t.Fatalf("completed = %d", n.Completed)
 	}
-	if c := &n.clients[0]; c.retryAt != 0 || c.retries != 0 {
-		t.Fatalf("retry state survived completion: %+v", c)
+	if r := n.reqOf(&n.clients[0]); r.retryAt != 0 || r.retries != 0 {
+		t.Fatalf("retry state survived completion: %+v", *r)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestKeepAliveStillWorksWithoutFaults(t *testing.T) {
 		t.Fatal("recovery counters moved without an injector")
 	}
 	for i := range n.clients {
-		if n.clients[i].retryAt != 0 {
+		if n.reqOf(&n.clients[i]).retryAt != 0 {
 			t.Fatal("retry timer armed without an injector")
 		}
 	}

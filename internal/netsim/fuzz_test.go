@@ -61,8 +61,8 @@ func fuzzScenario(clients uint16, seed uint64, mix, think, perConn uint8, closeM
 // must match, and so must their checkpoint sections at the snapshot tick
 // and at the end. At the snapshot tick the event-driven network is also
 // saved, restored into a fresh network (save→load→save must round-trip)
-// and continued in its place, so the rebuilt wheel, dormant heap and demux
-// tables must drive the rest of the run identically.
+// and continued in its place, so the rebuilt wheel, dormant heap, demux
+// tables and request records must drive the rest of the run identically.
 func FuzzNetsimDrivers(f *testing.F) {
 	f.Add(uint16(127), uint64(99), uint8(0), uint8(0), uint8(0), uint16(0), uint16(300), uint16(150))
 	f.Add(uint16(127), uint64(5), uint8(7), uint8(2), uint8(0), uint16(480), uint16(399), uint16(200))
@@ -93,5 +93,7 @@ func FuzzNetsimDrivers(f *testing.F) {
 		if !bytes.Equal(snapBytes(t, ev), snapBytes(t, rf)) {
 			t.Fatal("final serialized state diverges between drivers")
 		}
+		checkRequestRecords(t, ev)
+		checkRequestRecords(t, rf)
 	})
 }

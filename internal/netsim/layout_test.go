@@ -2,6 +2,9 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -13,8 +16,25 @@ import (
 // TestClientSize pins the client record's size: a 10^6-client fleet keeps
 // a million of them live.
 func TestClientSize(t *testing.T) {
-	if n := unsafe.Sizeof(client{}); n > 80 {
-		t.Fatalf("netsim.client is %d bytes, want at most 80", n)
+	if n := unsafe.Sizeof(client{}); n > 32 {
+		t.Fatalf("netsim.client is %d bytes, want at most 32", n)
+	}
+}
+
+// TestFleetHeapPerClient pins the fleet's host heap: a fresh 100k-client
+// network, its client records and its wheel, takes at most 56 bytes per
+// client.
+func TestFleetHeapPerClient(t *testing.T) {
+	const clients = 100_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := New(Config{Clients: clients, Seed: 7, RequestBytes: 300, ThinkTicks: 40, StaggerTicks: 10_000})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(n)
+	if per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / clients; per > 56 {
+		t.Fatalf("a %d-client network takes %.1f heap bytes per client, want at most 56", clients, per)
 	}
 }
 
@@ -81,4 +101,34 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}()
 	New(Config{Clients: 4, RequestBytes: big})
+}
+
+// TestSortIndexes checks the fired-batch sort against slices.Sort on
+// distinct indexes below bounds of one, two and three radix passes, in
+// batches on both sides of the comparison-sort cutoff.
+func TestSortIndexes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var scratch []int32
+	for _, max := range []int32{100, 1<<radixBits - 1, 1 << radixBits, 1_000_000, 1 << 23, math.MaxInt32} {
+		for _, k := range []int{0, 1, 300, 511, 512, 3000} {
+			if int64(k) > int64(max)+1 {
+				continue
+			}
+			seen := map[int32]bool{}
+			ids := make([]int32, 0, k)
+			for len(ids) < k {
+				v := int32(rng.Int63n(int64(max) + 1))
+				if !seen[v] {
+					seen[v] = true
+					ids = append(ids, v)
+				}
+			}
+			want := slices.Clone(ids)
+			slices.Sort(want)
+			sortIndexes(ids, max, &scratch)
+			if !slices.Equal(ids, want) {
+				t.Fatalf("max %d, %d ids: sorted to %v", max, k, ids)
+			}
+		}
+	}
 }

@@ -38,8 +38,8 @@
 // million think-time/dormant clients cost nothing until a timer fires. Every
 // client condition the old scan polled (ack flush, trickle sendAt, retryAt,
 // think-time nextAt) is folded into one earliest-need deadline per client
-// (scheduleNeeds) stamped on client.wakeAt; fired wheel entries that no
-// longer match the stamp are stale and skipped. Due clients are processed in
+// (scheduleNeeds), which the wheel holds: one deadline per client, moved
+// when an earlier need appears. Due clients are processed in
 // ascending index order — exactly the old scan order — and a spuriously
 // woken client takes no action and consumes no randomness, so the frame
 // stream and RNG stream are bit-identical to the reference full-scan driver
@@ -49,6 +49,14 @@
 // order the scan found them. The conn→file-size and conn→client demux
 // tables are flat free-listed hash tables (internal/flatmap), not Go maps,
 // sized by the connections in use rather than by the fleet.
+//
+// # Host state per client
+//
+// A client keeps a 32-byte record for life (client) and 16 bytes in the
+// wheel. The fields of an open request (its connection, acks, retransmit
+// and trickle state) live in a request record from a free-listed table,
+// which a client holds only while one of them is nonzero: a few hundred
+// records in a 10^6-client fleet whose clients mostly think.
 package netsim
 
 import (
@@ -143,32 +151,39 @@ const dormantTick = ^uint64(0)
 // fileClassWeights is the SPECWeb96 class mix (35/50/14/1).
 var fileClassWeights = []float64{35, 50, 14, 1}
 
-// client is one SPECWeb client's request state. A 10^6-client fleet keeps
-// a million of these live, so the record is laid out widest first with
-// byte counts and small counters narrowed to int32 (at most 80 bytes,
-// TestClientSize): file sizes are at most 900,000 bytes by construction
-// (sampleFile), and Config.Validate and faults.Config.Validate bound the
-// request size, per-connection request count and retry timeouts that seed
-// the rest.
+// client is one SPECWeb client's hot record: what every client keeps for
+// life. A 10^6-client fleet keeps a million of these live, so the record
+// holds only the think timer, state and kind, and the three fields that a
+// completed request leaves behind (at most 32 bytes, TestClientSize). Byte
+// counts are narrowed to int32: file sizes are at most 900,000 bytes by
+// construction (sampleFile). Everything else about a request is in the
+// client's request record, if it holds one.
 type client struct {
-	conn   int
 	nextAt uint64 // tick index when the next request may start
+	// startTick is the tick the latest request was issued, for end-to-end
+	// latency measurement.
+	startTick uint64
+	got       int32
+	want      int32
+	// req indexes the client's request record in Network.reqs; 0 is the
+	// zero record, which stands for every client that holds none.
+	req   int32
+	state clientState
+	kind  clientKind
+}
+
+// request is the in-flight part of a client's state. A client holds one
+// from the moment one of these fields becomes nonzero until all of them
+// are zero again (scheduleNeeds releases it). Config.Validate and
+// faults.Config.Validate bound the request size, per-connection request
+// count and retry timeouts that seed the int32 fields.
+type request struct {
+	conn int
 	// retryAt is the tick the retransmit timer fires (0 = unarmed; armed
 	// only under fault injection). While sendLeft > 0 it is armed but held
 	// off — the client is still "typing".
 	retryAt uint64
 	sendAt  uint64
-	// startTick is the tick the in-flight request was issued, for
-	// end-to-end latency measurement.
-	startTick uint64
-	// wakeAt is the earliest tick any of this client's conditions needs
-	// service, and the deadline of its live wheel entry (0 = no live
-	// entry). A fired entry whose Due mismatches wakeAt is stale. Derived
-	// scheduling state: rebuilt by canonical re-arm on restore, never
-	// serialized.
-	wakeAt uint64
-	got    int32
-	want   int32
 	// reqsLeft counts further requests to issue on the current
 	// connection before closing it (keep-alive).
 	reqsLeft int32
@@ -183,8 +198,6 @@ type client struct {
 	// nonzero the retransmit timer is held off and a chunk goes out every
 	// time sendAt passes.
 	sendLeft int32
-	state    clientState
-	kind     clientKind
 	// closing marks a connection whose FIN is owed to the server.
 	closing bool
 }
@@ -201,19 +214,26 @@ type Network struct {
 	cfg     Config //detlint:ignore snapshotcomplete configuration fixed at construction
 	rng     *rng.Rand
 	clients []client
-	ticks   uint64 //detlint:ignore counterflow tick clock for timers and latency stamps, not a metric
+	// reqs is the request-record table; reqs[0] is the zero record and is
+	// never written. Released records go on reqFree, a LIFO free list as
+	// in flatmap, and are reused first, so which record a client gets is
+	// deterministic. The table is as long as the most requests ever open
+	// at once, and a restore reuses it.
+	reqs    []request //detlint:ignore snapshotcomplete synced as the request-field columns of the fleet; a load empties it first
+	reqFree []int32   //detlint:ignore snapshotcomplete derived: the records are rebuilt from the columns on restore
+	ticks   uint64    //detlint:ignore counterflow tick clock for timers and latency stamps, not a metric
 	nextID  int
 	// files maps conn → requested file size (flat free-listed table; its
 	// contents are serialized sorted by conn, as the map predecessor was).
 	// It and connClient start empty and grow with open connections.
 	files *flatmap.IntMap
 
-	// wheel holds one entry per armed client wake-up; client.wakeAt
-	// distinguishes live entries from stale ones.
+	// wheel holds each client's earliest need, if it has one.
 	wheel *timerwheel.Wheel //detlint:ignore snapshotcomplete derived: rebuilt by canonical re-arm from client deadlines on restore
-	// due is the per-tick scratch list of woken client indexes, sorted
-	// ascending to match the reference scan order.
-	due []int32 //detlint:ignore snapshotcomplete per-tick scratch, empty between ticks
+	// held is rebuild's scratch of the clients holding a connection.
+	held []int32 //detlint:ignore snapshotcomplete restore scratch, empty between calls
+	// sortBuf is the scratch of sortIndexes in Tick.
+	sortBuf []int32 //detlint:ignore snapshotcomplete per-tick scratch, dead between ticks
 	// dormant is a binary min-heap of dormant flash-crowd client indexes;
 	// ascending pops reproduce the reference scan's wake order.
 	dormant []int32 //detlint:ignore snapshotcomplete derived: rebuilt from client kind/nextAt on restore
@@ -271,14 +291,16 @@ func New(cfg Config) *Network {
 	if cfg.RequestBytes <= 0 {
 		cfg.RequestBytes = 300
 	}
+	fleet := cfg.Clients + cfg.BurstPool
 	n := &Network{
 		cfg:        cfg,
 		rng:        rng.New(cfg.Seed ^ 0x5ec1e75),
-		clients:    make([]client, cfg.Clients+cfg.BurstPool),
+		clients:    make([]client, fleet),
+		reqs:       make([]request, 1),
 		nextID:     1,
 		files:      flatmap.New(0),
 		connClient: flatmap.New(0),
-		wheel:      timerwheel.New(0),
+		wheel:      timerwheel.New(0, fleet),
 		refScan:    defaultRefScan,
 	}
 	if cfg.StaggerTicks > 0 {
@@ -290,8 +312,7 @@ func New(cfg Config) *Network {
 		n.clients[i].kind = ckBurst
 		n.clients[i].nextAt = dormantTick
 	}
-	n.rearmAll()
-	n.rebuildDormant()
+	n.rebuild()
 	return n
 }
 
@@ -366,9 +387,30 @@ func later(a, b uint64) uint64 {
 	return b
 }
 
-// scheduleNeeds folds every condition the reference scan polled into one
-// earliest-need deadline and arms the wheel if that deadline is earlier
-// than the client's live entry. It is called after every mutation that can
+// reqOf returns c's request record for reading: the zero record if c
+// holds none. Writing a nonzero value needs hold.
+func (n *Network) reqOf(c *client) *request { return &n.reqs[c.req] }
+
+// hold returns c's request record for writing, attaching a free one if c
+// holds none. Attaching may move the table: a record pointer taken before
+// is stale after it.
+func (n *Network) hold(c *client) *request {
+	if c.req == 0 {
+		if k := len(n.reqFree); k > 0 {
+			c.req = n.reqFree[k-1]
+			n.reqFree = n.reqFree[:k-1]
+		} else {
+			c.req = int32(len(n.reqs))
+			n.reqs = append(n.reqs, request{})
+		}
+	}
+	return &n.reqs[c.req]
+}
+
+// scheduleNeeds releases c's request record if all its fields are zero
+// again, then folds every condition the reference scan polled into one
+// earliest-need deadline and moves the client's wheel entry to it if that
+// is earlier than the entry. It is called after every mutation that can
 // create or advance a need: the end of each step, each server delivery,
 // burst activation, construction, and restore. Deadlines are clamped to
 // the next serviceable tick — the current tick during Tick's pre-phase
@@ -376,41 +418,68 @@ func later(a, b uint64) uint64 {
 // otherwise.
 func (n *Network) scheduleNeeds(i int32) {
 	c := &n.clients[i]
+	r := n.reqOf(c)
+	// conn first: a client with a request in flight holds one.
+	if c.req != 0 && r.conn == 0 && *r == (request{}) {
+		n.reqFree = append(n.reqFree, c.req)
+		c.req = 0
+	}
 	lo := n.ticks + 1
 	if n.inPre {
 		lo = n.ticks
 	}
 	d := uint64(0)
-	if c.acks > 0 {
+	if r.acks > 0 {
 		d = lo
 	}
 	if c.state == csWaiting {
-		if c.sendLeft > 0 {
+		if r.sendLeft > 0 {
 			// Trickle chunk; the retransmit timer is held off meanwhile.
-			d = earliest(d, later(c.sendAt, lo))
-		} else if c.retryAt != 0 {
-			d = earliest(d, later(c.retryAt, lo))
+			d = earliest(d, later(r.sendAt, lo))
+		} else if r.retryAt != 0 {
+			d = earliest(d, later(r.retryAt, lo))
 		}
 	} else if c.nextAt != dormantTick {
 		d = earliest(d, later(c.nextAt, lo))
 	}
-	if d == 0 || (c.wakeAt != 0 && c.wakeAt <= d) {
-		return // no need, or an earlier live entry already covers it
+	if d == 0 {
+		return
 	}
-	c.wakeAt = d
+	if due := n.wheel.Due(i); due != 0 && due <= d {
+		return // an earlier entry already covers it
+	}
 	n.wheel.Schedule(d, i)
 }
 
-// rearmAll clears every wake stamp and canonically re-arms the whole fleet
-// from client state (construction and restore).
-func (n *Network) rearmAll() {
-	for i := range n.clients {
-		n.clients[i].wakeAt = 0
-	}
+// rebuild derives the scheduling and demux state from the client records
+// in one pass over the fleet (construction and restore): it re-arms every
+// client canonically, refills the dormant heap (ascending index pushes
+// build a valid heap directly), recounts the waiting gauge, and sizes the
+// demux table to the clients holding a connection, a few hundred in a
+// 10^6-client fleet.
+func (n *Network) rebuild() {
 	n.wheel.Reset(n.ticks)
+	n.dormant = n.dormant[:0]
+	n.waiting = 0
+	held := n.held[:0]
 	for i := range n.clients {
+		c := &n.clients[i]
+		if c.state == csWaiting {
+			n.waiting++
+		}
+		if c.kind == ckBurst && c.state == csIdle && c.nextAt == dormantTick {
+			n.pushDormant(int32(i))
+		}
 		n.scheduleNeeds(int32(i))
+		if n.reqOf(c).conn != 0 {
+			held = append(held, int32(i))
+		}
 	}
+	n.connClient.Reset(len(held))
+	for _, i := range held {
+		n.connClient.Put(n.reqOf(&n.clients[i]).conn, int(i))
+	}
+	n.held = held[:0]
 }
 
 // pushDormant parks a flash-crowd client index on the dormant min-heap.
@@ -455,29 +524,18 @@ func (n *Network) popDormant() int32 {
 	return top
 }
 
-// rebuildDormant reconstructs the dormant heap from client state
-// (ascending index pushes build a valid heap directly).
-func (n *Network) rebuildDormant() {
-	n.dormant = n.dormant[:0]
-	for i := range n.clients {
-		c := &n.clients[i]
-		if c.kind == ckBurst && c.state == csIdle && c.nextAt == dormantTick {
-			n.pushDormant(int32(i))
-		}
-	}
-}
-
-// bindConn points the conn→client index at client i.
-func (n *Network) bindConn(c *client, i int32, conn int) {
-	c.conn = conn
+// bindConn attaches a fresh connection to client i and points the
+// conn→client index at it.
+func (n *Network) bindConn(r *request, i int32, conn int) {
+	r.conn = conn
 	n.connClient.Put(conn, int(i))
 }
 
 // unbindConn releases a client's conn and its demux entry.
-func (n *Network) unbindConn(c *client) {
-	if c.conn != 0 {
-		n.connClient.Delete(c.conn)
-		c.conn = 0
+func (n *Network) unbindConn(r *request) {
+	if r.conn != 0 {
+		n.connClient.Delete(r.conn)
+		r.conn = 0
 	}
 }
 
@@ -531,59 +589,59 @@ func (n *Network) releaseDueOut() {
 
 // armRetry starts (or restarts) a client's retransmit timer; no-op unless
 // fault injection is on.
-func (n *Network) armRetry(c *client, fresh bool) {
+func (n *Network) armRetry(r *request, fresh bool) {
 	if !n.faultsOn() {
 		return
 	}
 	if fresh {
-		c.retries = 0
-		c.timeout = int32(n.inj.Cfg.RetryTimeoutTicks)
+		r.retries = 0
+		r.timeout = int32(n.inj.Cfg.RetryTimeoutTicks)
 	}
-	c.retryAt = n.ticks + uint64(c.timeout)
+	r.retryAt = n.ticks + uint64(r.timeout)
 }
 
 // disarmRetry clears the retransmit state after a request resolves.
-func (c *client) disarmRetry() {
-	c.retryAt = 0
-	c.retries = 0
-	c.timeout = 0
+func (r *request) disarmRetry() {
+	r.retryAt = 0
+	r.retries = 0
+	r.timeout = 0
 }
 
 // retryExpired handles a fired retransmit timer: resend the request under
 // exponential backoff, or abandon it once the retry budget is spent.
-func (n *Network) retryExpired(c *client, i int32) {
-	if int(c.retries) >= n.inj.Cfg.MaxRetries {
+func (n *Network) retryExpired(c *client, r *request, i int32) {
+	if int(r.retries) >= n.inj.Cfg.MaxRetries {
 		// Give up: drop the connection (best-effort FIN so the server can
 		// reap the socket) and return to idle for a fresh request.
 		n.Aborted++
-		n.sendToServer(kernel.Frame{Conn: c.conn, Close: true})
-		n.resetClient(c, i)
+		n.sendToServer(kernel.Frame{Conn: r.conn, Close: true})
+		n.resetClient(c, r, i)
 		return
 	}
-	c.retries++
+	r.retries++
 	n.Retransmits++
 	// Doubled in int: the cap, not the doubling, must fit int32.
-	c.timeout = int32(min(2*int(c.timeout), n.inj.Cfg.BackoffCapTicks))
-	c.retryAt = n.ticks + uint64(c.timeout)
+	r.timeout = int32(min(2*int(r.timeout), n.inj.Cfg.BackoffCapTicks))
+	r.retryAt = n.ticks + uint64(r.timeout)
 	// The retransmit carries Open so a lost SYN is recovered too; the
 	// kernel treats a duplicate open on an established connection as data.
-	n.sendToServer(kernel.Frame{Conn: c.conn, Bytes: n.cfg.RequestBytes, Open: true})
+	n.sendToServer(kernel.Frame{Conn: r.conn, Bytes: n.cfg.RequestBytes, Open: true})
 }
 
 // resetClient abandons the in-flight request and frees the client to start
 // over on a fresh connection.
-func (n *Network) resetClient(c *client, i int32) {
-	n.files.Delete(c.conn)
-	n.unbindConn(c)
+func (n *Network) resetClient(c *client, r *request, i int32) {
+	n.files.Delete(r.conn)
+	n.unbindConn(r)
 	if c.state == csWaiting {
 		n.waiting--
 	}
 	c.state = csIdle
-	c.reqsLeft = 0
-	c.closing = false
-	c.disarmRetry()
-	c.sendLeft = 0
-	c.sendAt = 0
+	r.reqsLeft = 0
+	r.closing = false
+	r.disarmRetry()
+	r.sendLeft = 0
+	r.sendAt = 0
 	c.nextAt = n.ticks + 1 + uint64(n.cfg.ThinkTicks)
 	if c.kind == ckBurst && n.overloadOn() {
 		// A flash-crowd client that gave up goes back to the dormant pool.
@@ -620,36 +678,68 @@ func (n *Network) Tick(now uint64) []kernel.Frame {
 		}
 	}
 	n.inPre = false
+	due := n.wheel.Advance(n.ticks)
 	if n.refScan {
 		// Reference full-scan driver (test hook): visit every client. The
-		// wheel clock still advances and fired stamps clear so the two
-		// drivers stay interchangeable mid-run.
-		for _, e := range n.wheel.Advance(n.ticks) {
-			if c := &n.clients[e.ID]; c.wakeAt == e.Due {
-				c.wakeAt = 0
-			}
-		}
+		// wheel still advances, so the two drivers stay interchangeable
+		// mid-run.
 		for i := range n.clients {
 			n.stepClient(int32(i))
 		}
 		return n.outBuf
 	}
-	n.due = n.due[:0]
-	for _, e := range n.wheel.Advance(n.ticks) {
-		c := &n.clients[e.ID]
-		if c.wakeAt != e.Due {
-			continue // stale: superseded by a re-arm
-		}
-		c.wakeAt = 0
-		n.due = append(n.due, e.ID)
-	}
 	// The wheel fires in slot order; the reference scan ran in client
 	// order. Sorting restores the canonical order (and RNG draw order).
-	slices.Sort(n.due)
-	for _, i := range n.due {
+	sortIndexes(due, int32(len(n.clients)-1), &n.sortBuf)
+	for _, i := range due {
 		n.stepClient(i)
 	}
 	return n.outBuf
+}
+
+// radixBits is the digit width of sortIndexes: two passes sort indexes
+// below 2^22.
+const radixBits = 11
+
+// sortIndexes sorts distinct indexes, all at most max, ascending, with
+// *scratch as its buffer. A tick of a 10^6-client fleet fires thousands of
+// clients, and a least-significant-digit radix sort on 11-bit digits, two
+// passes below 2^22, costs a fraction of a comparison sort there; small
+// batches use slices.Sort. The order is the same either way: the indexes
+// are distinct.
+func sortIndexes(ids []int32, max int32, scratch *[]int32) {
+	if len(ids) < 1<<radixBits/4 {
+		slices.Sort(ids)
+		return
+	}
+	buf := (*scratch)[:0]
+	for cap(buf) < len(ids) {
+		buf = append(buf[:cap(buf)], 0)
+	}
+	buf = buf[:len(ids)]
+	*scratch = buf
+	var count [1 << radixBits]int32
+	src, dst := ids, buf
+	for shift := 0; max>>shift != 0; shift += radixBits {
+		clear(count[:])
+		for _, v := range src {
+			count[v>>shift&(1<<radixBits-1)]++
+		}
+		sum := int32(0)
+		for d, k := range count {
+			count[d] = sum
+			sum += k
+		}
+		for _, v := range src {
+			d := v >> shift & (1<<radixBits - 1)
+			dst[count[d]] = v
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ids[0] {
+		copy(ids, src)
+	}
 }
 
 // stepClient services one client — the loop body of the reference scan —
@@ -663,38 +753,39 @@ func (n *Network) stepClient(i int32) {
 
 func (n *Network) stepBody(i int32) {
 	c := &n.clients[i]
+	r := n.reqOf(c)
 	// Flush pending TCP acknowledgments for in-flight transfers.
-	for c.acks > 0 {
-		c.acks--
-		n.sendToServer(kernel.Frame{Conn: c.conn, Ack: true})
+	for r.acks > 0 {
+		r.acks--
+		n.sendToServer(kernel.Frame{Conn: r.conn, Ack: true})
 	}
-	if c.state == csWaiting && c.sendLeft > 0 && n.ticks >= c.sendAt {
+	if c.state == csWaiting && r.sendLeft > 0 && n.ticks >= r.sendAt {
 		// Slow trickle: the next request chunk.
 		chunk := int32(max(n.cfg.RequestBytes/4, 1))
-		if chunk > c.sendLeft {
-			chunk = c.sendLeft
+		if chunk > r.sendLeft {
+			chunk = r.sendLeft
 		}
-		c.sendLeft -= chunk
-		n.sendToServer(kernel.Frame{Conn: c.conn, Bytes: int(chunk)})
-		if c.sendLeft == 0 {
+		r.sendLeft -= chunk
+		n.sendToServer(kernel.Frame{Conn: r.conn, Bytes: int(chunk)})
+		if r.sendLeft == 0 {
 			// Request fully sent; only now does the ordinary
 			// retransmit timer take over.
-			n.armRetry(c, true)
+			n.armRetry(r, true)
 		} else {
-			c.sendAt = n.ticks + uint64(n.inj.Cfg.TrickleTicks)
+			r.sendAt = n.ticks + uint64(n.inj.Cfg.TrickleTicks)
 		}
 	}
-	if c.state == csWaiting && c.sendLeft == 0 && c.retryAt != 0 && n.ticks >= c.retryAt {
-		n.retryExpired(c, i)
+	if c.state == csWaiting && r.sendLeft == 0 && r.retryAt != 0 && n.ticks >= r.retryAt {
+		n.retryExpired(c, r, i)
 	}
 	if c.state != csIdle || c.nextAt > n.ticks {
 		return
 	}
-	if c.closing {
+	if r.closing {
 		// Tear down the kept-alive connection before the next one.
-		c.closing = false
-		n.sendToServer(kernel.Frame{Conn: c.conn, Close: true})
-		n.unbindConn(c)
+		r.closing = false
+		n.sendToServer(kernel.Frame{Conn: r.conn, Close: true})
+		n.unbindConn(r)
 	}
 	size := n.sampleFile()
 	c.got = 0
@@ -703,32 +794,33 @@ func (n *Network) stepBody(i int32) {
 	n.waiting++
 	c.startTick = n.ticks
 	n.Requests++
-	if c.conn != 0 {
+	if r.conn != 0 {
 		// Keep-alive: next request travels on the open connection.
-		n.files.Put(c.conn, size)
-		n.sendToServer(kernel.Frame{Conn: c.conn, Bytes: n.cfg.RequestBytes})
-		n.armRetry(c, true)
+		n.files.Put(r.conn, size)
+		n.sendToServer(kernel.Frame{Conn: r.conn, Bytes: n.cfg.RequestBytes})
+		n.armRetry(r, true)
 		return
 	}
 	conn := n.nextID
 	n.nextID++
 	n.files.Put(conn, size)
-	n.bindConn(c, i, conn)
-	c.reqsLeft = int32(n.cfg.RequestsPerConn - 1)
-	if c.reqsLeft < 0 || (c.kind == ckBurst && n.overloadOn()) {
+	r = n.hold(c)
+	n.bindConn(r, i, conn)
+	r.reqsLeft = int32(n.cfg.RequestsPerConn - 1)
+	if r.reqsLeft < 0 || (c.kind == ckBurst && n.overloadOn()) {
 		// Flash-crowd arrivals are one-shot connections.
-		c.reqsLeft = 0
+		r.reqsLeft = 0
 	}
 	if c.kind == ckSlow && n.overloadOn() {
 		// Slowloris: a bare SYN now, the request body in trickled
 		// chunks. The worker that accepts blocks in read meanwhile.
-		c.sendLeft = int32(n.cfg.RequestBytes)
-		c.sendAt = n.ticks + uint64(n.inj.Cfg.TrickleTicks)
+		r.sendLeft = int32(n.cfg.RequestBytes)
+		r.sendAt = n.ticks + uint64(n.inj.Cfg.TrickleTicks)
 		n.sendToServer(kernel.Frame{Conn: conn, Open: true})
 	} else {
 		n.sendToServer(kernel.Frame{Conn: conn, Bytes: n.cfg.RequestBytes, Open: true})
 	}
-	n.armRetry(c, true)
+	n.armRetry(r, true)
 }
 
 // Transmit implements kernel.NIC: the server sent a frame toward a client.
@@ -766,6 +858,8 @@ func (n *Network) deliverToClient(fr kernel.Frame) {
 	}
 	i := int32(idx)
 	c := &n.clients[i]
+	// A client holding a conn holds its request record.
+	r := n.reqOf(c)
 	if c.state == csWaiting {
 		if fr.Close {
 			if n.faultsOn() && c.got < c.want {
@@ -773,9 +867,9 @@ func (n *Network) deliverToClient(fr kernel.Frame) {
 				// reaping an orphaned socket): treat as a reset and start
 				// over on a fresh connection.
 				n.Resets++
-				n.resetClient(c, i)
+				n.resetClient(c, r, i)
 			} else {
-				n.finish(c, i)
+				n.finish(c, r, i)
 			}
 			n.scheduleNeeds(i)
 			return
@@ -783,9 +877,9 @@ func (n *Network) deliverToClient(fr kernel.Frame) {
 		c.got += int32(fr.Bytes)
 		n.BytesServed += uint64(fr.Bytes)
 		// One acknowledgment per response segment.
-		c.acks++
+		r.acks++
 		if c.got >= c.want {
-			n.finish(c, i)
+			n.finish(c, r, i)
 		}
 		n.scheduleNeeds(i)
 		return
@@ -797,33 +891,33 @@ func (n *Network) deliverToClient(fr kernel.Frame) {
 	// faults the server only closes connections the client already let
 	// go of.
 	if fr.Close {
-		n.files.Delete(c.conn)
-		n.unbindConn(c)
-		c.closing = false
+		n.files.Delete(r.conn)
+		n.unbindConn(r)
+		r.closing = false
 		n.scheduleNeeds(i)
 	}
 }
 
-func (n *Network) finish(c *client, i int32) {
+func (n *Network) finish(c *client, r *request, i int32) {
 	n.Completed++
 	n.PerClass[classOf(int(c.want))]++
 	if n.overloadOn() || n.cfg.MeasureLatency {
 		n.Latency.Observe(n.ticks - c.startTick)
 	}
-	n.files.Delete(c.conn)
+	n.files.Delete(r.conn)
 	c.state = csIdle
 	n.waiting--
 	c.nextAt = n.ticks + 1 + uint64(n.cfg.ThinkTicks)
-	c.disarmRetry()
-	c.sendLeft = 0
-	c.sendAt = 0
+	r.disarmRetry()
+	r.sendLeft = 0
+	r.sendAt = 0
 	if n.overloadOn() {
 		switch c.kind {
 		case ckBurst:
 			// Flash-crowd client: one request, then back to the dormant
 			// pool. The connection is abandoned without a FIN; the
 			// server side closes it (or the idle reaper does).
-			n.unbindConn(c)
+			n.unbindConn(r)
 			c.nextAt = dormantTick
 			n.pushDormant(i)
 			return
@@ -832,24 +926,24 @@ func (n *Network) finish(c *client, i int32) {
 			// think time, pinning the worker in its blocked read. Only a
 			// server-side close (the idle reaper) ends it.
 			c.nextAt = n.ticks + 1 + uint64(n.inj.Cfg.StormHoldTicks)
-			if c.reqsLeft > 0 {
-				c.reqsLeft--
+			if r.reqsLeft > 0 {
+				r.reqsLeft--
 			}
 			return
 		}
 	}
-	if c.reqsLeft > 0 {
+	if r.reqsLeft > 0 {
 		// Connection stays open for the next request.
-		c.reqsLeft--
+		r.reqsLeft--
 		return
 	}
 	if n.cfg.RequestsPerConn > 1 {
 		// Client-initiated close (the server waits in read for either the
 		// next request or the FIN).
-		c.closing = true
+		r.closing = true
 		return
 	}
-	n.unbindConn(c)
+	n.unbindConn(r)
 }
 
 // FileSize returns the file size requested on a connection (0 if unknown);

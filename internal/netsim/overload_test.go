@@ -56,7 +56,7 @@ func TestSlowClientTricklesRequest(t *testing.T) {
 		t.Fatalf("retransmit fired mid-trickle: %d", n.Retransmits)
 	}
 	// Only after the last chunk does the ordinary retry timer arm.
-	if n.clients[0].retryAt == 0 {
+	if n.reqOf(&n.clients[0]).retryAt == 0 {
 		t.Fatal("retry timer not armed after trickle completed")
 	}
 
@@ -90,7 +90,7 @@ func TestStormClientHoldsConnection(t *testing.T) {
 	if n.Completed != 1 {
 		t.Fatalf("completed = %d", n.Completed)
 	}
-	if n.clients[0].conn != conn {
+	if n.reqOf(&n.clients[0]).conn != conn {
 		t.Fatal("storm client released its connection at completion")
 	}
 
@@ -150,8 +150,8 @@ func TestBurstPoolActivatesInWaves(t *testing.T) {
 		if c.state != csIdle || (c.nextAt != dormantTick && c.nextAt < 1<<32) {
 			t.Fatalf("burst client %d did not return to the dormant pool: %+v", i, *c)
 		}
-		if c.conn != 0 {
-			t.Fatalf("burst client %d still holds conn %d after completion", i, c.conn)
+		if conn := n.reqOf(c).conn; conn != 0 {
+			t.Fatalf("burst client %d still holds conn %d after completion", i, conn)
 		}
 	}
 }

@@ -12,6 +12,6 @@ package netsim
 // SetReferenceScan switches between the event-driven driver (false, the
 // default) and the reference full-scan driver (true). The two produce
 // bit-identical output; the reference driver costs O(fleet) per tick and
-// exists for equivalence tests and bisection. Safe to flip mid-run: wake
-// stamps are maintained in both modes.
+// exists for equivalence tests and bisection. Safe to flip mid-run: both
+// modes advance the wheel and keep it armed.
 func (n *Network) SetReferenceScan(on bool) { n.refScan = on }

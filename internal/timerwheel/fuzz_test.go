@@ -49,19 +49,17 @@ const maxFuzzTicks = 1 << 21
 // FuzzTimerWheel drives the wheel with a generated sequence of schedule,
 // reschedule, cancel, advance and reset operations, and checks every
 // Advance against a sort oracle: the ids whose latest deadline has come,
-// sorted. The wheel must fire exactly that set, each id once and at its
-// own deadline, in nondecreasing deadline order.
-//
-// The oracle keeps each id's deadline (0 = unscheduled); a fired entry
-// whose Due is not the id's current deadline is a superseded schedule and
-// is skipped, which is the stale-entry convention the wheel's callers use.
+// sorted. The wheel must fire exactly that set, each id once, in
+// nondecreasing deadline order. After every operation Due and Len must
+// match the oracle, and every slot must be a well-formed list of ids filed
+// where their deadlines belong (checkSlots).
 func FuzzTimerWheel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 5, 0, 2, 1, 7, 2, 3, 2, 9})
 	f.Add([]byte{4, 4, 0, 1, 3, 3, 0, 2, 4, 9, 2, 255, 2, 255, 2, 20})
 	f.Add([]byte{4, 2, 0, 3, 1, 7, 0, 4, 2, 0, 5, 2, 3, 2, 200, 2, 200})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		w := New(0)
-		due := make([]uint64, fuzzIDs)
+		w := New(0, fuzzIDs)
+		due := make([]uint64, fuzzIDs) // the oracle: 0 = unscheduled
 		var want []int32
 		ticks := 0
 		next := func() byte {
@@ -84,13 +82,12 @@ func FuzzTimerWheel(f *testing.F) {
 					raw -= min(now, uint64(-delta))
 				}
 				// A deadline at or before now fires at the next tick.
-				d := max(raw, now+1)
-				if due[id] != d {
-					due[id] = d
-					w.Schedule(raw, id)
-				}
+				due[id] = max(raw, now+1)
+				w.Schedule(raw, id)
 			case 2: // cancel
-				due[next()%fuzzIDs] = 0
+				id := int32(next() % fuzzIDs)
+				due[id] = 0
+				w.Cancel(id)
 			case 3: // advance
 				step := 1 + uint64(next())
 				if op/5%2 != 0 { // a long advance
@@ -104,18 +101,15 @@ func FuzzTimerWheel(f *testing.F) {
 						want = append(want, int32(id))
 					}
 				}
-				var got []int32
+				got := w.Advance(to)
 				last := uint64(0)
-				for _, e := range w.Advance(to) {
-					if due[e.ID] != e.Due {
-						continue // superseded or cancelled
+				for _, id := range got {
+					d := due[id]
+					if d == 0 || d < last || d > to {
+						t.Fatalf("advance to %d: id %d (deadline %d) fired after a deadline %d", to, id, d, last)
 					}
-					if e.Due < last || e.Due > to {
-						t.Fatalf("advance to %d: id %d fired at %d after a deadline %d", to, e.ID, e.Due, last)
-					}
-					last = e.Due
-					due[e.ID] = 0
-					got = append(got, e.ID)
+					last = d
+					due[id] = 0
 				}
 				// Within one deadline the wheel fires in slot order; the
 				// oracle lists ids ascending, as every caller sorts a batch.
@@ -130,10 +124,70 @@ func FuzzTimerWheel(f *testing.F) {
 				now := fuzzStarts[int(next())%len(fuzzStarts)]
 				w.Reset(now)
 				clear(due)
-				if w.Len() != 0 || w.Now() != now {
-					t.Fatalf("Reset(%d): Len=%d Now=%d", now, w.Len(), w.Now())
+				if w.Now() != now {
+					t.Fatalf("Reset(%d): Now=%d", now, w.Now())
 				}
 			}
+			for id, d := range due {
+				if got := w.Due(int32(id)); got != d {
+					t.Fatalf("Due(%d) = %d, oracle %d", id, got, d)
+				}
+			}
+			checkSlots(t, w)
 		}
 	})
+}
+
+// checkSlots verifies the wheel's lists: each is well linked and ends in
+// its own sentinel, every scheduled id is on exactly one, and each id sits
+// in the slot that its deadline's digit names, serviced (fired or
+// cascaded) no later than the deadline and with its remainder below that
+// level's resolution. An id in the overflow list is due no earlier than
+// the next wrap of the top level, which re-files it.
+func checkSlots(t *testing.T, w *Wheel) {
+	t.Helper()
+	seen := 0
+	for list := range w.head {
+		end := -int32(list + 1)
+		prev := end
+		for id := w.head[list]; id >= 0; id = w.ids[id].next {
+			if w.ids[id].prev != prev {
+				t.Fatalf("list %d: id %d has prev %d, want %d", list, id, w.ids[id].prev, prev)
+			}
+			if seen++; seen > w.Len() {
+				t.Fatalf("list %d: more ids on the lists than Len %d", list, w.Len())
+			}
+			d := w.ids[id].due
+			if d <= w.now {
+				t.Fatalf("list %d: id %d due %d, not after now %d", list, id, d, w.now)
+			}
+			if list == overflow {
+				if wrap := (w.now/horizon + 1) * horizon; d < wrap {
+					t.Fatalf("overflow holds id %d due %d, before the wrap at %d", id, d, wrap)
+				}
+			} else {
+				l, idx := uint64(list/numSlots), uint64(list%numSlots)
+				lo, span := slotBits*l, uint64(1)<<(slotBits*(l+1))
+				// service is the first tick after now whose digit l is idx
+				// and whose lower digits are zero.
+				service := w.now&^(span-1) + idx<<lo
+				if service <= w.now {
+					service += span
+				}
+				if d>>lo != service>>lo {
+					t.Fatalf("level %d slot %d holds id %d due %d; the slot is serviced at %d (now %d)", l, idx, id, d, service, w.now)
+				}
+			}
+			prev = id
+			if w.ids[id].next < 0 && w.ids[id].next != end {
+				t.Fatalf("list %d ends in the sentinel of list %d", list, -w.ids[id].next-1)
+			}
+		}
+		if w.tail[list] != prev && !(prev == end && w.tail[list] < 0) {
+			t.Fatalf("list %d: tail %d, last id %d", list, w.tail[list], prev)
+		}
+	}
+	if seen != w.Len() {
+		t.Fatalf("%d ids on the lists, Len %d", seen, w.Len())
+	}
 }
