@@ -104,7 +104,9 @@ bench-diff:
 # pairs each, alternating which side runs first, each binary from its own
 # package directory. It prints every pair's ns/op and head/base ratio and
 # the median ratio per benchmark (below 1 means the working tree is
-# faster); a benchmark that one side lacks is reported and skipped.
+# faster). A benchmark BASE's test binary does not list is reported and
+# skipped; a pair in which either side prints no ns/op stops the run with
+# an error.
 # Pairing cancels the host's slow and fast phases that a stored baseline
 # cannot; it reports, it does not gate. Usage: make bench-ab BASE=<rev>
 BENCHAB_DIR ?= /tmp/bench-ab
@@ -130,14 +132,15 @@ bench-ab:
 		root:BenchmarkNetTick1M:20x netsim:BenchmarkFleetRestore:20x; do \
 		pkg=$${spec%%:*}; rest=$${spec#*:}; bench=$${rest%%:*}; bt=$${rest#*:}; \
 		: > $$d/ratios; \
+		if ! $$d/base-$$pkg.test -test.list "^$$bench\$$" | grep -qx "$$bench"; then \
+			echo "bench-ab: $$bench is not in $(BASE), skipped"; continue; fi; \
 		for i in $$(seq 1 10); do \
 			if [ $$((i % 2)) = 1 ]; then b=$$(run base $$pkg $$bench $$bt); h=$$(run head $$pkg $$bench $$bt); \
 			else h=$$(run head $$pkg $$bench $$bt); b=$$(run base $$pkg $$bench $$bt); fi; \
-			if [ -z "$$b" ] || [ -z "$$h" ]; then echo "bench-ab: $$bench missing on one side, skipped"; break; fi; \
+			if [ -z "$$b" ] || [ -z "$$h" ]; then echo "bench-ab: $$bench pair $$i reported no ns/op (base '$$b', head '$$h')" >&2; exit 1; fi; \
 			r=$$(awk -v h=$$h -v b=$$b 'BEGIN {printf "%.3f", h / b}'); echo $$r >> $$d/ratios; \
 			echo "bench-ab: $$bench pair $$i: base $$b ns/op, head $$h ns/op, head/base $$r"; \
 		done; \
-		[ -s $$d/ratios ] || continue; \
 		sort -g $$d/ratios | awk -v b=$$bench '{v[NR] = $$1} END {m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2; \
 			printf "bench-ab: %s median head/base %.3f over %d pairs\n", b, m, NR}'; \
 	done

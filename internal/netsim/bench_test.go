@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -34,6 +37,36 @@ func BenchmarkFleetRestore(b *testing.B) {
 		live.Sync(&d)
 		if err := d.Finish(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSortIndexes sorts fired batches of a 10^6-client fleet at the
+// sizes measured per tick on simbench apache-fleet (64) and on
+// BenchmarkNetTick1M (1536), with sortIndexes and with slices.Sort.
+func BenchmarkSortIndexes(b *testing.B) {
+	const max = 999_999
+	for _, k := range []int{64, 1536} {
+		batch := make([]int32, k)
+		for i, v := range rand.New(rand.NewSource(1)).Perm(max + 1)[:k] {
+			batch[i] = int32(v)
+		}
+		ids := make([]int32, k)
+		var scratch []int32
+		sorts := []struct {
+			name string
+			sort func()
+		}{
+			{"radix", func() { sortIndexes(ids, max, &scratch) }},
+			{"slices.Sort", func() { slices.Sort(ids) }},
+		}
+		for _, s := range sorts {
+			b.Run(fmt.Sprintf("n=%d/%s", k, s.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(ids, batch)
+					s.sort()
+				}
+			})
 		}
 	}
 }

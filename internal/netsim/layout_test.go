@@ -104,13 +104,13 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestSortIndexes checks the fired-batch sort against slices.Sort on
-// distinct indexes below bounds of one, two and three radix passes, in
-// batches on both sides of the comparison-sort cutoff.
+// distinct indexes below bounds of one to many radix passes, in batches
+// of every digit width up to maxRadixBits and beyond.
 func TestSortIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var scratch []int32
-	for _, max := range []int32{100, 1<<radixBits - 1, 1 << radixBits, 1_000_000, 1 << 23, math.MaxInt32} {
-		for _, k := range []int{0, 1, 300, 511, 512, 3000} {
+	for _, max := range []int32{100, 1<<maxRadixBits - 1, 1 << maxRadixBits, 1_000_000, 1 << 23, math.MaxInt32} {
+		for _, k := range []int{0, 1, 2, 3, 64, 127, 300, 1024, 2047, 3000} {
 			if int64(k) > int64(max)+1 {
 				continue
 			}
